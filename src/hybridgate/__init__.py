@@ -19,8 +19,6 @@ from .budget import (
 )
 from .constants import (
     BOHR_MAGNETON_HZ_PER_G,
-    CONSTANTS,
-    PhysicalConstants,
     angular_to_linear,
     debye_to_si,
     linear_to_angular,

@@ -3,8 +3,8 @@
 Magnetic noise is modeled as quasi-static and Gaussian: constant within one
 shot, normally distributed across shots. The dephasing time is defined as
 T_phi = 1/(2*pi * sensitivity * sigma_B), under which the Ramsey contrast
-decays as exp(-t^2 / (2 T_phi^2)); the alternative 1/(sensitivity*sigma_B)
-definition is available via ``definition="linear"``.
+decays as exp(-t^2 / (2 T_phi^2)). A rotation step is adiabatic for the trap
+when it spans at least ADIABATIC_MIN_PERIODS trap oscillation periods.
 """
 
 import math
@@ -59,7 +59,7 @@ class BudgetReport:
     readout_min_duration_s: float
 
 
-def dephasing_time(sensitivity_hz_per_g, sigma_b_gauss, definition="angular"):
+def dephasing_time(sensitivity_hz_per_g, sigma_b_gauss):
     """Dephasing time of the qubit transition under rms field noise sigma_B.
 
     Returns math.inf when sigma_B = 0.
@@ -68,12 +68,9 @@ def dephasing_time(sensitivity_hz_per_g, sigma_b_gauss, definition="angular"):
         raise DomainError(f"sensitivity must be > 0 Hz/G, got {sensitivity_hz_per_g!r}")
     if sigma_b_gauss < 0:
         raise DomainError(f"sigma_B must be >= 0 G, got {sigma_b_gauss!r}")
-    if definition not in ("angular", "linear"):
-        raise DomainError(f"definition must be 'angular' or 'linear', got {definition!r}")
     if sigma_b_gauss == 0.0:
         return math.inf
-    spread = sensitivity_hz_per_g * sigma_b_gauss
-    return 1.0 / (TWO_PI * spread) if definition == "angular" else 1.0 / spread
+    return 1.0 / (TWO_PI * (sensitivity_hz_per_g * sigma_b_gauss))
 
 
 def ramsey_contrast_mc(sensitivity_hz_per_g, sigma_b_gauss, t_s, n_samples, seed):
@@ -118,14 +115,14 @@ def operations_budget(dephasing_time_s, gate_time_s):
     return int(math.floor(dephasing_time_s / gate_time_s))
 
 
-def adiabaticity_check(pulse_duration_s, trap_frequency_hz, min_periods=ADIABATIC_MIN_PERIODS):
-    """Pass when the pulse spans at least min_periods trap oscillation periods."""
+def adiabaticity_check(pulse_duration_s, trap_frequency_hz):
+    """Pass when the pulse spans at least ADIABATIC_MIN_PERIODS trap periods."""
     if not pulse_duration_s > 0:
         raise DomainError(f"pulse duration must be > 0, got {pulse_duration_s!r}")
     if not trap_frequency_hz > 0:
         raise DomainError(f"trap frequency must be > 0, got {trap_frequency_hz!r}")
     margin = pulse_duration_s * trap_frequency_hz
-    return AdiabaticityResult(ok=margin >= min_periods, margin=margin)
+    return AdiabaticityResult(ok=margin >= ADIABATIC_MIN_PERIODS, margin=margin)
 
 
 def selective_readout_min_duration(splitting_hz, selectivity_factor=1.0):
@@ -138,7 +135,7 @@ def selective_readout_min_duration(splitting_hz, selectivity_factor=1.0):
 
 
 def assemble_budget(noise, sensitivity_hz_per_g, schedule, readout_splitting_hz,
-                    selectivity_factor=1.0, min_periods=ADIABATIC_MIN_PERIODS):
+                    selectivity_factor=1.0):
     """Compose the individual estimates into one report.
 
     Adiabaticity is judged on the one-qubit (enabler) rotation steps of the
@@ -154,12 +151,7 @@ def assemble_budget(noise, sensitivity_hz_per_g, schedule, readout_splitting_hz,
     loss = inelastic_loss_probability(noise.gamma_inelastic_per_s, gate_time)
     rotations = [s.duration_s for s in schedule.steps
                  if s.kind in ("enabler_rotation", "enabler_return")]
-    if rotations:
-        adiabatic_ok = all(
-            adiabaticity_check(d, noise.trap_frequency_hz, min_periods=min_periods).ok
-            for d in rotations)
-    else:
-        adiabatic_ok = True
+    adiabatic_ok = all(adiabaticity_check(d, noise.trap_frequency_hz).ok for d in rotations)
     return BudgetReport(
         dephasing_time_s=t_phi,
         gate_time_s=gate_time,

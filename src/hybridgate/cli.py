@@ -14,14 +14,14 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
 from .budget import (assemble_budget, dephasing_time, inelastic_loss_probability,
-                     operations_budget, ramsey_contrast_mc)
+                     ramsey_contrast_mc)
 from .dynamics import (LambdaParams, PulseEnvelope, TwoLevelParams, effective_rabi,
                        pi_pulse_duration, raman_trajectory, simulate_stirap,
                        stirap_trajectory, two_level_population)
@@ -31,9 +31,8 @@ from .gate import (GateSchedule, RamanDown, accumulated_phase_numeric,
                    dipole_dipole_rate, gate_fidelity, induced_dipole,
                    interaction_time_for_pi, schedule_total_duration,
                    total_phase_closed_form)
-from .hyperfine import (HyperfineChannel, all_states, breit_rabi_energy,
-                        field_sensitivity, open_decay_channels, resonance_site_count,
-                        site_frequency_resolution, transition_frequency)
+from .hyperfine import (all_states, breit_rabi_energy, field_sensitivity, open_decay_channels,
+                        resonance_site_count, site_frequency_resolution, transition_frequency)
 from .output import ensure_out_dir, format_float, metadata_line, write_csv, write_json
 from .scenario import load_scenario_text
 
@@ -55,6 +54,11 @@ class RunContext:
     @property
     def meta(self):
         return metadata_line(self.config_hash, self.seed, self.mode)
+
+    @property
+    def header(self):   # leading keys of every JSON report
+        return {"tool_version": __version__, "config_sha256": self.config_hash,
+                "seed": self.seed, "mode": self.mode}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,8 +105,7 @@ def _gate_schedule(scn):
     ind = induced_dipole(scn.dipole)
     omega_dd = dipole_dipole_rate(ind.mu_induced_debye, scn.dipole.separation_m)
     schedule = build_gate_schedule(omega_dd, scn.gate.omega_r_rad_s,
-                                   enabler_rotation_s=scn.gate.enabler_rotation_s,
-                                   site_separation_m=scn.dipole.separation_m)
+                                   enabler_rotation_s=scn.gate.enabler_rotation_s)
     return ind, omega_dd, schedule
 
 
@@ -110,10 +113,9 @@ def _stirap_envelopes(scn, peak_factor=1.0, reversed_order=False):
     peak = scn.stirap.peak_rad_s * peak_factor
     sigma = scn.stirap.rms_width_s
     margin = 4.0 * sigma
-    t_first, t_second = margin, margin + scn.stirap.separation_s
-    stokes_center, pump_center = t_first, t_second
+    stokes_center, pump_center = margin, margin + scn.stirap.separation_s
     if reversed_order:
-        stokes_center, pump_center = t_second, t_first
+        stokes_center, pump_center = pump_center, stokes_center
     pump = PulseEnvelope.gaussian(peak, pump_center, sigma)
     stokes = PulseEnvelope.gaussian(peak, stokes_center, sigma)
     params = LambdaParams(0.0, 0.0, scn.stirap.delta_e_rad_s,
@@ -133,6 +135,46 @@ def _fd_sensitivity_max_rel_err(scn, mode):
         fd = (up - down) / (2.0 * FD_STEP_G)
         worst = max(worst, abs(fd - analytic) / abs(analytic))
     return worst
+
+
+def _raman_run(scn, n_points):
+    """Raman pi pulse: drive, two-level reduction, pi duration and trajectory."""
+    params = scn.raman_effective()
+    reduction = effective_rabi(params)
+    drive = TwoLevelParams(abs(reduction.omega_r_rad_s), params.delta_rad_s)
+    duration = pi_pulse_duration(drive)
+    return params, reduction, drive, duration, raman_trajectory(params, duration, n_points)
+
+
+def _stirap_run(scn):
+    """STIRAP trajectory and efficiency, and the efficiency in reversed order."""
+    traj = stirap_trajectory(*_stirap_envelopes(scn))
+    reversed_efficiency = simulate_stirap(*_stirap_envelopes(scn, reversed_order=True))
+    return traj, float(traj.final_populations()[2]), reversed_efficiency
+
+
+def _gate_run(scn):
+    """Gate schedule, durations, wait time, phase, closed form and fidelity."""
+    ind, omega_dd, schedule = _gate_schedule(scn)
+    omega_r = scn.gate.omega_r_rad_s
+    phi = accumulated_phase_numeric(omega_dd, schedule)
+    tau = interaction_time_for_pi(omega_dd, omega_r)
+    phi_closed = total_phase_closed_form(omega_dd, omega_r, omega_dd, tau)
+    fidelity = gate_fidelity(build_phase_gate(phi), build_phase_gate(math.pi))
+    durations = schedule_total_duration(schedule)
+    return ind, omega_dd, schedule, durations, tau, phi, phi_closed, fidelity
+
+
+def _budget_run(scn, ctx, schedule):
+    """Sensitivity, budget report and MC contrast at T_phi (1 if T_phi is unbounded)."""
+    sens = _qubit_sensitivity(scn, ctx.mode)
+    report = assemble_budget(scn.noise, sens, schedule, scn.readout.splitting_hz,
+                             selectivity_factor=scn.readout.selectivity_factor)
+    contrast = 1.0
+    if math.isfinite(report.dephasing_time_s):
+        contrast = ramsey_contrast_mc(sens, scn.noise.sigma_b_gauss,
+                                      report.dephasing_time_s, scn.mc_samples, ctx.seed)
+    return sens, report, contrast
 
 
 # --------------------------------------------------------------------------
@@ -166,11 +208,7 @@ def _cmd_levels(scn, ctx):
 
 
 def _cmd_pulse(scn, ctx):
-    params = scn.raman_effective()
-    reduction = effective_rabi(params)
-    drive = TwoLevelParams(abs(reduction.omega_r_rad_s), params.delta_rad_s)
-    duration = pi_pulse_duration(drive)
-    traj = raman_trajectory(params, duration, n_points=501)
+    _, reduction, drive, duration, traj = _raman_run(scn, 501)
     pops = traj.populations()
     p2 = two_level_population(drive, traj.times)
     write_csv(os.path.join(ctx.out_dir, "pulse_molecule_3level.csv"),
@@ -190,13 +228,7 @@ def _cmd_pulse(scn, ctx):
 
 
 def _cmd_stirap(scn, ctx):
-    pump, stokes, params = _stirap_envelopes(scn)
-    traj = stirap_trajectory(pump, stokes, params)
-    efficiency = float(traj.final_populations()[2])
-    drift = traj.norm_drift
-    pump_r, stokes_r, params_r = _stirap_envelopes(scn, reversed_order=True)
-    eff_reversed = simulate_stirap(pump_r, stokes_r, params_r)
-
+    traj, efficiency, eff_reversed = _stirap_run(scn)
     pops = traj.populations()
     for idx, name in ((0, "atoms"), (1, "excited"), (2, "molecule")):
         write_csv(os.path.join(ctx.out_dir, f"stirap_{name}.csv"),
@@ -204,24 +236,17 @@ def _cmd_stirap(scn, ctx):
                   list(zip(traj.times.tolist(), pops[:, idx].tolist())), ctx.meta)
     rows = []
     for factor in STIRAP_SWEEP_FACTORS:
-        p, s, lp = _stirap_envelopes(scn, peak_factor=float(factor))
-        eff = simulate_stirap(p, s, lp)
+        eff = simulate_stirap(*_stirap_envelopes(scn, peak_factor=float(factor)))
         rows.append((float(factor) * scn.stirap.peak_rad_s * scn.stirap.rms_width_s, eff))
     write_csv(os.path.join(ctx.out_dir, "stirap_efficiency.csv"),
               ("omega0_rms_area", "efficiency"), rows, ctx.meta)
-    print(f"stirap: efficiency = {format_float(efficiency)} "
-          f"(reversed order {format_float(eff_reversed)}), norm drift = {format_float(drift)}")
+    print(f"stirap: efficiency = {format_float(efficiency)} (reversed order "
+          f"{format_float(eff_reversed)}), norm drift = {format_float(traj.norm_drift)}")
     return 0
 
 
 def _cmd_gate(scn, ctx):
-    ind, omega_dd, schedule = _gate_schedule(scn)
-    omega_r = scn.gate.omega_r_rad_s
-    phi = accumulated_phase_numeric(omega_dd, schedule)
-    tau = interaction_time_for_pi(omega_dd, omega_r)
-    phi_closed = total_phase_closed_form(omega_dd, omega_r, omega_dd, tau)
-    fidelity = gate_fidelity(build_phase_gate(phi), build_phase_gate(math.pi))
-    durations = schedule_total_duration(schedule)
+    ind, omega_dd, schedule, durations, _, phi, phi_closed, fidelity = _gate_run(scn)
     times, phis = accumulated_phase_profile(omega_dd, schedule)
     write_csv(os.path.join(ctx.out_dir, "gate_phase_rad.csv"), ("t_s", "phi_rad"),
               list(zip(times.tolist(), phis.tolist())), ctx.meta)
@@ -238,20 +263,10 @@ def _cmd_gate(scn, ctx):
 
 
 def _cmd_budget(scn, ctx):
-    sens = _qubit_sensitivity(scn, ctx.mode)
     _, _, schedule = _gate_schedule(scn)
-    report = assemble_budget(scn.noise, sens, schedule, scn.readout.splitting_hz,
-                             selectivity_factor=scn.readout.selectivity_factor)
-    if math.isfinite(report.dephasing_time_s):
-        contrast = ramsey_contrast_mc(sens, scn.noise.sigma_b_gauss,
-                                      report.dephasing_time_s, scn.mc_samples, ctx.seed)
-    else:
-        contrast = 1.0
+    sens, report, contrast = _budget_run(scn, ctx, schedule)
     payload = {
-        "tool_version": __version__,
-        "config_sha256": ctx.config_hash,
-        "seed": ctx.seed,
-        "mode": ctx.mode,
+        **ctx.header,
         "sensitivity_hz_per_g": sens,
         "dephasing_time_s": report.dephasing_time_s,
         "gate_time_s": report.gate_time_s,
@@ -315,175 +330,132 @@ def _cmd_sweep(scn, ctx):
     return 0
 
 
-def _check(name, value, expected, tolerance, ok):
+def _check(name, value, expected, tolerance, ok=None):
+    """Passes when |value - expected| <= tolerance, or on ``ok`` if given."""
+    value = float(value)
+    if ok is None:
+        ok = abs(value - expected) <= tolerance
     return {"name": name, "value": value, "expected": expected,
             "tolerance": tolerance, "pass": bool(ok)}
 
 
 def _window_check(name, value, low, high):
-    mid, half = 0.5 * (low + high), 0.5 * (high - low)
-    return _check(name, value, mid, half, low <= value <= high)
+    return _check(name, value, 0.5 * (low + high), 0.5 * (high - low))
 
 
 def _cmd_paper_repro(scn, ctx):
-    mode = ctx.mode
     sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
     b = scn.field.b_gauss
     spacing_cm = scn.field.site_spacing_m * 100.0
-
-    transition = transition_frequency(sp, up, lo, b, mode=mode)
-    sens = field_sensitivity(sp, up, lo, b, mode=mode)
-    fd_err = _fd_sensitivity_max_rel_err(scn, mode)
-    resolution = site_frequency_resolution(sens, scn.field.gradient_g_per_cm, spacing_cm)
-    sites = resonance_site_count(scn.field.resonance_width_g,
-                                 scn.field.gradient_g_per_cm, spacing_cm)
-
-    ind, omega_dd, schedule = _gate_schedule(scn)
     omega_r = scn.gate.omega_r_rad_s
-    pi_duration = pi_pulse_duration(TwoLevelParams(omega_r, 0.0))
-    tau_int = interaction_time_for_pi(omega_dd, omega_r)
-    durations = schedule_total_duration(schedule)
 
+    ind, omega_dd, schedule, durations, tau_int, phi_total, phi_closed, fidelity = _gate_run(scn)
+    sens, budget, contrast = _budget_run(scn, ctx, schedule)
+    if budget.operations_count is None:
+        raise DomainError("operations count needs a finite dephasing time (sigma_B_G > 0)")
     single = GateSchedule((RamanDown(TwoLevelParams(omega_r, 0.0), math.pi / omega_r),))
-    phi_single = accumulated_phase_numeric(omega_dd, single)
-    phi_single_expected = omega_dd * 3.0 * math.pi / (8.0 * omega_r)
-    phi_single_rel = abs(phi_single - phi_single_expected) / phi_single_expected
-    phi_total = accumulated_phase_numeric(omega_dd, schedule)
-    phi_closed = total_phase_closed_form(omega_dd, omega_r, omega_dd, tau_int)
-    closed_rel = abs(phi_closed - phi_total) / abs(phi_total)
-    fidelity = gate_fidelity(build_phase_gate(phi_total), build_phase_gate(math.pi))
 
     # Far-detuned reduction quality at the configured ratio, and again with
     # delta_e scaled x10 at fixed omega_R.
-    params = scn.raman_effective()
-    reduction = effective_rabi(params)
-    drive = TwoLevelParams(abs(reduction.omega_r_rad_s), params.delta_rad_s)
-    dur = pi_pulse_duration(drive)
-    p3 = raman_trajectory(params, dur).final_populations()[2]
-    p2 = two_level_population(drive, dur)
-    elim_diff = abs(float(p3) - float(p2))
-    scaled = LambdaParams(params.omega_p_rad_s * math.sqrt(10.0),
-                          params.omega_s_rad_s * math.sqrt(10.0),
-                          params.delta_e_rad_s * 10.0,
-                          delta_rad_s=params.delta_rad_s,
-                          gamma_e_rad_s=params.gamma_e_rad_s,
-                          stark_compensated=params.stark_compensated)
-    p3s = raman_trajectory(scaled, dur).final_populations()[2]
-    elim_diff_scaled = abs(float(p3s) - float(p2))
-    improvement = elim_diff / max(elim_diff_scaled, 1e-300)
+    params, _, drive, dur, raman = _raman_run(scn, 241)
+    p2 = float(two_level_population(drive, dur))
+    scaled = replace(params, omega_p_rad_s=params.omega_p_rad_s * math.sqrt(10.0),
+                     omega_s_rad_s=params.omega_s_rad_s * math.sqrt(10.0),
+                     delta_e_rad_s=params.delta_e_rad_s * 10.0)
+    elim_diff = abs(float(raman.final_populations()[2]) - p2)
+    elim_diff_scaled = abs(float(raman_trajectory(scaled, dur).final_populations()[2]) - p2)
 
-    pump, stokes, sparams = _stirap_envelopes(scn)
-    straj = stirap_trajectory(pump, stokes, sparams)
-    stirap_eff = float(straj.final_populations()[2])
-    stirap_drift = straj.norm_drift
-    pump_r, stokes_r, sparams_r = _stirap_envelopes(scn, reversed_order=True)
-    stirap_rev = simulate_stirap(pump_r, stokes_r, sparams_r)
+    stirap, stirap_eff, stirap_rev = _stirap_run(scn)
 
-    t_phi = dephasing_time(sens, scn.noise.sigma_b_gauss)
-    contrast = ramsey_contrast_mc(sens, scn.noise.sigma_b_gauss, t_phi,
-                                  scn.mc_samples, ctx.seed)
-    loss_benchmark = inelastic_loss_probability(scn.noise.gamma_inelastic_per_s,
-                                                LOSS_BENCHMARK_S)
-    loss_gate = inelastic_loss_probability(scn.noise.gamma_inelastic_per_s,
-                                           durations.gate_s)
-    ops = operations_budget(t_phi, durations.gate_s)
+    channels = (scn.qubit_channel_storage()[1], *scn.qubit_channel_enabled())
+    open_storage_1, open_enabled_0, open_enabled_1 = [
+        open_decay_channels(channel, b, mode=ctx.mode) for channel in channels]
 
-    storage_1 = HyperfineChannel(sp, up, scn.enabler.species, scn.enabler.storage)
-    enabled_0 = HyperfineChannel(sp, lo, scn.enabler.species, scn.enabler.enabled)
-    enabled_1 = HyperfineChannel(sp, up, scn.enabler.species, scn.enabler.enabled)
-    open_storage_1 = open_decay_channels(storage_1, b, mode=mode)
-    open_enabled_0 = open_decay_channels(enabled_0, b, mode=mode)
-    open_enabled_1 = open_decay_channels(enabled_1, b, mode=mode)
-    named_decay = any(c.state_a == lo and c.state_b == scn.enabler.storage
-                      for c in open_enabled_1)
-
-    checks = [
-        _check("transition_649G_hz", transition, 8.3e9, 0.01 * 8.3e9,
-               abs(transition - 8.3e9) <= 0.01 * 8.3e9),
-        _check("field_sensitivity_hz_per_g", sens, 2.38e6, 0.03 * 2.38e6,
-               abs(sens - 2.38e6) <= 0.03 * 2.38e6),
-        _check("sensitivity_fd_max_rel_err", fd_err, 0.0, 1e-6, fd_err <= 1e-6),
-        _window_check("site_resolution_hz", resolution, 1.0e5, 1.3e5),
-        _check("resonance_site_count", float(sites), 100.0, 0.0, sites == 100),
-        _window_check("omega_dd_rad_s", omega_dd, 1.2e5, 1.5e5),
-        _check("pi_pulse_duration_s", pi_duration, 3.14e-6, 0.1 * 3.14e-6,
-               abs(pi_duration - 3.14e-6) <= 0.1 * 3.14e-6),
-        _check("single_pulse_phase_rel_err", phi_single_rel, 0.0, 1e-6,
-               phi_single_rel <= 1e-6),
-        _check("schedule_phase_rad", phi_total, math.pi, 1e-4,
-               abs(phi_total - math.pi) <= 1e-4),
-        _check("closed_form_vs_quadrature_rel_err", closed_rel, 0.0, 0.01,
-               closed_rel <= 0.01),
-        _window_check("gate_time_s", durations.gate_s, 15e-6, 35e-6),
-        # The ~14 us wait figure quoted for these parameters is inconsistent
-        # with the wait-time formula itself (21-31 us over the plausible
-        # omega_dd range); this check PASSES when the mismatch is present.
-        _check("tau_int_differs_from_quoted_14us", tau_int, 14e-6, 0.25 * 14e-6,
-               abs(tau_int - 14e-6) > 0.25 * 14e-6),
-        _check("phase_gate_fidelity", fidelity, 1.0, 1e-6, fidelity >= 1.0 - 1e-6),
-        _check("adiabatic_elimination_final_diff", elim_diff, 0.0, 0.01,
-               elim_diff <= 0.01),
-        _check("adiabatic_elimination_improvement", improvement, 5.0, 0.0,
-               improvement >= 5.0),
-        _check("stirap_efficiency", stirap_eff, 1.0, 0.01, stirap_eff > 0.99),
-        _check("stirap_order_advantage", stirap_eff - stirap_rev, 0.0, 0.0,
-               stirap_eff > stirap_rev),
-        _check("stirap_norm_drift", stirap_drift, 0.0, 1e-9, stirap_drift < 1e-9),
-        _window_check("dephasing_time_s", t_phi, 180e-6, 250e-6),
-        _check("ramsey_contrast_at_t_phi", contrast, math.exp(-0.5), 0.01,
-               abs(contrast - math.exp(-0.5)) <= 0.01),
-        _check("inelastic_loss_20us", loss_benchmark, 0.8647, 1e-4,
-               abs(loss_benchmark - 0.8647) <= 1e-4),
-        _check("operations_count", float(ops), 10.0, 2.0, 8 <= ops <= 12),
-        _check("channel_storage_1_stable", float(len(open_storage_1)), 0.0, 0.0,
-               len(open_storage_1) == 0),
-        _check("channel_enabled_0_stable", float(len(open_enabled_0)), 0.0, 0.0,
-               len(open_enabled_0) == 0),
-        _check("channel_enabled_1_decays_to_swapped_pair", 1.0 if named_decay else 0.0,
-               1.0, 0.0, named_decay),
-    ]
-
-    payload = {
-        "tool_version": __version__,
-        "config_sha256": ctx.config_hash,
-        "seed": ctx.seed,
-        "mode": ctx.mode,
-        "transition_hz": transition,
+    r = {
+        **ctx.header,
+        "transition_hz": transition_frequency(sp, up, lo, b, mode=ctx.mode),
         "sensitivity_hz_per_g": sens,
-        "sensitivity_fd_max_rel_err": fd_err,
-        "site_resolution_hz": resolution,
-        "resonance_site_count": sites,
+        "sensitivity_fd_max_rel_err": _fd_sensitivity_max_rel_err(scn, ctx.mode),
+        "site_resolution_hz": site_frequency_resolution(sens, scn.field.gradient_g_per_cm,
+                                                        spacing_cm),
+        "resonance_site_count": resonance_site_count(scn.field.resonance_width_g,
+                                                     scn.field.gradient_g_per_cm, spacing_cm),
         "induced_dipole_D": ind.mu_induced_debye,
         "polarization_ratio": ind.polarization_ratio,
         "linear_response_valid": ind.linear_response_valid,
         "omega_dd_rad_s": omega_dd,
-        "pi_pulse_duration_s": pi_duration,
+        "pi_pulse_duration_s": pi_pulse_duration(TwoLevelParams(omega_r, 0.0)),
         "interaction_time_s": tau_int,
         "gate_time_s": durations.gate_s,
         "protocol_time_s": durations.total_s,
-        "single_pulse_phase_rad": phi_single,
+        "single_pulse_phase_rad": accumulated_phase_numeric(omega_dd, single),
         "accumulated_phase_rad": phi_total,
         "closed_form_phase_rad": phi_closed,
         "phase_gate_fidelity": fidelity,
         "adiabatic_elimination_final_diff": elim_diff,
-        "adiabatic_elimination_improvement": improvement,
+        "adiabatic_elimination_improvement": elim_diff / max(elim_diff_scaled, 1e-300),
         "stirap_efficiency": stirap_eff,
         "stirap_efficiency_reversed": stirap_rev,
-        "stirap_norm_drift": stirap_drift,
-        "dephasing_time_s": t_phi,
+        "stirap_norm_drift": stirap.norm_drift,
+        "dephasing_time_s": budget.dephasing_time_s,
         "ramsey_contrast_at_t_phi": contrast,
-        "inelastic_loss_20us": loss_benchmark,
-        "inelastic_loss_gate": loss_gate,
-        "operations_count": ops,
+        "inelastic_loss_20us": inelastic_loss_probability(scn.noise.gamma_inelastic_per_s,
+                                                          LOSS_BENCHMARK_S),
+        "inelastic_loss_gate": budget.loss_probability,
+        "operations_count": budget.operations_count,
         "open_channels_storage_1": len(open_storage_1),
         "open_channels_enabled_0": len(open_enabled_0),
         "open_channels_enabled_1": [c.label() for c in open_enabled_1],
-        "checks": checks,
     }
-    write_json(os.path.join(ctx.out_dir, "paper_repro.json"), payload)
+
+    phi_single_expected = omega_dd * 3.0 * math.pi / (8.0 * omega_r)
+    named_decay = any(c.state_a == lo and c.state_b == scn.enabler.storage
+                      for c in open_enabled_1)
+    checks = r["checks"] = [
+        _check("transition_649G_hz", r["transition_hz"], 8.3e9, 0.01 * 8.3e9),
+        _check("field_sensitivity_hz_per_g", r["sensitivity_hz_per_g"], 2.38e6, 0.03 * 2.38e6),
+        _check("sensitivity_fd_max_rel_err", r["sensitivity_fd_max_rel_err"], 0.0, 1e-6),
+        _window_check("site_resolution_hz", r["site_resolution_hz"], 1.0e5, 1.3e5),
+        _check("resonance_site_count", r["resonance_site_count"], 100.0, 0.0),
+        _window_check("omega_dd_rad_s", r["omega_dd_rad_s"], 1.2e5, 1.5e5),
+        _check("pi_pulse_duration_s", r["pi_pulse_duration_s"], 3.14e-6, 0.1 * 3.14e-6),
+        _check("single_pulse_phase_rel_err",
+               abs(r["single_pulse_phase_rad"] - phi_single_expected) / phi_single_expected,
+               0.0, 1e-6),
+        _check("schedule_phase_rad", r["accumulated_phase_rad"], math.pi, 1e-4),
+        _check("closed_form_vs_quadrature_rel_err",
+               abs(r["closed_form_phase_rad"] - r["accumulated_phase_rad"])
+               / abs(r["accumulated_phase_rad"]), 0.0, 0.01),
+        _window_check("gate_time_s", r["gate_time_s"], 15e-6, 35e-6),
+        # The ~14 us wait figure quoted for these parameters is inconsistent
+        # with the wait-time formula itself (21-31 us over the plausible
+        # omega_dd range); this check PASSES when the mismatch is present.
+        _check("tau_int_differs_from_quoted_14us", r["interaction_time_s"], 14e-6, 0.25 * 14e-6,
+               abs(r["interaction_time_s"] - 14e-6) > 0.25 * 14e-6),
+        _check("phase_gate_fidelity", r["phase_gate_fidelity"], 1.0, 1e-6,
+               r["phase_gate_fidelity"] >= 1.0 - 1e-6),
+        _check("adiabatic_elimination_final_diff", r["adiabatic_elimination_final_diff"],
+               0.0, 0.01),
+        _check("adiabatic_elimination_improvement", r["adiabatic_elimination_improvement"],
+               5.0, 0.0, r["adiabatic_elimination_improvement"] >= 5.0),
+        _check("stirap_efficiency", r["stirap_efficiency"], 1.0, 0.01,
+               r["stirap_efficiency"] > 0.99),
+        _check("stirap_order_advantage", r["stirap_efficiency"] - r["stirap_efficiency_reversed"],
+               0.0, 0.0, r["stirap_efficiency"] > r["stirap_efficiency_reversed"]),
+        _check("stirap_norm_drift", r["stirap_norm_drift"], 0.0, 1e-9,
+               r["stirap_norm_drift"] < 1e-9),
+        _window_check("dephasing_time_s", r["dephasing_time_s"], 180e-6, 250e-6),
+        _check("ramsey_contrast_at_t_phi", r["ramsey_contrast_at_t_phi"], math.exp(-0.5), 0.01),
+        _check("inelastic_loss_20us", r["inelastic_loss_20us"], 0.8647, 1e-4),
+        _check("operations_count", r["operations_count"], 10.0, 2.0),
+        _check("channel_storage_1_stable", r["open_channels_storage_1"], 0.0, 0.0),
+        _check("channel_enabled_0_stable", r["open_channels_enabled_0"], 0.0, 0.0),
+        _check("channel_enabled_1_decays_to_swapped_pair", named_decay, 1.0, 0.0),
+    ]
+    write_json(os.path.join(ctx.out_dir, "paper_repro.json"), r)
     for check in checks:
         status = "PASS" if check["pass"] else "FAIL"
-        print(f"{status} {check['name']}: value={format_float(float(check['value']))} "
+        print(f"{status} {check['name']}: value={format_float(check['value'])} "
               f"expected={format_float(float(check['expected']))} "
               f"tolerance={format_float(float(check['tolerance']))}")
     failed = sum(1 for c in checks if not c["pass"])

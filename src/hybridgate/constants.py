@@ -14,7 +14,6 @@ Unit convention (used consistently everywhere):
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -30,21 +29,6 @@ DEBYE_C_M = 3.33564e-30         # one Debye [C*m]
 # Bohr magneton as a linear frequency per Gauss, mu_B/h.
 # Golden-tested; changing this value is a breaking change.
 BOHR_MAGNETON_HZ_PER_G = 1.399624604e6
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the pinned constants, for callers that prefer one object."""
-
-    debye_to_coulomb_meter: float = DEBYE_C_M
-    bohr_magneton_hz_per_gauss: float = BOHR_MAGNETON_HZ_PER_G
-    reduced_planck_j_s: float = HBAR_J_S
-    planck_j_s: float = PLANCK_J_S
-    coulomb_factor: float = FOUR_PI_EPSILON0
-    hz_to_rad_per_s: float = TWO_PI
-
-
-CONSTANTS = PhysicalConstants()
 
 
 def debye_to_si(mu_debye):

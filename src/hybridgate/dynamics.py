@@ -23,6 +23,8 @@ from .errors import DomainError, NumericalFailure, StepSizeError
 STEP_PHASE_TARGET = 0.01   # default ||H||_F * h per RK4 substep
 STEP_PHASE_MAX = 0.05      # hard precondition on ||H||_F * h
 NORM_DRIFT_LIMIT = 1e-7    # max allowed |sum|c|^2 - 1| for unitary evolution
+GAUSSIAN_CUTOFF_SIGMAS = 4.0  # gaussian envelopes are zero beyond this many rms widths
+STIRAP_POINTS = 601        # output grid of a STIRAP trajectory
 
 LAMBDA_LABELS = ("atoms", "excited", "molecule")
 
@@ -144,9 +146,9 @@ class PulseEnvelope:
         return cls("rectangular", peak_rad_s, start_s, duration_s)
 
     @classmethod
-    def gaussian(cls, peak_rad_s, center_s, rms_width_s, cutoff_sigmas=4.0):
-        start = center_s - cutoff_sigmas * rms_width_s
-        return cls("gaussian", peak_rad_s, start, 2.0 * cutoff_sigmas * rms_width_s,
+    def gaussian(cls, peak_rad_s, center_s, rms_width_s):
+        start = center_s - GAUSSIAN_CUTOFF_SIGMAS * rms_width_s
+        return cls("gaussian", peak_rad_s, start, 2.0 * GAUSSIAN_CUTOFF_SIGMAS * rms_width_s,
                    center_s=center_s, rms_width_s=rms_width_s)
 
     @property
@@ -234,8 +236,7 @@ def _is_hermitian(h_matrix):
     return float(np.max(np.abs(h_matrix - h_matrix.conj().T))) <= 1e-12 * scale
 
 
-def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None, constant=False,
-                          step_phase=STEP_PHASE_TARGET):
+def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None, constant=False):
     """Integrate i dpsi/dt = H(t) psi on a uniform time grid.
 
     Parameters
@@ -243,7 +244,7 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None, constant=Fal
     hamiltonian : callable t -> (d, d) complex ndarray
     psi0 : ComplexAmplitudeVector or normalized 1-d array
     t_grid : increasing, uniform array of output times
-    substeps : RK4 substeps per grid interval; derived from step_phase and
+    substeps : RK4 substeps per grid interval; derived from STEP_PHASE_TARGET and
         the sampled max Frobenius norm of H when omitted
     constant : fast path for time-independent H (identical arithmetic
         through the Taylor-4 update matrix)
@@ -283,7 +284,7 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None, constant=Fal
         hermitian = all(_is_hermitian(h) for h in sampled)
 
     if substeps is None:
-        substeps = max(1, int(math.ceil(dt * norm_max / step_phase))) if norm_max > 0 else 1
+        substeps = max(1, int(math.ceil(dt * norm_max / STEP_PHASE_TARGET))) if norm_max > 0 else 1
     if substeps < 1:
         raise DomainError(f"substeps must be >= 1, got {substeps!r}")
     h = dt / substeps
@@ -368,7 +369,7 @@ def simulate_raman_pi_pulse(params, duration_s, n_points=241):
     return float(p_a), float(p_e), float(p_g)
 
 
-def stirap_trajectory(pump, stokes, params, n_points=601):
+def stirap_trajectory(pump, stokes, params):
     """Integrate the Lambda system under Gaussian pump and Stokes envelopes.
 
     Light-shift compensation does not apply here (the envelopes are resolved
@@ -385,11 +386,11 @@ def stirap_trajectory(pump, stokes, params, n_points=601):
                              delta_bare=params.delta_rad_s)
 
     psi0 = ComplexAmplitudeVector(np.array([1.0, 0.0, 0.0], dtype=complex), LAMBDA_LABELS)
-    grid = np.linspace(t0, t1, n_points)
+    grid = np.linspace(t0, t1, STIRAP_POINTS)
     return integrate_schrodinger(hfunc, psi0, grid)
 
 
-def simulate_stirap(pump, stokes, params, n_points=601):
+def simulate_stirap(pump, stokes, params):
     """Transfer efficiency: final molecular population of the pulse sequence."""
-    traj = stirap_trajectory(pump, stokes, params, n_points=n_points)
+    traj = stirap_trajectory(pump, stokes, params)
     return float(traj.final_populations()[2])

@@ -117,11 +117,9 @@ _ENABLER_KINDS = ("enabler_rotation", "enabler_return")
 
 @dataclass(frozen=True)
 class GateSchedule:
-    """Ordered protocol steps plus the interaction context they run in."""
+    """Ordered protocol steps."""
 
     steps: tuple
-    site_separation_m: float = None
-    omega_dd_rad_s: float = None
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -179,8 +177,7 @@ def interaction_time_for_pi(omega_dd_rad_s, omega_r_rad_s):
     return (math.pi / omega_dd_rad_s) * (1.0 - pulse_fraction)
 
 
-def build_gate_schedule(omega_dd_rad_s, omega_r_rad_s, enabler_rotation_s=30e-6,
-                        site_separation_m=None):
+def build_gate_schedule(omega_dd_rad_s, omega_r_rad_s, enabler_rotation_s=30e-6):
     """Standard phase-gate schedule: enabler rotation, resonant pi-pulse
     down-transfer, pi-accumulating wait, pi-pulse up-transfer, enabler return.
 
@@ -196,14 +193,14 @@ def build_gate_schedule(omega_dd_rad_s, omega_r_rad_s, enabler_rotation_s=30e-6,
         if not enabler_rotation_s > 0:
             raise DomainError(f"enabler rotation must be > 0 s, got {enabler_rotation_s!r}")
         steps = [EnablerRotation(enabler_rotation_s)] + steps + [EnablerReturn(enabler_rotation_s)]
-    return GateSchedule(tuple(steps), site_separation_m=site_separation_m,
-                        omega_dd_rad_s=omega_dd_rad_s)
+    return GateSchedule(tuple(steps))
 
 
 # --------------------------------------------------------------------------
 # Phase accumulation
 
 _SIMPSON_MAX_PANELS = 2 ** 22
+PHASE_REL_TOL = 1e-8   # successive Simpson estimates must agree to this
 
 
 def _simpson(values, h):
@@ -212,17 +209,17 @@ def _simpson(values, h):
                         + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-2:2]))
 
 
-def _refine_simpson(func, duration, rel_tol):
+def _refine_simpson(func, duration):
     panels = 16
     prev = None
     while panels <= _SIMPSON_MAX_PANELS:
         ts = np.linspace(0.0, duration, panels + 1)
         est = _simpson(func(ts), duration / panels)
-        if prev is not None and abs(est - prev) <= rel_tol * abs(est) + 1e-300:
+        if prev is not None and abs(est - prev) <= PHASE_REL_TOL * abs(est) + 1e-300:
             return est
         prev = est
         panels *= 2
-    raise NumericalFailure(f"phase quadrature did not converge to rel {rel_tol}")
+    raise NumericalFailure(f"phase quadrature did not converge to rel {PHASE_REL_TOL}")
 
 
 def _step_population(step, hold):
@@ -246,20 +243,20 @@ def _step_population(step, hold):
     return pop, hold
 
 
-def accumulated_phase_numeric(omega_dd_rad_s, schedule, rel_tol=1e-8):
+def accumulated_phase_numeric(omega_dd_rad_s, schedule):
     """Accumulated interaction phase [rad]: quadrature of
     omega_dd * |c_g(t)|^4 over the schedule.
 
     Raman steps follow the analytic two-level population, wait and enabler
     steps hold it at the preceding pulse-end value. Each pulse quadrature is
-    refined until successive Simpson estimates agree to rel_tol.
+    refined until successive Simpson estimates agree to PHASE_REL_TOL.
     """
     phase = 0.0
     hold = 0.0
     for step in schedule.steps:
         pop, hold_after = _step_population(step, hold)
         if step.kind in ("raman_down", "raman_up"):
-            integral = _refine_simpson(lambda ts: pop(ts) ** 2, step.duration_s, rel_tol)
+            integral = _refine_simpson(lambda ts: pop(ts) ** 2, step.duration_s)
         else:
             integral = hold * hold * step.duration_s
         phase += omega_dd_rad_s * integral

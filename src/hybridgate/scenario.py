@@ -340,12 +340,3 @@ def load_scenario_text(text, seed_override=None):
                     raman=raman, stirap=stirap, dipole=dipole, gate=gate,
                     noise=noise, readout=readout, levels=levels, sweep=sweep,
                     mc_samples=mc_samples)
-
-
-def load_scenario(path, seed_override=None):
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}", key=str(path)) from exc
-    return load_scenario_text(data.decode("utf-8"), seed_override=seed_override)

@@ -15,7 +15,6 @@ def test_pinned_golden_values():
     assert constants.PLANCK_J_S == 6.62607015e-34
     assert constants.EPSILON0_F_M == 8.8541878128e-12
     assert constants.FOUR_PI_EPSILON0 == 4.0 * math.pi * 8.8541878128e-12
-    assert constants.CONSTANTS.bohr_magneton_hz_per_gauss == constants.BOHR_MAGNETON_HZ_PER_G
 
 
 def test_debye_to_si_values():
