@@ -19,12 +19,9 @@ from .budget import (
 )
 from .constants import (
     BOHR_MAGNETON_HZ_PER_G,
-    angular_to_linear,
     debye_to_si,
-    linear_to_angular,
 )
 from .dynamics import (
-    ComplexAmplitudeVector,
     EffectiveTwoLevel,
     LambdaParams,
     PulseEnvelope,
@@ -33,7 +30,6 @@ from .dynamics import (
     effective_rabi,
     integrate_schrodinger,
     pi_pulse_duration,
-    simulate_raman_pi_pulse,
     simulate_stirap,
     two_level_population,
 )

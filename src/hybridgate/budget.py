@@ -14,7 +14,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .errors import DomainError
-from .gate import schedule_total_duration
+from .gate import ENABLER_KINDS, schedule_total_duration
 
 # Monte Carlo samples are derived per chunk from (seed, chunk index), so the
 # result is independent of how chunks would be distributed across workers.
@@ -149,8 +149,7 @@ def assemble_budget(noise, sensitivity_hz_per_g, schedule, readout_splitting_hz,
         raise DomainError("schedule has no gate steps; gate time must be > 0")
     ops = None if math.isinf(t_phi) else operations_budget(t_phi, gate_time)
     loss = inelastic_loss_probability(noise.gamma_inelastic_per_s, gate_time)
-    rotations = [s.duration_s for s in schedule.steps
-                 if s.kind in ("enabler_rotation", "enabler_return")]
+    rotations = [s.duration_s for s in schedule.steps if s.kind in ENABLER_KINDS]
     adiabatic_ok = all(adiabaticity_check(d, noise.trap_frequency_hz).ok for d in rotations)
     return BudgetReport(
         dephasing_time_s=t_phi,

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .budget import (assemble_budget, dephasing_time, inelastic_loss_probability,
                      ramsey_contrast_mc)
-from .dynamics import (LambdaParams, PulseEnvelope, TwoLevelParams, effective_rabi,
+from .dynamics import (LAMBDA_LABELS, PulseEnvelope, TwoLevelParams, effective_rabi,
                        pi_pulse_duration, raman_trajectory, simulate_stirap,
                        stirap_trajectory, two_level_population)
 from .errors import ConfigError, DomainError, NumericalFailure
@@ -105,22 +105,20 @@ def _gate_schedule(scn):
     ind = induced_dipole(scn.dipole)
     omega_dd = dipole_dipole_rate(ind.mu_induced_debye, scn.dipole.separation_m)
     schedule = build_gate_schedule(omega_dd, scn.gate.omega_r_rad_s,
-                                   enabler_rotation_s=scn.gate.enabler_rotation_s)
+                                   scn.gate.enabler_rotation_s)
     return ind, omega_dd, schedule
 
 
-def _stirap_envelopes(scn, peak_factor=1.0, reversed_order=False):
+def _stirap_args(scn, peak_factor=1.0, reversed_order=False):
+    """(pump, stokes, delta_e, delta) of the configured STIRAP transfer."""
     peak = scn.stirap.peak_rad_s * peak_factor
     sigma = scn.stirap.rms_width_s
     margin = 4.0 * sigma
     stokes_center, pump_center = margin, margin + scn.stirap.separation_s
     if reversed_order:
         stokes_center, pump_center = pump_center, stokes_center
-    pump = PulseEnvelope.gaussian(peak, pump_center, sigma)
-    stokes = PulseEnvelope.gaussian(peak, stokes_center, sigma)
-    params = LambdaParams(0.0, 0.0, scn.stirap.delta_e_rad_s,
-                          delta_rad_s=scn.stirap.delta_rad_s, stark_compensated=False)
-    return pump, stokes, params
+    return (PulseEnvelope(peak, pump_center, sigma), PulseEnvelope(peak, stokes_center, sigma),
+            scn.stirap.delta_e_rad_s, scn.stirap.delta_rad_s)
 
 
 def _fd_sensitivity_max_rel_err(scn, mode):
@@ -148,8 +146,8 @@ def _raman_run(scn, n_points):
 
 def _stirap_run(scn):
     """STIRAP trajectory and efficiency, and the efficiency in reversed order."""
-    traj = stirap_trajectory(*_stirap_envelopes(scn))
-    reversed_efficiency = simulate_stirap(*_stirap_envelopes(scn, reversed_order=True))
+    traj = stirap_trajectory(*_stirap_args(scn))
+    reversed_efficiency = simulate_stirap(*_stirap_args(scn, reversed_order=True))
     return traj, float(traj.final_populations()[2]), reversed_efficiency
 
 
@@ -230,13 +228,13 @@ def _cmd_pulse(scn, ctx):
 def _cmd_stirap(scn, ctx):
     traj, efficiency, eff_reversed = _stirap_run(scn)
     pops = traj.populations()
-    for idx, name in ((0, "atoms"), (1, "excited"), (2, "molecule")):
+    for idx, name in enumerate(LAMBDA_LABELS):
         write_csv(os.path.join(ctx.out_dir, f"stirap_{name}.csv"),
                   ("t_s", f"p_{name}"),
                   list(zip(traj.times.tolist(), pops[:, idx].tolist())), ctx.meta)
     rows = []
     for factor in STIRAP_SWEEP_FACTORS:
-        eff = simulate_stirap(*_stirap_envelopes(scn, peak_factor=float(factor)))
+        eff = simulate_stirap(*_stirap_args(scn, peak_factor=float(factor)))
         rows.append((float(factor) * scn.stirap.peak_rad_s * scn.stirap.rms_width_s, eff))
     write_csv(os.path.join(ctx.out_dir, "stirap_efficiency.csv"),
               ("omega0_rms_area", "efficiency"), rows, ctx.meta)
@@ -481,9 +479,16 @@ def run(argv):
         raise ConfigError(f"a subcommand is required: one of {', '.join(SUBCOMMANDS)}")
     config_bytes = _read_config_bytes(args.config)
     config_hash = hashlib.sha256(config_bytes).hexdigest()
-    scenario = load_scenario_text(config_bytes.decode("utf-8"), seed_override=args.seed)
+    try:
+        text = config_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: {exc}", key=str(args.config)) from exc
+    scenario = load_scenario_text(text, seed_override=args.seed)
     out_dir = args.out or os.environ.get("HYBRIDGATE_OUT") or "out"
-    ensure_out_dir(out_dir)
+    try:
+        ensure_out_dir(out_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}", key="--out") from exc
     ctx = RunContext(out_dir=out_dir, seed=scenario.noise.seed, mode=args.mode,
                      config_hash=config_hash)
     return _HANDLERS[args.subcommand](scenario, ctx)

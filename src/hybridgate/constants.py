@@ -10,7 +10,7 @@ Unit convention (used consistently everywhere):
 * spectroscopy-facing quantities (transition frequencies, hyperfine
   splittings, field sensitivities) are LINEAR frequencies in Hz.
 
-``linear_to_angular`` / ``angular_to_linear`` convert between the two.
+Where the two meet, the code multiplies by ``TWO_PI`` inline.
 """
 
 import math
@@ -40,16 +40,3 @@ def debye_to_si(mu_debye):
         raise DomainError(f"dipole moment must be finite and >= 0 D, got {mu_debye!r}")
     return mu_debye * DEBYE_C_M
 
-
-def linear_to_angular(f_hz):
-    """Linear frequency [Hz] -> angular frequency [rad/s]."""
-    return f_hz * TWO_PI
-
-
-def angular_to_linear(omega_rad_s):
-    """Angular frequency [rad/s] -> linear frequency [Hz].
-
-    Round trips with ``linear_to_angular`` to within one ulp (exactness for
-    every float is impossible since 2*pi is not a power of two).
-    """
-    return omega_rad_s / TWO_PI

@@ -5,6 +5,8 @@ The Lambda system is written in the rotating frame with the atom-pair state
 at zero energy, the excited molecular state at -delta_e and the target
 molecular state at -delta; couplings are real, omega_p/2 and omega_s/2.
 All frequencies are angular (rad/s) with hbar absorbed, so i dpsi/dt = H psi.
+States are normalized 1-d complex arrays ordered as LAMBDA_LABELS. Pulses are
+a rectangular Raman pulse (constant H) or STIRAP under Gaussian PulseEnvelopes.
 
 Integration is classical 4th-order Runge-Kutta with a fixed substep chosen
 so that ||H||*h stays at STEP_PHASE_TARGET (hard limit STEP_PHASE_MAX,
@@ -15,6 +17,7 @@ fast path exploits through matrix binary powering; the math is identical.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,32 +33,11 @@ LAMBDA_LABELS = ("atoms", "excited", "molecule")
 
 
 @dataclass(frozen=True)
-class ComplexAmplitudeVector:
-    """Normalized state vector with named basis states."""
-
-    amplitudes: np.ndarray
-    labels: tuple
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1 or len(amps) != len(self.labels):
-            raise DomainError("amplitudes and labels must have matching 1-d length")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-9:
-            raise DomainError(f"state not normalized: sum |c|^2 = {norm_sq!r}")
-
-    def populations(self):
-        return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Integrator output: states on the requested time grid."""
 
     times: np.ndarray
     amplitudes: np.ndarray   # shape (n_times, dim)
-    labels: tuple
 
     def populations(self):
         return np.abs(self.amplitudes) ** 2
@@ -119,57 +101,33 @@ class EffectiveTwoLevel:
 
 @dataclass(frozen=True)
 class PulseEnvelope:
-    """Time envelope of one laser pulse; zero outside [start, start+duration]."""
+    """Gaussian time envelope of one laser pulse, zero outside
+    [start_s, end_s) = center -/+ GAUSSIAN_CUTOFF_SIGMAS rms widths."""
 
-    shape: str
     peak_rad_s: float
-    start_s: float
-    duration_s: float
-    center_s: float = None
-    rms_width_s: float = None
+    center_s: float
+    rms_width_s: float
 
     def __post_init__(self):
-        if self.shape not in ("rectangular", "gaussian"):
-            raise DomainError(f"shape must be 'rectangular' or 'gaussian', got {self.shape!r}")
-        if not self.duration_s > 0:
-            raise DomainError(f"duration must be > 0, got {self.duration_s!r}")
         if self.peak_rad_s < 0:
             raise DomainError(f"peak amplitude must be >= 0, got {self.peak_rad_s!r}")
-        if self.shape == "gaussian":
-            if self.center_s is None or self.rms_width_s is None:
-                raise DomainError("gaussian envelope needs center_s and rms_width_s")
-            if not self.rms_width_s > 0:
-                raise DomainError(f"rms width must be > 0, got {self.rms_width_s!r}")
+        if not self.rms_width_s > 0:
+            raise DomainError(f"rms width must be > 0, got {self.rms_width_s!r}")
 
-    @classmethod
-    def rectangular(cls, peak_rad_s, start_s, duration_s):
-        return cls("rectangular", peak_rad_s, start_s, duration_s)
+    # Cached: value() reads both bounds on every Hamiltonian evaluation.
+    @cached_property
+    def start_s(self):
+        return self.center_s - GAUSSIAN_CUTOFF_SIGMAS * self.rms_width_s
 
-    @classmethod
-    def gaussian(cls, peak_rad_s, center_s, rms_width_s):
-        start = center_s - GAUSSIAN_CUTOFF_SIGMAS * rms_width_s
-        return cls("gaussian", peak_rad_s, start, 2.0 * GAUSSIAN_CUTOFF_SIGMAS * rms_width_s,
-                   center_s=center_s, rms_width_s=rms_width_s)
-
-    @property
+    @cached_property
     def end_s(self):
-        return self.start_s + self.duration_s
+        return self.start_s + 2.0 * GAUSSIAN_CUTOFF_SIGMAS * self.rms_width_s
 
     def value(self, t):
         if t < self.start_s or t >= self.end_s:
             return 0.0
-        if self.shape == "rectangular":
-            return self.peak_rad_s
         u = (t - self.center_s) / self.rms_width_s
         return self.peak_rad_s * math.exp(-0.5 * u * u)
-
-    def values(self, times):
-        times = np.asarray(times, dtype=float)
-        inside = (times >= self.start_s) & (times < self.end_s)
-        if self.shape == "rectangular":
-            return np.where(inside, self.peak_rad_s, 0.0)
-        u = (times - self.center_s) / self.rms_width_s
-        return np.where(inside, self.peak_rad_s * np.exp(-0.5 * u * u), 0.0)
 
 
 def two_level_population(params, t):
@@ -242,7 +200,7 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None, constant=Fal
     Parameters
     ----------
     hamiltonian : callable t -> (d, d) complex ndarray
-    psi0 : ComplexAmplitudeVector or normalized 1-d array
+    psi0 : normalized 1-d complex array
     t_grid : increasing, uniform array of output times
     substeps : RK4 substeps per grid interval; derived from STEP_PHASE_TARGET and
         the sampled max Frobenius norm of H when omitted
@@ -261,15 +219,12 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None, constant=Fal
     if dt <= 0 or np.max(np.abs(dts - dt)) > 1e-9 * abs(dt):
         raise DomainError("t_grid must be uniform and increasing")
 
-    if isinstance(psi0, ComplexAmplitudeVector):
-        labels = psi0.labels
-        psi = psi0.amplitudes.copy()
-    else:
-        psi = np.asarray(psi0, dtype=complex).copy()
-        labels = tuple(f"state{i}" for i in range(len(psi)))
-        norm_sq = float(np.sum(np.abs(psi) ** 2))
-        if abs(norm_sq - 1.0) > 1e-9:
-            raise DomainError(f"psi0 not normalized: sum |c|^2 = {norm_sq!r}")
+    psi = np.asarray(psi0, dtype=complex).copy()
+    if psi.ndim != 1:
+        raise DomainError(f"psi0 must be a 1-d array, got shape {psi.shape}")
+    norm_sq = float(np.sum(np.abs(psi) ** 2))
+    if abs(norm_sq - 1.0) > 1e-9:
+        raise DomainError(f"psi0 not normalized: sum |c|^2 = {norm_sq!r}")
 
     n_intervals = len(t_grid) - 1
     if constant:
@@ -317,7 +272,7 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None, constant=Fal
                 psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             out[i + 1] = psi
 
-    traj = Trajectory(times=t_grid, amplitudes=out, labels=labels)
+    traj = Trajectory(times=t_grid, amplitudes=out)
     if hermitian and traj.norm_drift > NORM_DRIFT_LIMIT:
         raise NumericalFailure(
             f"norm drift {traj.norm_drift:.3e} exceeds {NORM_DRIFT_LIMIT} on a unitary run")
@@ -336,17 +291,14 @@ def compensated_bare_detuning(params):
     return params.delta_rad_s - (shifts.light_shift_pump_rad_s - shifts.light_shift_stokes_rad_s)
 
 
-def lambda_matrix(params, omega_p=None, omega_s=None, delta_bare=None):
-    """Rotating-frame Lambda Hamiltonian [rad/s] for given instantaneous
-    couplings; defaults to the constant values in params."""
-    op = params.omega_p_rad_s if omega_p is None else omega_p
-    os_ = params.omega_s_rad_s if omega_s is None else omega_s
-    delta = params.delta_rad_s if delta_bare is None else delta_bare
-    h = np.array([[0.0, 0.5 * op, 0.0],
-                  [0.5 * op, -params.delta_e_rad_s, 0.5 * os_],
-                  [0.0, 0.5 * os_, -delta]], dtype=complex)
-    if params.gamma_e_rad_s > 0.0:
-        h[1, 1] -= 0.5j * params.gamma_e_rad_s
+def lambda_matrix(omega_p, omega_s, delta_e, delta, gamma_e):
+    """Rotating-frame Lambda Hamiltonian [rad/s] for instantaneous couplings,
+    one-photon detuning, bare two-photon detuning and excited-state loss."""
+    h = np.array([[0.0, 0.5 * omega_p, 0.0],
+                  [0.5 * omega_p, -delta_e, 0.5 * omega_s],
+                  [0.0, 0.5 * omega_s, -delta]], dtype=complex)
+    if gamma_e > 0.0:
+        h[1, 1] -= 0.5j * gamma_e
     return h
 
 
@@ -355,42 +307,30 @@ def raman_trajectory(params, duration_s, n_points=241):
     state over [0, duration]."""
     if not duration_s > 0:
         raise DomainError(f"duration must be > 0, got {duration_s!r}")
-    h = lambda_matrix(params, delta_bare=compensated_bare_detuning(params))
-    psi0 = ComplexAmplitudeVector(np.array([1.0, 0.0, 0.0], dtype=complex), LAMBDA_LABELS)
+    h = lambda_matrix(params.omega_p_rad_s, params.omega_s_rad_s, params.delta_e_rad_s,
+                      compensated_bare_detuning(params), params.gamma_e_rad_s)
     grid = np.linspace(0.0, duration_s, n_points)
-    return integrate_schrodinger(lambda t: h, psi0, grid, constant=True)
+    return integrate_schrodinger(lambda t: h, np.array([1.0, 0.0, 0.0]), grid, constant=True)
 
 
-def simulate_raman_pi_pulse(params, duration_s, n_points=241):
-    """Final populations (P_atoms, P_excited, P_molecule) after a rectangular
-    Raman pulse of the given duration."""
-    traj = raman_trajectory(params, duration_s, n_points=n_points)
-    p_a, p_e, p_g = traj.final_populations()
-    return float(p_a), float(p_e), float(p_g)
-
-
-def stirap_trajectory(pump, stokes, params):
-    """Integrate the Lambda system under Gaussian pump and Stokes envelopes.
+def stirap_trajectory(pump, stokes, delta_e_rad_s, delta_rad_s):
+    """Integrate the Lambda system from the atom-pair state under Gaussian
+    pump and Stokes envelopes.
 
     Light-shift compensation does not apply here (the envelopes are resolved
-    exactly, and delta_e may be zero); the bare detunings in params are used.
+    exactly, and delta_e may be zero); delta_rad_s is the bare detuning.
     """
-    for name, env in (("pump", pump), ("stokes", stokes)):
-        if env.shape != "gaussian":
-            raise DomainError(f"{name} envelope must be gaussian for this transfer")
     t0 = min(pump.start_s, stokes.start_s)
     t1 = max(pump.end_s, stokes.end_s)
 
     def hfunc(t):
-        return lambda_matrix(params, omega_p=pump.value(t), omega_s=stokes.value(t),
-                             delta_bare=params.delta_rad_s)
+        return lambda_matrix(pump.value(t), stokes.value(t), delta_e_rad_s, delta_rad_s, 0.0)
 
-    psi0 = ComplexAmplitudeVector(np.array([1.0, 0.0, 0.0], dtype=complex), LAMBDA_LABELS)
     grid = np.linspace(t0, t1, STIRAP_POINTS)
-    return integrate_schrodinger(hfunc, psi0, grid)
+    return integrate_schrodinger(hfunc, np.array([1.0, 0.0, 0.0]), grid)
 
 
-def simulate_stirap(pump, stokes, params):
+def simulate_stirap(pump, stokes, delta_e_rad_s, delta_rad_s):
     """Transfer efficiency: final molecular population of the pulse sequence."""
-    traj = stirap_trajectory(pump, stokes, params)
+    traj = stirap_trajectory(pump, stokes, delta_e_rad_s, delta_rad_s)
     return float(traj.final_populations()[2])

@@ -5,6 +5,7 @@ The canonical interaction quantity is the angular rate
 omega_dd = mu_ind^2 / (4*pi*eps0 * r^3 * hbar) [rad/s]; the interaction
 energy in joules never appears downstream of ``dipole_dipole_rate``.
 Molecules are assumed aligned along the field (angular coefficient 1).
+Built schedules always include both enabler rotations (enabler_rotation_s).
 """
 
 import math
@@ -17,7 +18,6 @@ from .dynamics import TwoLevelParams, two_level_population
 from .errors import DomainError, NumericalFailure
 
 UNITARITY_TOL = 1e-10
-PHASE_GATE_BASIS = ("|0'0'>", "|0'1'>", "|1'0'>", "|1'1'>")
 
 # Linear response is quantitatively reliable only well below full polarization.
 POLARIZATION_VALIDITY_LIMIT = 0.5
@@ -112,7 +112,7 @@ class EnablerReturn:
 
 
 _KIND_ORDER = ("enabler_rotation", "raman_down", "wait", "raman_up", "enabler_return")
-_ENABLER_KINDS = ("enabler_rotation", "enabler_return")
+ENABLER_KINDS = ("enabler_rotation", "enabler_return")
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def schedule_total_duration(schedule):
         if dur > 0:
             by_kind[kind] = dur
     total = sum(by_kind.values())
-    gate = total - sum(by_kind.get(k, 0.0) for k in _ENABLER_KINDS)
+    gate = total - sum(by_kind.get(k, 0.0) for k in ENABLER_KINDS)
     return ScheduleDuration(total_s=total, gate_s=gate, by_kind=by_kind)
 
 
@@ -177,7 +177,7 @@ def interaction_time_for_pi(omega_dd_rad_s, omega_r_rad_s):
     return (math.pi / omega_dd_rad_s) * (1.0 - pulse_fraction)
 
 
-def build_gate_schedule(omega_dd_rad_s, omega_r_rad_s, enabler_rotation_s=30e-6):
+def build_gate_schedule(omega_dd_rad_s, omega_r_rad_s, enabler_rotation_s):
     """Standard phase-gate schedule: enabler rotation, resonant pi-pulse
     down-transfer, pi-accumulating wait, pi-pulse up-transfer, enabler return.
 
@@ -188,12 +188,8 @@ def build_gate_schedule(omega_dd_rad_s, omega_r_rad_s, enabler_rotation_s=30e-6)
     pulse = TwoLevelParams(omega_r_rad_s, 0.0)
     pi_time = math.pi / omega_r_rad_s
     wait = interaction_time_for_pi(omega_dd_rad_s, omega_r_rad_s)
-    steps = [RamanDown(pulse, pi_time), Wait(wait), RamanUp(pulse, pi_time)]
-    if enabler_rotation_s is not None:
-        if not enabler_rotation_s > 0:
-            raise DomainError(f"enabler rotation must be > 0 s, got {enabler_rotation_s!r}")
-        steps = [EnablerRotation(enabler_rotation_s)] + steps + [EnablerReturn(enabler_rotation_s)]
-    return GateSchedule(tuple(steps))
+    return GateSchedule((EnablerRotation(enabler_rotation_s), RamanDown(pulse, pi_time),
+                         Wait(wait), RamanUp(pulse, pi_time), EnablerReturn(enabler_rotation_s)))
 
 
 # --------------------------------------------------------------------------
@@ -201,6 +197,7 @@ def build_gate_schedule(omega_dd_rad_s, omega_r_rad_s, enabler_rotation_s=30e-6)
 
 _SIMPSON_MAX_PANELS = 2 ** 22
 PHASE_REL_TOL = 1e-8   # successive Simpson estimates must agree to this
+PROFILE_POINTS_PER_STEP = 512  # trapezoid intervals per step of the phase profile
 
 
 def _simpson(values, h):
@@ -264,7 +261,7 @@ def accumulated_phase_numeric(omega_dd_rad_s, schedule):
     return phase
 
 
-def accumulated_phase_profile(omega_dd_rad_s, schedule, points_per_step=512):
+def accumulated_phase_profile(omega_dd_rad_s, schedule):
     """Cumulative phase curve (times, phi) across the schedule, for plot data.
 
     Fixed-resolution trapezoid accumulation; use accumulated_phase_numeric
@@ -276,7 +273,7 @@ def accumulated_phase_profile(omega_dd_rad_s, schedule, points_per_step=512):
     hold = 0.0
     for step in schedule.steps:
         pop, hold_after = _step_population(step, hold)
-        ts = np.linspace(0.0, step.duration_s, points_per_step + 1)
+        ts = np.linspace(0.0, step.duration_s, PROFILE_POINTS_PER_STEP + 1)
         integrand = omega_dd_rad_s * np.asarray(pop(ts), dtype=float) ** 2
         increments = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(ts)
         cumulative = phis[-1] + np.cumsum(increments)
@@ -305,7 +302,6 @@ class TwoQubitUnitary:
     """4x4 unitary on the enabled-qubit basis (|0'0'>, |0'1'>, |1'0'>, |1'1'>)."""
 
     matrix: np.ndarray
-    labels: tuple = PHASE_GATE_BASIS
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -325,14 +321,7 @@ def build_phase_gate(phi_rad):
     return TwoQubitUnitary(np.diag([np.exp(1j * phi_rad), 1.0, 1.0, 1.0]))
 
 
-def _as_unitary_matrix(u):
-    if isinstance(u, TwoQubitUnitary):
-        return u.matrix
-    return TwoQubitUnitary(u).matrix
-
-
 def gate_fidelity(u, v):
-    """Global-phase-insensitive overlap |Tr(U^H V) / 4|^2 of two unitaries."""
-    mu = _as_unitary_matrix(u)
-    mv = _as_unitary_matrix(v)
-    return float(np.abs(np.trace(mu.conj().T @ mv) / 4.0) ** 2)
+    """Global-phase-insensitive overlap |Tr(U^H V) / 4|^2 of two
+    TwoQubitUnitary gates."""
+    return float(np.abs(np.trace(u.matrix.conj().T @ v.matrix) / 4.0) ** 2)

@@ -4,7 +4,7 @@ Config files are plain text: ``[section]`` headers followed by
 ``key = value`` lines; full-line comments start with ``#`` or ``;``.
 Keys carry their unit as a suffix (``sigma_B_G``, ``separation_r_m``).
 Every parse or validation problem raises ConfigError naming the offending
-``[section] key``.
+``[section] key``; so does a key that no setting reads.
 """
 
 from dataclasses import dataclass
@@ -147,12 +147,13 @@ def parse_config_text(text):
 
 
 def _raw(sections, section, key, default=_REQUIRED):
+    """Remove and return one key's text, so that unread keys are left over."""
     sec = sections.get(section)
     if sec is None or key not in sec:
         if default is _REQUIRED:
             raise ConfigError("missing required key", key=f"[{section}] {key}")
         return default
-    return sec[key]
+    return sec.pop(key)
 
 
 def _float(sections, section, key, default=_REQUIRED, minimum=None, positive=False):
@@ -333,6 +334,10 @@ def load_scenario_text(text, seed_override=None):
         raise ConfigError("max must exceed min", key="[sweep] max")
     if sweep.parameter != "b_G" and not sweep.minimum > 0:
         raise ConfigError(f"min must be > 0 for {sweep.parameter}", key="[sweep] min")
+
+    unknown = [f"[{name}] {key}" for name, keys in sections.items() for key in keys]
+    if unknown:
+        raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
 
     return Scenario(field=field,
                     qubit=QubitConfig(qubit_species, upper, lower),

@@ -164,8 +164,7 @@ class TestReadout:
 
 class TestAssembleBudget:
     def _schedule(self):
-        return build_gate_schedule(dipole_dipole_rate(4.2, 500e-9), 1e6,
-                                   enabler_rotation_s=30e-6)
+        return build_gate_schedule(dipole_dipole_rate(4.2, 500e-9), 1e6, 30e-6)
 
     def test_paper_composition(self):
         noise = NoiseModel(SIGMA, 1e5, 1e5, seed=1)

@@ -208,6 +208,27 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 1
         capsys.readouterr()
 
+    @staticmethod
+    def _run_module(*args):
+        return subprocess.run([sys.executable, "-m", "hybridgate", *args],
+                              capture_output=True, text=True)
+
+    def test_non_utf8_config_exits_1(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(_bundled_text().replace("# Baseline", "# Caf\xe9").encode("latin-1"))
+        proc = self._run_module("levels", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert "configuration error" in proc.stderr and str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_uncreatable_out_dir_exits_1(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        proc = self._run_module("levels", "--out", str(blocker / "sub"))
+        assert proc.returncode == 1
+        assert "configuration error: --out" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         def boom(scn, ctx):
             raise NumericalFailure("norm drift 1e-3 exceeds 1e-07 on a unitary run")

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hybridgate import constants
-from hybridgate.constants import angular_to_linear, debye_to_si, linear_to_angular
+from hybridgate.constants import debye_to_si
 from hybridgate.errors import DomainError
 
 
@@ -30,27 +30,3 @@ def test_debye_to_si_rejects_bad_input(bad):
     with pytest.raises(DomainError):
         debye_to_si(bad)
 
-
-def test_linear_to_angular_values():
-    assert linear_to_angular(0.0) == 0.0
-    assert linear_to_angular(1.0) == 2.0 * math.pi
-    assert linear_to_angular(1e6 / (2.0 * math.pi)) == pytest.approx(1e6, rel=1e-15)
-
-
-def test_round_trip_within_one_ulp():
-    values = [0.0, 1.0, -1.0, 2.0 * math.pi, math.pi, 1e-300, 1e300, 6.835e9,
-              1.34e5, -2.5e-7, 3.0, 7.77e-12]
-    # deterministic pseudo-random magnitudes
-    x = 0.123456
-    for _ in range(200):
-        x = (x * 9301.0 + 49297.0) % 233280.0
-        values.append((x / 233280.0 - 0.5) * 10.0 ** int(x % 40 - 20))
-    for v in values:
-        back = linear_to_angular(angular_to_linear(v))
-        assert abs(back - v) <= math.ulp(abs(v)), v
-
-
-def test_round_trip_exact_for_commensurate_values():
-    # Multiples of 2*pi by powers of two survive the division exactly.
-    for v in (0.0, 2.0 * math.pi, 4.0 * math.pi, math.pi, 0.5 * math.pi):
-        assert linear_to_angular(angular_to_linear(v)) == v

@@ -140,12 +140,12 @@ class TestAccumulatedPhase:
         assert phi == pytest.approx(expected, rel=1e-6)
 
     def test_full_schedule_reaches_pi(self):
-        schedule = build_gate_schedule(OMEGA_DD, 1e6)
+        schedule = build_gate_schedule(OMEGA_DD, 1e6, 30e-6)
         phi = accumulated_phase_numeric(OMEGA_DD, schedule)
         assert abs(phi - math.pi) < 1e-4
 
     def test_profile_is_monotone_and_consistent(self):
-        schedule = build_gate_schedule(OMEGA_DD, 1e6)
+        schedule = build_gate_schedule(OMEGA_DD, 1e6, 30e-6)
         times, phis = accumulated_phase_profile(OMEGA_DD, schedule)
         assert np.all(np.diff(phis) >= -1e-15)
         assert np.all(np.diff(times) > 0)
@@ -170,7 +170,7 @@ class TestClosedForm:
         # resonant-pulse schedule vs closed form carrying the dd shift delta
         for delta_frac in (0.05, 0.134, 0.2):
             delta = delta_frac * 1e6
-            schedule = build_gate_schedule(OMEGA_DD, 1e6)
+            schedule = build_gate_schedule(OMEGA_DD, 1e6, 30e-6)
             phi_num = accumulated_phase_numeric(OMEGA_DD, schedule)
             tau = interaction_time_for_pi(OMEGA_DD, 1e6)
             phi_cf = total_phase_closed_form(OMEGA_DD, 1e6, delta, tau)
@@ -185,7 +185,7 @@ class TestClosedForm:
 
 class TestSchedule:
     def test_durations_and_breakdown(self):
-        schedule = build_gate_schedule(OMEGA_DD, 1e6, enabler_rotation_s=30e-6)
+        schedule = build_gate_schedule(OMEGA_DD, 1e6, 30e-6)
         durations = schedule_total_duration(schedule)
         assert durations.gate_s == pytest.approx(2.7403726660431922e-5, rel=1e-9)
         assert 15e-6 <= durations.gate_s <= 35e-6
@@ -214,11 +214,6 @@ class TestSchedule:
     def test_positive_durations_enforced(self):
         with pytest.raises(DomainError):
             GateSchedule((Wait(0.0),))
-
-    def test_schedule_without_rotations(self):
-        schedule = build_gate_schedule(OMEGA_DD, 1e6, enabler_rotation_s=None)
-        kinds = [s.kind for s in schedule.steps]
-        assert kinds == ["raman_down", "wait", "raman_up"]
 
 
 class TestPhaseGateUnitary:
@@ -265,4 +260,4 @@ class TestGateFidelity:
 
     def test_non_unitary_rejected(self):
         with pytest.raises(DomainError):
-            gate_fidelity(np.diag([0.5, 1.0, 1.0, 1.0]), build_phase_gate(0.0))
+            gate_fidelity(TwoQubitUnitary(np.diag([0.5, 1.0, 1.0, 1.0])), build_phase_gate(0.0))

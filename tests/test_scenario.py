@@ -120,3 +120,13 @@ class TestValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match=r"\[noise\]"):
             load_scenario_text(_bundled_text(), seed_override=-5)
+
+    def test_unknown_keys_are_listed(self):
+        text = (_with_replacement("mc_samples = 100000", "mc_sample = 5000")
+                .replace("selectivity_factor = 1.0", "selectivity = 50.0")
+                + "[nosuchsection]\nkey = 1\n")
+        with pytest.raises(ConfigError) as info:
+            load_scenario_text(text)
+        message = str(info.value)
+        for key in ("[noise] mc_sample", "[readout] selectivity", "[nosuchsection] key"):
+            assert key in message
