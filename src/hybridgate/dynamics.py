@@ -10,9 +10,12 @@ a rectangular Raman pulse (constant H) or STIRAP under Gaussian PulseEnvelopes.
 
 Integration is classical 4th-order Runge-Kutta with a fixed substep chosen
 so that ||H||*h stays at STEP_PHASE_TARGET (hard limit STEP_PHASE_MAX,
-checked). For a time-independent H the classical RK4 update equals
-multiplication by the 4th-order Taylor polynomial of exp(-i*H*h), which a
-fast path exploits through matrix binary powering; the math is identical.
+checked on every H the update uses). For the linear equation the RK4 update
+of one substep is a matrix built from H at the substep's start, midpoint and
+end; it is built for all grid intervals at once, and each interval's
+propagator is the product of its substep updates. Hamiltonian callables take
+a 1-d array of times and return an (n, d, d) array, or one (d, d) matrix
+when H does not depend on time.
 """
 
 import math
@@ -124,10 +127,11 @@ class PulseEnvelope:
         return self.start_s + 2.0 * GAUSSIAN_CUTOFF_SIGMAS * self.rms_width_s
 
     def value(self, t):
-        if t < self.start_s or t >= self.end_s:
-            return 0.0
+        """Envelope at scalar or array time t (an array of the same shape)."""
+        t = np.asarray(t, dtype=float)
         u = (t - self.center_s) / self.rms_width_s
-        return self.peak_rad_s * math.exp(-0.5 * u * u)
+        inside = (t >= self.start_s) & (t < self.end_s)
+        return np.where(inside, self.peak_rad_s * np.exp(-0.5 * u * u), 0.0)
 
 
 def two_level_population(params, t):
@@ -172,44 +176,42 @@ def pi_pulse_duration(params):
     return math.pi / w
 
 
-def _taylor4_step(h_matrix, h):
-    """One-substep RK4 update matrix for constant H: 4th-order Taylor
-    polynomial of exp(-i*H*h)."""
-    a = -1j * h * h_matrix
-    dim = h_matrix.shape[0]
-    m = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, 5):
-        term = term @ a / k
-        m = m + term
-    return m
+def _rk4_update(h_a, h_mid, h_b, h):
+    """Classical RK4 update matrix of i dpsi/dt = H psi over one substep of
+    length h, from H at its start, midpoint and end; batched over leading axes."""
+    a, m, b = (-1j * h) * h_a, (-1j * h) * h_mid, (-1j * h) * h_b
+    k2 = m + 0.5 * (m @ a)
+    k3 = m + 0.5 * (m @ k2)
+    k4 = b + b @ k3
+    return np.eye(h_a.shape[-1]) + (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def _frobenius(h_matrix):
-    return float(np.linalg.norm(h_matrix))
+def _max_frobenius(h_matrices):
+    return float(np.max(np.linalg.norm(h_matrices, axis=(-2, -1))))
 
 
-def _is_hermitian(h_matrix):
-    scale = max(1.0, float(np.max(np.abs(h_matrix))))
-    return float(np.max(np.abs(h_matrix - h_matrix.conj().T))) <= 1e-12 * scale
+def _is_hermitian(h_matrices):
+    scale = np.maximum(1.0, np.max(np.abs(h_matrices), axis=(-2, -1)))
+    asym = np.max(np.abs(h_matrices - np.swapaxes(h_matrices, -1, -2).conj()), axis=(-2, -1))
+    return bool(np.all(asym <= 1e-12 * scale))
 
 
-def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None, constant=False):
+def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     """Integrate i dpsi/dt = H(t) psi on a uniform time grid.
 
     Parameters
     ----------
-    hamiltonian : callable t -> (d, d) complex ndarray
+    hamiltonian : callable, 1-d array of n times -> (n, d, d) complex array,
+        or one (d, d) matrix when H does not depend on time
     psi0 : normalized 1-d complex array
     t_grid : increasing, uniform array of output times
     substeps : RK4 substeps per grid interval; derived from STEP_PHASE_TARGET and
-        the sampled max Frobenius norm of H when omitted
-    constant : fast path for time-independent H (identical arithmetic
-        through the Taylor-4 update matrix)
+        the max Frobenius norm of H on grid points and midpoints when omitted
 
-    Raises StepSizeError when max||H||*h exceeds the hard limit, and
-    NumericalFailure when a Hermitian run drifts from unit norm by more
-    than NORM_DRIFT_LIMIT.
+    When H comes back as one matrix, the interval propagator is the substep
+    update raised to the power substeps. Raises StepSizeError when max||H||*h
+    over every H the updates use exceeds the hard limit, and NumericalFailure
+    when a Hermitian run drifts from unit norm by more than NORM_DRIFT_LIMIT.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -226,51 +228,44 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None, constant=Fal
     if abs(norm_sq - 1.0) > 1e-9:
         raise DomainError(f"psi0 not normalized: sum |c|^2 = {norm_sq!r}")
 
-    n_intervals = len(t_grid) - 1
-    if constant:
-        h0 = np.asarray(hamiltonian(t_grid[0]), dtype=complex)
-        norm_max = _frobenius(h0)
-        hermitian = _is_hermitian(h0)
-    else:
-        # Max norm sampled on grid points and midpoints (the RK4 stencil).
-        probes = np.concatenate([t_grid, t_grid[:-1] + 0.5 * dt])
-        sampled = [np.asarray(hamiltonian(t), dtype=complex) for t in probes]
-        norm_max = max(_frobenius(h) for h in sampled)
-        hermitian = all(_is_hermitian(h) for h in sampled)
-
     if substeps is None:
+        probes = np.concatenate([t_grid, t_grid[:-1] + 0.5 * dt])
+        norm_max = _max_frobenius(np.asarray(hamiltonian(probes), dtype=complex))
         substeps = max(1, int(math.ceil(dt * norm_max / STEP_PHASE_TARGET))) if norm_max > 0 else 1
     if substeps < 1:
         raise DomainError(f"substeps must be >= 1, got {substeps!r}")
     h = dt / substeps
-    if norm_max * h > STEP_PHASE_MAX:
-        raise StepSizeError(
-            f"step size too coarse: max||H||*h = {norm_max * h:.3g} > {STEP_PHASE_MAX}; "
-            f"increase substeps or refine t_grid")
+    hermitian = True
+
+    def evaluate(times):
+        nonlocal hermitian
+        h_matrices = np.asarray(hamiltonian(times), dtype=complex)
+        phase = _max_frobenius(h_matrices) * h
+        if phase > STEP_PHASE_MAX:
+            raise StepSizeError(
+                f"step size too coarse: max||H||*h = {phase:.3g} > {STEP_PHASE_MAX}; "
+                f"increase substeps or refine t_grid")
+        hermitian = hermitian and _is_hermitian(h_matrices)
+        return h_matrices
+
+    starts = t_grid[:-1]
+    h_b = evaluate(starts)
+    propagator = None
+    for k in range(substeps):
+        t = starts + k * h
+        h_a, h_mid, h_b = h_b, evaluate(t + 0.5 * h), evaluate(t + h)
+        update = _rk4_update(h_a, h_mid, h_b, h)
+        if update.ndim == 2:
+            propagator = np.linalg.matrix_power(update, substeps)
+            break
+        propagator = update if propagator is None else update @ propagator
 
     out = np.empty((len(t_grid), len(psi)), dtype=complex)
     out[0] = psi
-
-    if constant:
-        m_interval = np.linalg.matrix_power(_taylor4_step(h0, h), substeps)
-        for i in range(1, len(t_grid)):
-            psi = m_interval @ psi
-            out[i] = psi
-    else:
-        h_next = np.asarray(hamiltonian(t_grid[0]), dtype=complex)
-        for i in range(n_intervals):
-            t0 = t_grid[i]
-            for k in range(substeps):
-                t = t0 + k * h
-                h_a = h_next
-                h_mid = np.asarray(hamiltonian(t + 0.5 * h), dtype=complex)
-                h_next = np.asarray(hamiltonian(t + h), dtype=complex)
-                k1 = -1j * (h_a @ psi)
-                k2 = -1j * (h_mid @ (psi + (0.5 * h) * k1))
-                k3 = -1j * (h_mid @ (psi + (0.5 * h) * k2))
-                k4 = -1j * (h_next @ (psi + h * k3))
-                psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[i + 1] = psi
+    propagators = np.broadcast_to(propagator, (len(starts), len(psi), len(psi)))
+    for i, interval in enumerate(propagators, start=1):
+        psi = interval @ psi
+        out[i] = psi
 
     traj = Trajectory(times=t_grid, amplitudes=out)
     if hermitian and traj.norm_drift > NORM_DRIFT_LIMIT:
@@ -293,12 +288,14 @@ def compensated_bare_detuning(params):
 
 def lambda_matrix(omega_p, omega_s, delta_e, delta, gamma_e):
     """Rotating-frame Lambda Hamiltonian [rad/s] for instantaneous couplings,
-    one-photon detuning, bare two-photon detuning and excited-state loss."""
-    h = np.array([[0.0, 0.5 * omega_p, 0.0],
-                  [0.5 * omega_p, -delta_e, 0.5 * omega_s],
-                  [0.0, 0.5 * omega_s, -delta]], dtype=complex)
-    if gamma_e > 0.0:
-        h[1, 1] -= 0.5j * gamma_e
+    one-photon detuning, bare two-photon detuning and excited-state loss.
+    Array arguments broadcast; the result has shape broadcast_shape + (3, 3)."""
+    shape = np.broadcast(omega_p, omega_s, delta_e, delta, gamma_e).shape
+    h = np.zeros(shape + (3, 3), dtype=complex)
+    h[..., 0, 1] = h[..., 1, 0] = 0.5 * omega_p
+    h[..., 1, 2] = h[..., 2, 1] = 0.5 * omega_s
+    h[..., 1, 1] = -delta_e - 0.5j * gamma_e
+    h[..., 2, 2] = -delta
     return h
 
 
@@ -310,7 +307,7 @@ def raman_trajectory(params, duration_s, n_points=241):
     h = lambda_matrix(params.omega_p_rad_s, params.omega_s_rad_s, params.delta_e_rad_s,
                       compensated_bare_detuning(params), params.gamma_e_rad_s)
     grid = np.linspace(0.0, duration_s, n_points)
-    return integrate_schrodinger(lambda t: h, np.array([1.0, 0.0, 0.0]), grid, constant=True)
+    return integrate_schrodinger(lambda t: h, np.array([1.0, 0.0, 0.0]), grid)
 
 
 def stirap_trajectory(pump, stokes, delta_e_rad_s, delta_rad_s):

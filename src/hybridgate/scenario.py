@@ -4,7 +4,8 @@ Config files are plain text: ``[section]`` headers followed by
 ``key = value`` lines; full-line comments start with ``#`` or ``;``.
 Keys carry their unit as a suffix (``sigma_B_G``, ``separation_r_m``).
 Every parse or validation problem raises ConfigError naming the offending
-``[section] key``; so does a key that no setting reads.
+``[section] key``; so do a key that no setting reads and a repeated key or
+section.
 """
 
 from dataclasses import dataclass
@@ -131,7 +132,9 @@ def parse_config_text(text):
             name = line[1:-1].strip()
             if not name:
                 raise ConfigError(f"line {lineno}: empty section name")
-            current = sections.setdefault(name, {})
+            if name in sections:
+                raise ConfigError(f"line {lineno}: repeated section", key=f"[{name}]")
+            current = sections[name] = {}
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -142,6 +145,8 @@ def parse_config_text(text):
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+        if key in current:
+            raise ConfigError(f"line {lineno}: repeated key", key=f"[{name}] {key}")
         current[key] = value
     return sections
 

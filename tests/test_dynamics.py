@@ -24,6 +24,14 @@ def _two_level_h(omega):
     return np.array([[0.0, 0.5 * omega], [0.5 * omega, 0.0]], dtype=complex)
 
 
+def _two_level_callable(omega, one_matrix):
+    """H as one matrix, or as one copy of it per requested time."""
+    h = _two_level_h(omega)
+    if one_matrix:
+        return lambda t: h
+    return lambda t: np.broadcast_to(h, np.shape(t) + h.shape)
+
+
 def _stirap_setup(peak_factor=1.0, reversed_order=False, sigma=30e-6, separation=45e-6):
     peak = 1e6 * peak_factor
     margin = 4.0 * sigma
@@ -104,13 +112,12 @@ class TestIntegrator:
         traj = integrate_schrodinger(lambda t: np.zeros((2, 2), dtype=complex), psi0, grid)
         assert np.array_equal(traj.amplitudes, np.tile(psi0, (11, 1)))
 
-    @pytest.mark.parametrize("constant", [True, False])
-    def test_matches_analytic_two_level(self, constant):
+    @pytest.mark.parametrize("one_matrix", [True, False])
+    def test_matches_analytic_two_level(self, one_matrix):
         omega = 1e6
         grid = np.linspace(0.0, math.pi / omega, 101)
-        traj = integrate_schrodinger(lambda t: _two_level_h(omega),
-                                     np.array([1.0, 0.0], dtype=complex), grid,
-                                     constant=constant)
+        traj = integrate_schrodinger(_two_level_callable(omega, one_matrix),
+                                     np.array([1.0, 0.0], dtype=complex), grid)
         analytic = two_level_population(TwoLevelParams(omega, 0.0), grid)
         assert np.max(np.abs(traj.populations()[:, 1] - analytic)) < 1e-8
         assert abs(traj.populations()[-1, 1] - 1.0) < 1e-8
@@ -120,8 +127,7 @@ class TestIntegrator:
         h = np.array([[0.0, 0.5 * omega], [0.5 * omega, -delta]], dtype=complex)
         p = TwoLevelParams(omega, delta)
         grid = np.linspace(0.0, 3.0 * math.pi / p.generalized_rabi_rad_s, 151)
-        traj = integrate_schrodinger(lambda t: h, np.array([1.0, 0.0], dtype=complex),
-                                     grid, constant=True)
+        traj = integrate_schrodinger(lambda t: h, np.array([1.0, 0.0], dtype=complex), grid)
         analytic = two_level_population(p, grid)
         assert np.max(np.abs(traj.populations()[:, 1] - analytic)) < 1e-8
 
@@ -129,9 +135,8 @@ class TestIntegrator:
         omega = 1e6
         grid = np.linspace(0.0, math.pi / omega, 51)
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        a = integrate_schrodinger(lambda t: _two_level_h(omega), psi0, grid,
-                                  substeps=10, constant=True)
-        b = integrate_schrodinger(lambda t: _two_level_h(omega), psi0, grid, substeps=10)
+        a = integrate_schrodinger(_two_level_callable(omega, True), psi0, grid, substeps=10)
+        b = integrate_schrodinger(_two_level_callable(omega, False), psi0, grid, substeps=10)
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
     def test_unitarity_drift_per_1e4_steps(self):
@@ -140,17 +145,15 @@ class TestIntegrator:
         step = 0.01 / float(np.linalg.norm(h))
         grid = np.linspace(0.0, step * 10000, 101)
         traj = integrate_schrodinger(lambda t: h, np.array([1.0, 0.0], dtype=complex),
-                                     grid, substeps=100, constant=True)
+                                     grid, substeps=100)
         assert traj.norm_drift < 1e-9
 
     def test_halving_step_changes_little(self):
         omega = 1e6
         grid = np.linspace(0.0, math.pi / omega, 101)
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        coarse = integrate_schrodinger(lambda t: _two_level_h(omega), psi0, grid,
-                                       substeps=10, constant=True)
-        fine = integrate_schrodinger(lambda t: _two_level_h(omega), psi0, grid,
-                                     substeps=20, constant=True)
+        coarse = integrate_schrodinger(lambda t: _two_level_h(omega), psi0, grid, substeps=10)
+        fine = integrate_schrodinger(lambda t: _two_level_h(omega), psi0, grid, substeps=20)
         # a tenth of the 1e-8 analytic-equivalence tolerance
         assert np.max(np.abs(coarse.final_populations() - fine.final_populations())) <= 1e-9
 
@@ -160,6 +163,19 @@ class TestIntegrator:
                                   np.array([1.0, 0.0], dtype=complex),
                                   np.linspace(0.0, 1e-3, 2), substeps=1)
 
+    def test_step_size_check_sees_the_stencil(self):
+        # H is large only around 0.25 us, the midpoint of the first of two
+        # substeps, which the grid points and grid midpoint never sample
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+        def spike(t):
+            inside = np.abs(np.asarray(t) - 0.25e-6) < 0.05e-6
+            return 1e9 * inside[..., None, None] * sigma_x
+
+        with pytest.raises(StepSizeError):
+            integrate_schrodinger(spike, np.array([1.0, 0.0], dtype=complex),
+                                  np.linspace(0.0, 1e-6, 2), substeps=2)
+
     def test_norm_drift_raises_numerical_failure(self):
         # run at the precondition limit long enough to exceed the drift budget
         h = _two_level_h(1e6)
@@ -167,7 +183,7 @@ class TestIntegrator:
         grid = np.linspace(0.0, step * 20000, 101)
         with pytest.raises(NumericalFailure):
             integrate_schrodinger(lambda t: h, np.array([1.0, 0.0], dtype=complex),
-                                  grid, substeps=200, constant=True)
+                                  grid, substeps=200)
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(DomainError):
@@ -198,6 +214,8 @@ class TestPulseEnvelope:
         assert env.value(1.0) == 0.0
         assert env.value(2.0) == math.exp(-8.0)
         assert env.value(18.0) == 0.0
+        times = np.array([1.0, 2.0, 10.0, 12.0, 17.5, 18.0])
+        assert np.array_equal(env.value(times), [env.value(t) for t in times])
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -263,6 +281,11 @@ class TestRamanPiPulse:
     def test_loss_matrix_form(self):
         h = lambda_matrix(2e7, 2e7, 2e8, 0.0, 1e6)
         assert h[1, 1] == pytest.approx(-2e8 - 0.5e6j)
+        omega_p, gamma_e = np.array([0.0, 1e7, 2e7]), np.array([0.0, 5e5, 1e6])
+        stack = lambda_matrix(omega_p, 2e7, 2e8, 0.0, gamma_e)
+        assert stack.shape == (3, 3, 3)
+        for i in range(3):
+            assert np.array_equal(stack[i], lambda_matrix(omega_p[i], 2e7, 2e8, 0.0, gamma_e[i]))
 
 
 class TestStirap:

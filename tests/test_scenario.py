@@ -30,6 +30,13 @@ class TestParser:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("[s]\njust words\n")
 
+    def test_repeated_key_or_section(self):
+        repeated_key = _with_replacement("b_G = 649.0", "b_G = 649.0\nb_G = 600.0")
+        with pytest.raises(ConfigError, match=r"\[field\] b_G: line \d+: repeated key"):
+            load_scenario_text(repeated_key)
+        with pytest.raises(ConfigError, match=r"\[field\]: line \d+: repeated section"):
+            load_scenario_text(_bundled_text() + "[field]\nb_G = 500.0\n")
+
 
 class TestBundledScenario:
     def test_round_trip(self):
