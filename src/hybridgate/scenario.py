@@ -337,6 +337,8 @@ def load_scenario_text(text, seed_override=None):
                           f"choose one of {SWEEP_PARAMETERS}", key="[sweep] parameter")
     if not sweep.maximum > sweep.minimum:
         raise ConfigError("max must exceed min", key="[sweep] max")
+    if sweep.parameter == "b_G" and not sweep.minimum >= 0:
+        raise ConfigError(f"min must be >= 0 for b_G, got {sweep.minimum!r}", key="[sweep] min")
     if sweep.parameter != "b_G" and not sweep.minimum > 0:
         raise ConfigError(f"min must be > 0 for {sweep.parameter}", key="[sweep] min")
 

@@ -6,8 +6,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hybridgate import __version__, cli
+from hybridgate import __version__, cli, repro
+from hybridgate.budget import BudgetReport
 from hybridgate.errors import NumericalFailure
+from hybridgate.scenario import load_scenario_text
 
 
 def _bundled_text():
@@ -131,12 +133,22 @@ class TestPaperRepro:
         cfg = _write_config(tmp_path, _bundled_text())
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            for sub in ("levels", "sweep", "gate", "budget"):
+            for sub in ("levels", "pulse", "stirap", "gate", "budget", "sweep", "paper-repro"):
                 assert cli.main([sub, "--config", cfg, "--out", str(out)]) == 0
         names1 = sorted(p.name for p in out1.iterdir())
         assert names1 == sorted(p.name for p in out2.iterdir())
         for name in names1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_library_report_matches_cli_json(self, tmp_path):
+        cfg = _write_config(tmp_path, _bundled_text())
+        out = tmp_path / "out"
+        assert cli.main(["paper-repro", "--config", cfg, "--out", str(out)]) == 0
+        written = json.loads((out / "paper_repro.json").read_text())
+        header = ("tool_version", "config_sha256", "seed", "mode")
+        assert list(written)[:4] == list(header)
+        report = repro.paper_repro(load_scenario_text(_bundled_text()), "paper")
+        assert {k: v for k, v in written.items() if k not in header} == report
 
     def test_seed_override_changes_contrast(self, tmp_path):
         cfg = _write_config(tmp_path, _bundled_text())
@@ -173,6 +185,9 @@ class TestOtherSubcommands:
         out = tmp_path / "out"
         assert cli.main(["budget", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "budget_report.json").read_text())
+        assert list(report) == ["tool_version", "config_sha256", "seed", "mode",
+                                "sensitivity_hz_per_g", *BudgetReport.__dataclass_fields__,
+                                "ramsey_contrast_at_t_phi"]
         assert 180e-6 <= report["dephasing_time_s"] <= 250e-6
         assert report["adiabaticity_ok"] is True
         assert 8 <= report["operations_count"] <= 12
@@ -194,6 +209,15 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, text)
         assert cli.main(["budget", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "sigma_B_G" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_seed_names_the_option(self, tmp_path, capsys, seed):
+        cfg = _write_config(tmp_path, _bundled_text())
+        assert cli.main(["gate", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "64 bits" in err
+        assert "[noise]" not in err
 
     def test_unknown_subcommand_exits_1(self, capsys):
         assert cli.main(["frobnicate"]) == 1

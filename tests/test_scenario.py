@@ -107,6 +107,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\[sweep\] parameter"):
             load_scenario_text(text)
 
+    def test_negative_field_sweep_minimum(self):
+        text = (_with_replacement("parameter = separation_r_m", "parameter = b_G")
+                .replace("min = 3e-7", "min = -100.0"))
+        with pytest.raises(ConfigError, match=r"\[sweep\] min"):
+            load_scenario_text(text)
+
     def test_negative_physical_value(self):
         text = _with_replacement("trap_frequency_Hz = 1e5", "trap_frequency_Hz = -1e5")
         with pytest.raises(ConfigError, match=r"\[noise\] trap_frequency_Hz"):
