@@ -55,12 +55,8 @@ from .gate import (
     total_phase_closed_form,
 )
 from .hyperfine import (
-    ENABLED_0,
-    ENABLED_1,
     LI7,
     RB87,
-    STORAGE_0,
-    STORAGE_1,
     AtomSpecies,
     HyperfineChannel,
     HyperfineState,

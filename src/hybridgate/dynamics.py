@@ -16,6 +16,11 @@ end; it is built for all grid intervals at once, and each interval's
 propagator is the product of its substep updates. Hamiltonian callables take
 a 1-d array of times and return an (n, d, d) array, or one (d, d) matrix
 when H does not depend on time.
+
+Internally a stack of n matrices is held matrix-last, as a contiguous
+(d, d, n) array: a product of two stacks is then d broadcast multiply-adds
+over length-n rows, where an (n, d, d) matmul makes one BLAS call per
+matrix. Only the interval propagators are turned back to (n, d, d).
 """
 
 import math
@@ -176,24 +181,46 @@ def pi_pulse_duration(params):
     return math.pi / w
 
 
-def _rk4_update(h_a, h_mid, h_b, h):
+def _matmul_last(x, y):
+    """Matrix products of two matrix-last (d, d, n) stacks."""
+    out = x[:, :1] * y[0]
+    for k in range(1, len(x)):
+        out += x[:, k:k + 1] * y[k]
+    return out
+
+
+def _rk4_update(h_a, h_mid, h_b, h, matmul):
     """Classical RK4 update matrix of i dpsi/dt = H psi over one substep of
-    length h, from H at its start, midpoint and end; batched over leading axes."""
+    length h, from H at its start, midpoint and end. The matrix axes lead:
+    one (d, d) matrix with matmul = np.matmul, or (d, d, n) stacks with
+    matmul = _matmul_last."""
     a, m, b = (-1j * h) * h_a, (-1j * h) * h_mid, (-1j * h) * h_b
-    k2 = m + 0.5 * (m @ a)
-    k3 = m + 0.5 * (m @ k2)
-    k4 = b + b @ k3
-    return np.eye(h_a.shape[-1]) + (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    k2 = m + 0.5 * matmul(m, a)
+    k3 = m + 0.5 * matmul(m, k2)
+    k4 = b + matmul(b, k3)
+    update = (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    diagonal = np.arange(len(update))
+    update[diagonal, diagonal] += 1.0
+    return update
 
 
-def _max_frobenius(h_matrices):
-    return float(np.max(np.linalg.norm(h_matrices, axis=(-2, -1))))
+def _norm_and_hermiticity(h_matrices):
+    """Largest Frobenius norm of matrices whose axes lead, and whether each
+    is Hermitian to 1e-12 of max(1, its largest |element|)."""
+    rows = len(h_matrices) ** 2    # one row per matrix element, one column per matrix
+    magnitude = np.abs(h_matrices).reshape(rows, -1)
+    norm_max = math.sqrt(np.max((magnitude * magnitude).sum(axis=0)))
+    scale = np.maximum(1.0, magnitude.max(axis=0))
+    asym = np.abs(h_matrices - np.swapaxes(h_matrices, 0, 1).conj()).reshape(rows, -1)
+    return norm_max, bool(np.all(asym.max(axis=0) <= 1e-12 * scale))
 
 
-def _is_hermitian(h_matrices):
-    scale = np.maximum(1.0, np.max(np.abs(h_matrices), axis=(-2, -1)))
-    asym = np.max(np.abs(h_matrices - np.swapaxes(h_matrices, -1, -2).conj()), axis=(-2, -1))
-    return bool(np.all(asym <= 1e-12 * scale))
+def _to_matrix_last(h_matrices):
+    """One (d, d) matrix as it is; an (n, d, d) stack as a contiguous (d, d, n) array."""
+    h_matrices = np.asarray(h_matrices, dtype=complex)
+    if h_matrices.ndim == 2:
+        return h_matrices
+    return np.ascontiguousarray(np.moveaxis(h_matrices, 0, -1))
 
 
 def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
@@ -230,7 +257,7 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
 
     if substeps is None:
         probes = np.concatenate([t_grid, t_grid[:-1] + 0.5 * dt])
-        norm_max = _max_frobenius(np.asarray(hamiltonian(probes), dtype=complex))
+        norm_max, _ = _norm_and_hermiticity(_to_matrix_last(hamiltonian(probes)))
         substeps = max(1, int(math.ceil(dt * norm_max / STEP_PHASE_TARGET))) if norm_max > 0 else 1
     if substeps < 1:
         raise DomainError(f"substeps must be >= 1, got {substeps!r}")
@@ -239,30 +266,36 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
 
     def evaluate(times):
         nonlocal hermitian
-        h_matrices = np.asarray(hamiltonian(times), dtype=complex)
-        phase = _max_frobenius(h_matrices) * h
+        h_matrices = _to_matrix_last(hamiltonian(times))
+        norm_max, is_hermitian = _norm_and_hermiticity(h_matrices)
+        phase = norm_max * h
         if phase > STEP_PHASE_MAX:
             raise StepSizeError(
                 f"step size too coarse: max||H||*h = {phase:.3g} > {STEP_PHASE_MAX}; "
                 f"increase substeps or refine t_grid")
-        hermitian = hermitian and _is_hermitian(h_matrices)
+        hermitian = hermitian and is_hermitian
         return h_matrices
 
     starts = t_grid[:-1]
     h_b = evaluate(starts)
+    constant = h_b.ndim == 2
     propagator = None
     for k in range(substeps):
         t = starts + k * h
         h_a, h_mid, h_b = h_b, evaluate(t + 0.5 * h), evaluate(t + h)
-        update = _rk4_update(h_a, h_mid, h_b, h)
-        if update.ndim == 2:
+        if constant:
+            update = _rk4_update(h_a, h_mid, h_b, h, np.matmul)
             propagator = np.linalg.matrix_power(update, substeps)
             break
-        propagator = update if propagator is None else update @ propagator
+        update = _rk4_update(h_a, h_mid, h_b, h, _matmul_last)
+        propagator = update if propagator is None else _matmul_last(update, propagator)
 
     out = np.empty((len(t_grid), len(psi)), dtype=complex)
     out[0] = psi
-    propagators = np.broadcast_to(propagator, (len(starts), len(psi), len(psi)))
+    if constant:
+        propagators = np.broadcast_to(propagator, (len(starts), len(psi), len(psi)))
+    else:
+        propagators = np.ascontiguousarray(np.moveaxis(propagator, -1, 0))
     for i, interval in enumerate(propagators, start=1):
         psi = interval @ psi
         out[i] = psi

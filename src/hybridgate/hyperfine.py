@@ -122,13 +122,6 @@ LI7 = AtomSpecies("Li7", 1.5, 803.5e6, 2.00230)
 
 SPECIES_PRESETS = {"Rb87": RB87, "Li7": LI7}
 
-# Qubit channels: Rb carries the qubit, Li enables the gate when moved
-# from |2,2> to |1,1>.
-STORAGE_0 = HyperfineChannel(RB87, HyperfineState(1, 1), LI7, HyperfineState(2, 2))
-STORAGE_1 = HyperfineChannel(RB87, HyperfineState(2, 2), LI7, HyperfineState(2, 2))
-ENABLED_0 = HyperfineChannel(RB87, HyperfineState(1, 1), LI7, HyperfineState(1, 1))
-ENABLED_1 = HyperfineChannel(RB87, HyperfineState(2, 2), LI7, HyperfineState(1, 1))
-
 
 def zeeman_parameter(species, b_gauss):
     """Dimensionless field parameter x = g_J * mu_B * B / dE_hf."""

@@ -21,10 +21,10 @@ from hybridgate.gate import (GateSchedule, RamanDown, accumulated_phase_numeric,
                              build_gate_schedule, build_phase_gate, dipole_dipole_rate,
                              gate_fidelity, interaction_time_for_pi,
                              schedule_total_duration, total_phase_closed_form)
-from hybridgate.hyperfine import (ENABLED_0, ENABLED_1, RB87, STORAGE_1,
-                                  HyperfineState, field_sensitivity,
+from hybridgate.hyperfine import (RB87, HyperfineState, field_sensitivity,
                                   open_decay_channels, resonance_site_count,
                                   site_frequency_resolution, transition_frequency)
+from hybridgate.scenario import load_scenario_text
 
 UP = HyperfineState(2, 2)
 DOWN = HyperfineState(1, 1)
@@ -174,9 +174,12 @@ def test_criterion_11_decoherence_budget():
 
 
 def test_criterion_12_channel_stability():
-    stable_storage = open_decay_channels(STORAGE_1, 649.0)
-    stable_enabled = open_decay_channels(ENABLED_0, 649.0)
-    unstable = open_decay_channels(ENABLED_1, 649.0)
+    scn = load_scenario_text(resources.files("hybridgate").joinpath("data/paper.cfg").read_text())
+    _, storage_1 = scn.qubit_channel_storage()
+    enabled_0, enabled_1 = scn.qubit_channel_enabled()
+    stable_storage = open_decay_channels(storage_1, 649.0)
+    stable_enabled = open_decay_channels(enabled_0, 649.0)
+    unstable = open_decay_channels(enabled_1, 649.0)
     named = any(c.state_a == DOWN and c.state_b == HyperfineState(2, 2) for c in unstable)
     ok = stable_storage == [] and stable_enabled == [] and len(unstable) > 0 and named
     _report(12, "channel classifications (stable, stable, decays to swapped pair)", ok,

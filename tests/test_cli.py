@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hybridgate import __version__, cli, repro
+from hybridgate import __version__, cli, dynamics, repro
 from hybridgate.budget import BudgetReport
 from hybridgate.errors import NumericalFailure
 from hybridgate.scenario import load_scenario_text
@@ -150,6 +150,14 @@ class TestPaperRepro:
         report = repro.paper_repro(load_scenario_text(_bundled_text()), "paper")
         assert {k: v for k, v in written.items() if k not in header} == report
 
+    def test_stirap_efficiencies_pinned(self):
+        # The RK4 arithmetic is fixed: a change to how its products are laid
+        # out may move these only by rounding, far inside any physical tolerance.
+        _, efficiency, reversed_efficiency = repro._stirap_run(
+            load_scenario_text(_bundled_text()))
+        assert efficiency == pytest.approx(0.9999807821803351, rel=1e-12)
+        assert reversed_efficiency == pytest.approx(0.5894534225363848, rel=1e-12)
+
     def test_seed_override_changes_contrast(self, tmp_path):
         cfg = _write_config(tmp_path, _bundled_text())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -201,6 +209,34 @@ class TestOtherSubcommands:
         assert eff[0][1] < 0.9        # weakest drive, diabatic
         _, mol = _read_csv(out / "stirap_molecule.csv")
         assert mol[-1][1] > 0.99
+
+    def test_stirap_integrates_each_transfer_once(self, tmp_path, monkeypatch):
+        # full drive, reversed order and the seven weaker drives of the area
+        # sweep; the sweep's last row is the full-drive run
+        calls = []
+        integrate = dynamics.integrate_schrodinger
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_schrodinger", counted)
+        cfg = _write_config(tmp_path, _bundled_text())
+        out = tmp_path / "out"
+        assert cli.main(["stirap", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 9
+        _read_csv(out / "stirap_efficiency.csv")
+        assert (out / "stirap_efficiency.csv").read_text().splitlines()[1:] == [
+            "omega0_rms_area,efficiency",
+            "3.00000000000e-01,4.08744473791e-04",
+            "5.79209318665e-01,5.39683160802e-03",
+            "1.11827811609e+00,6.21534037285e-02",
+            "2.15905701900e+00,4.45873777263e-01",
+            "4.16848648312e+00,9.74645372670e-01",
+            "8.04808738584e+00,9.92163212266e-01",
+            "1.55384240377e+01,9.99063234657e-01",
+            "3.00000000000e+01,9.99980782180e-01",
+        ]
 
 
 class TestExitCodes:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hybridgate.dynamics import (
+    STEP_PHASE_MAX,
     LambdaParams,
     PulseEnvelope,
     TwoLevelParams,
@@ -17,6 +18,7 @@ from hybridgate.dynamics import (
     stirap_trajectory,
     two_level_population,
 )
+from hybridgate.dynamics import _matmul_last, _norm_and_hermiticity, _rk4_update, _to_matrix_last
 from hybridgate.errors import DomainError, NumericalFailure, StepSizeError
 
 
@@ -202,6 +204,132 @@ class TestIntegrator:
             integrate_schrodinger(lambda t: _two_level_h(1e6),
                                   np.array([[1.0, 0.0]], dtype=complex),
                                   np.linspace(0.0, 1e-6, 5))
+
+
+# --- per-matrix references for the matrix-last kernel: the (n, d, d) forms
+# --- the integrator used before it moved to (d, d, n) stacks.
+def _reference_update(h_a, h_mid, h_b, h):
+    """RK4 update matrices, one np.matmul per (d, d) matrix of (n, d, d) stacks."""
+    out = np.empty_like(h_a)
+    for i in range(len(h_a)):
+        a, m, b = (-1j * h) * h_a[i], (-1j * h) * h_mid[i], (-1j * h) * h_b[i]
+        k2 = m + 0.5 * np.matmul(m, a)
+        k3 = m + 0.5 * np.matmul(m, k2)
+        k4 = b + np.matmul(b, k3)
+        out[i] = np.eye(len(a)) + (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return out
+
+
+def _reference_trajectory(hamiltonian, psi0, grid, substeps):
+    """RK4 on the integrator's evaluation times, one interval and matrix at a time."""
+    h = (grid[1] - grid[0]) / substeps
+    psi, out = psi0, [psi0]
+    for start in grid[:-1]:
+        t = np.array([start])
+        h_b, propagator = hamiltonian(t), np.eye(len(psi0))
+        for k in range(substeps):
+            t = np.array([start + k * h])
+            h_a, h_mid, h_b = h_b, hamiltonian(t + 0.5 * h), hamiltonian(t + h)
+            propagator = np.matmul(_reference_update(h_a, h_mid, h_b, h)[0], propagator)
+        psi = np.matmul(propagator, psi)
+        out.append(psi)
+    return np.array(out)
+
+
+def _reference_max_frobenius(h_matrices):
+    return float(np.max(np.linalg.norm(h_matrices, axis=(-2, -1))))
+
+
+def _reference_is_hermitian(h_matrices):
+    scale = np.maximum(1.0, np.max(np.abs(h_matrices), axis=(-2, -1)))
+    asym = np.max(np.abs(h_matrices - np.swapaxes(h_matrices, -1, -2).conj()), axis=(-2, -1))
+    return bool(np.all(asym <= 1e-12 * scale))
+
+
+def _random_hermitian(rng, shape, d):
+    x = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+    return 0.5 * (x + np.swapaxes(x, -1, -2).conj())
+
+
+def _smooth_hamiltonian(rng, d, rate):
+    """H(t) = rate * (A + cos(2 pi t / 1 us) B) with random Hermitian A, B."""
+    a, b = rate * _random_hermitian(rng, (), d), rate * _random_hermitian(rng, (), d)
+    return lambda t: a + np.cos(2e6 * np.pi * np.asarray(t))[:, None, None] * b
+
+
+class TestMatrixLastKernel:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_update_matches_per_matrix_matmul(self, d):
+        rng = np.random.default_rng(d)
+        h_a, h_mid, h_b = (rng.normal(size=(600, d, d)) + 1j * rng.normal(size=(600, d, d))
+                           for _ in range(3))
+        h = 0.01
+        expected = _reference_update(h_a, h_mid, h_b, h)
+        update = _rk4_update(_to_matrix_last(h_a), _to_matrix_last(h_mid),
+                             _to_matrix_last(h_b), h, _matmul_last)
+        assert update.shape == (d, d, 600)
+        assert np.max(np.abs(np.moveaxis(update, -1, 0) - expected)) < 1e-13
+        assert np.max(np.abs(np.moveaxis(_matmul_last(_to_matrix_last(h_a), _to_matrix_last(h_b)),
+                                         -1, 0) - h_a @ h_b)) < 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_propagators_match_per_matrix_rk4(self, d):
+        rng = np.random.default_rng(10 + d)
+        hamiltonian = _smooth_hamiltonian(rng, d, 3e5)
+        psi0 = np.zeros(d, dtype=complex)
+        psi0[0] = 1.0
+        grid = np.linspace(0.0, 2e-6, 41)
+        traj = integrate_schrodinger(hamiltonian, psi0, grid, substeps=7)
+        expected = _reference_trajectory(hamiltonian, psi0, grid, 7)
+        assert np.max(np.abs(traj.amplitudes - expected)) < 1e-13
+
+    def test_non_hermitian_propagators_match_per_matrix_rk4(self):
+        # gamma_e > 0: the excited state decays, so the run is not unitary
+        pump, stokes = _stirap_setup()
+
+        def hamiltonian(t):
+            return lambda_matrix(pump.value(t), stokes.value(t), 2e5, 0.0, 3e5)
+
+        psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        grid = np.linspace(pump.center_s - pump.rms_width_s, pump.center_s, 31)
+        traj = integrate_schrodinger(hamiltonian, psi0, grid, substeps=25)
+        expected = _reference_trajectory(hamiltonian, psi0, grid, 25)
+        assert np.max(np.abs(traj.amplitudes - expected)) < 1e-13
+        assert traj.norms_squared()[-1] < 0.99
+
+    def test_one_non_hermitian_matrix_is_flagged(self):
+        stack = _random_hermitian(np.random.default_rng(5), (600,), 3)
+        assert _reference_is_hermitian(stack)
+        assert _norm_and_hermiticity(_to_matrix_last(stack))[1] is True
+        stack[300, 0, 2] += 1e-9
+        assert not _reference_is_hermitian(stack)
+        assert _norm_and_hermiticity(_to_matrix_last(stack))[1] is False
+        norm_max, _ = _norm_and_hermiticity(_to_matrix_last(stack))
+        assert norm_max == pytest.approx(_reference_max_frobenius(stack), rel=1e-15)
+
+    @pytest.mark.parametrize("phase_ratio, raises", [(0.99, False), (1.01, True)])
+    def test_one_over_limit_matrix_raises(self, phase_ratio, raises):
+        # 600 intervals, one substep: every H call is one 600-matrix stack, and
+        # only matrix 300 reaches phase_ratio times the step-phase limit
+        base = _random_hermitian(np.random.default_rng(6), (600,), 3)
+        base /= np.max(np.linalg.norm(base, axis=(-2, -1)))
+        grid = np.linspace(0.0, 6e-6, 601)
+        h = grid[1] - grid[0]
+        stack = base * (0.01 / h)
+        stack[300] *= phase_ratio * STEP_PHASE_MAX / (h * np.linalg.norm(stack[300]))
+        assert (_reference_max_frobenius(stack) * h > STEP_PHASE_MAX) == raises
+        assert np.argmax(np.linalg.norm(stack, axis=(-2, -1))) == 300
+
+        def hamiltonian(t):
+            assert len(t) == 600
+            return stack
+
+        psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        if raises:
+            with pytest.raises(StepSizeError):
+                integrate_schrodinger(hamiltonian, psi0, grid, substeps=1)
+        else:
+            integrate_schrodinger(hamiltonian, psi0, grid, substeps=1)
 
 
 class TestPulseEnvelope:

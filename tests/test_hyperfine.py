@@ -1,15 +1,12 @@
 import math
+from importlib import resources
 
 import pytest
 
 from hybridgate.errors import DomainError
 from hybridgate.hyperfine import (
-    ENABLED_0,
-    ENABLED_1,
     LI7,
     RB87,
-    STORAGE_0,
-    STORAGE_1,
     AtomSpecies,
     HyperfineChannel,
     HyperfineState,
@@ -22,9 +19,16 @@ from hybridgate.hyperfine import (
     transition_frequency,
     zeeman_parameter,
 )
+from hybridgate.scenario import load_scenario_text
 
 UP = HyperfineState(2, 2)
 DOWN = HyperfineState(1, 1)
+
+# The bundled scenario's channels: Rb carries the qubit, Li enables the gate
+# when moved from |2,2> (storage) to |1,1> (enabled).
+_BUNDLED = load_scenario_text(resources.files("hybridgate").joinpath("data/paper.cfg").read_text())
+STORAGE_0, STORAGE_1 = _BUNDLED.qubit_channel_storage()
+ENABLED_0, ENABLED_1 = _BUNDLED.qubit_channel_enabled()
 
 
 # --- independent oracle: plain re-derivation of the level formula, used to
