@@ -10,6 +10,7 @@ error, 2 numerical failure.
 """
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -65,6 +66,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache   # built on the first run, not at import; parse_args keeps no state
 def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--config", default=None,
@@ -99,14 +101,14 @@ def _read_config_bytes(path):
 
 def _cmd_levels(scn, ctx):
     cfg = scn.levels
-    grid = np.linspace(cfg.b_min_gauss, cfg.b_max_gauss, cfg.count).tolist()
+    grid = np.linspace(cfg.b_min_gauss, cfg.b_max_gauss, cfg.count)
     sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
     for state in all_states(sp):
         ctx.table(f"levels_energy_f{state.f}_m{state.m}.csv", ("b_g", "energy_hz"), grid,
-                  [breit_rabi_energy(sp, state, b, mode=ctx.mode) for b in grid])
+                  breit_rabi_energy(sp, state, grid, mode=ctx.mode))
     ctx.table("levels_table.csv", ("b_g", "transition_hz", "sensitivity_hz_per_g"), grid,
-              [transition_frequency(sp, up, lo, b, mode=ctx.mode) for b in grid],
-              [field_sensitivity(sp, up, lo, b, mode=ctx.mode) for b in grid])
+              transition_frequency(sp, up, lo, grid, mode=ctx.mode),
+              field_sensitivity(sp, up, lo, grid, mode=ctx.mode))
     t_ref = transition_frequency(sp, up, lo, scn.field.b_gauss, mode=ctx.mode)
     print(f"levels: {len(grid)} field points; transition at {scn.field.b_gauss} G "
           f"= {format_float(t_ref)} Hz")
@@ -182,13 +184,9 @@ def _sweep_curves(scn, ctx, values):
         return {"omega_dd_rad_s":
                 [dipole_dipole_rate(ind.mu_induced_debye, r) for r in values]}
     if param == "b_G":
-        sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
-        return {
-            "transition_hz": [transition_frequency(sp, up, lo, b, mode=ctx.mode)
-                              for b in values],
-            "sensitivity_hz_per_g": [field_sensitivity(sp, up, lo, b, mode=ctx.mode)
-                                     for b in values],
-        }
+        sp, up, lo, b = scn.qubit.species, scn.qubit.upper, scn.qubit.lower, np.array(values)
+        return {"transition_hz": transition_frequency(sp, up, lo, b, mode=ctx.mode),
+                "sensitivity_hz_per_g": field_sensitivity(sp, up, lo, b, mode=ctx.mode)}
     if param == "sigma_B_G":
         sens = _qubit_sensitivity(scn, ctx.mode)
         return {"dephasing_time_s": [dephasing_time(sens, s) for s in values]}

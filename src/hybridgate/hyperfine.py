@@ -20,6 +20,8 @@ relative to the hyperfine centroid; fields are in Gauss.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import BOHR_MAGNETON_HZ_PER_G
 from .errors import DomainError
 
@@ -111,6 +113,11 @@ def _require_valid_state(species, state):
             f"f must be {species.f_lower} or {species.f_upper}")
 
 
+def _first(values, bad):
+    """First element of a scalar or array where the mask ``bad`` holds."""
+    return float(np.asarray(values)[bad][0])
+
+
 def _require_mode(mode):
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -125,8 +132,9 @@ SPECIES_PRESETS = {"Rb87": RB87, "Li7": LI7}
 
 def zeeman_parameter(species, b_gauss):
     """Dimensionless field parameter x = g_J * mu_B * B / dE_hf."""
-    if b_gauss < 0:
-        raise DomainError(f"magnetic field must be >= 0 G, got {b_gauss!r}")
+    bad = np.less(b_gauss, 0)
+    if bad.any():
+        raise DomainError(f"magnetic field must be >= 0 G, got {_first(b_gauss, bad)!r}")
     return species.g_j * BOHR_MAGNETON_HZ_PER_G * b_gauss / species.hyperfine_splitting_hz
 
 
@@ -150,9 +158,10 @@ def breit_rabi_energy(species, state, b_gauss, mode="paper"):
     _require_valid_state(species, state)
     x = zeeman_parameter(species, b_gauss)
     radicand = 1.0 + state.m * x + x * x
-    if radicand < 0.0:
-        raise DomainError(
-            f"negative Breit-Rabi radicand {radicand!r} for {state.label()} at {b_gauss} G")
+    bad = np.less(radicand, 0.0)
+    if bad.any():
+        raise DomainError(f"negative Breit-Rabi radicand {_first(radicand, bad)!r} for "
+                          f"{state.label()} at {_first(b_gauss, bad)} G")
     sign = 1.0 if state.f == species.f_upper else -1.0
     if mode == "paper":
         offset = -1.0 / 12.0
@@ -160,7 +169,8 @@ def breit_rabi_energy(species, state, b_gauss, mode="paper"):
     else:
         offset = -1.0 / (2.0 * (2.0 * species.nuclear_spin + 1.0))
         nuclear = species.g_i * BOHR_MAGNETON_HZ_PER_G * state.m * b_gauss
-    return species.hyperfine_splitting_hz * (offset + sign * 0.5 * math.sqrt(radicand)) + nuclear
+    root = np.sqrt(radicand) if isinstance(radicand, np.ndarray) else math.sqrt(radicand)
+    return species.hyperfine_splitting_hz * (offset + sign * 0.5 * root) + nuclear
 
 
 def transition_frequency(species, upper, lower, b_gauss, mode="paper"):
@@ -184,14 +194,13 @@ def field_sensitivity(species, upper, lower, b_gauss, mode="paper"):
 
     def dlevel_db(state):
         radicand = 1.0 + state.m * x + x * x
-        if radicand < 0.0:
-            raise DomainError(
-                f"negative Breit-Rabi radicand for {state.label()} at {b_gauss} G")
-        if radicand == 0.0:
-            raise DomainError(
-                f"field sensitivity undefined at radicand zero for {state.label()} at {b_gauss} G")
+        for bad, what in ((np.less(radicand, 0.0), "negative Breit-Rabi radicand"),
+                          (np.equal(radicand, 0.0), "field sensitivity undefined at radicand zero")):
+            if bad.any():
+                raise DomainError(f"{what} for {state.label()} at {_first(b_gauss, bad)} G")
         sign = 1.0 if state.f == species.f_upper else -1.0
-        slope = sign * (state.m + 2.0 * x) / (4.0 * math.sqrt(radicand))
+        root = np.sqrt(radicand) if isinstance(radicand, np.ndarray) else math.sqrt(radicand)
+        slope = sign * (state.m + 2.0 * x) / (4.0 * root)
         nuclear = species.g_i * BOHR_MAGNETON_HZ_PER_G * state.m if mode == "standard" else 0.0
         return species.hyperfine_splitting_hz * slope * dx_db + nuclear
 

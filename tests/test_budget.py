@@ -80,10 +80,25 @@ class TestRamseyContrast:
         sums = {}
         for chunk_index in (1, 0):
             key = np.array([seed, chunk_index], dtype=np.uint64)
-            db = np.random.Generator(np.random.Philox(key=key)).standard_normal(MC_CHUNK) * SIGMA
-            sums[chunk_index] = np.exp(1j * 2.0 * math.pi * SENS * db * t).sum()
-        manual = abs((sums[0] + sums[1]) / n)
+            z = np.random.Generator(np.random.Philox(key=key)).standard_normal(MC_CHUNK)
+            phase = (2.0 * math.pi * SENS * t * SIGMA) * z
+            sums[chunk_index] = (np.cos(phase).sum(), np.sin(phase).sum())
+        manual = math.hypot(0.0 + sums[0][0] + sums[1][0], 0.0 + sums[0][1] + sums[1][1]) / n
         assert ramsey_contrast_mc(SENS, SIGMA, t, n, seed) == manual
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+    def test_matches_complex_exponential_reduction(self, seed):
+        # The contrast as |sum of exp(i phase)| / n over the same Philox
+        # chunks, with a partial last chunk; only the rounding may differ.
+        n = 2 * MC_CHUNK + 1234
+        t = dephasing_time(SENS, SIGMA)
+        total = 0.0j
+        for chunk_index, take in enumerate((MC_CHUNK, MC_CHUNK, 1234)):
+            key = np.array([seed, chunk_index], dtype=np.uint64)
+            db = np.random.Generator(np.random.Philox(key=key)).standard_normal(take) * SIGMA
+            total += np.exp(1j * 2.0 * math.pi * SENS * db * t).sum()
+        expected = abs(total / n)
+        assert ramsey_contrast_mc(SENS, SIGMA, t, n, seed) == pytest.approx(expected, rel=1e-13)
 
     def test_minimum_samples_enforced(self):
         with pytest.raises(DomainError):

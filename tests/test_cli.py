@@ -255,6 +255,14 @@ class TestExitCodes:
         assert "--seed" in err and "64 bits" in err
         assert "[noise]" not in err
 
+    def test_inverted_qubit_names_the_sensitivity_as_a_number(self, tmp_path, capsys):
+        text = _bundled_text().replace("upper_f = 2\nupper_m = 2\nlower_f = 1\nlower_m = 1",
+                                       "upper_f = 1\nupper_m = 1\nlower_f = 2\nlower_m = 2")
+        cfg = _write_config(tmp_path, text)
+        assert cli.main(["budget", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.endswith(
+            "invalid value: sensitivity must be > 0 Hz/G, got -2329694.2049243324\n")
+
     def test_unknown_subcommand_exits_1(self, capsys):
         assert cli.main(["frobnicate"]) == 1
         capsys.readouterr()
@@ -310,6 +318,30 @@ class TestEnvironment:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+    def test_reused_parser_matches_fresh_processes(self, tmp_path, capsys):
+        # Two calls in one process, differing in --seed, --mode and --out,
+        # must write what two fresh interpreters write.
+        cfg = _write_config(tmp_path, _bundled_text())
+        calls = (["budget", "--config", cfg, "--mode", "standard", "--seed", "5"],
+                 ["levels", "--config", cfg])
+        for i, argv in enumerate(calls):
+            assert cli.main(argv + ["--out", str(tmp_path / f"same{i}")]) == 0
+        in_process = capsys.readouterr().out
+        assert cli._build_parser.cache_info().currsize == 1
+        fresh = ""
+        for i, argv in enumerate(calls):
+            proc = subprocess.run([sys.executable, "-m", "hybridgate", *argv,
+                                   "--out", str(tmp_path / f"fresh{i}")],
+                                  capture_output=True, text=True, check=True)
+            fresh += proc.stdout
+        assert in_process == fresh
+        for i in range(len(calls)):
+            names = sorted(p.name for p in (tmp_path / f"fresh{i}").iterdir())
+            assert names == sorted(p.name for p in (tmp_path / f"same{i}").iterdir())
+            for name in names:
+                assert ((tmp_path / f"same{i}" / name).read_bytes()
+                        == (tmp_path / f"fresh{i}" / name).read_bytes()), name
 
     def test_default_config_is_bundled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYBRIDGATE_OUT", str(tmp_path / "o"))

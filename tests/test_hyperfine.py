@@ -1,6 +1,7 @@
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from hybridgate.errors import DomainError
@@ -171,6 +172,66 @@ class TestFieldSensitivity:
         assert zeeman_parameter(species, 1.0) == 1.0
         with pytest.raises(DomainError):
             field_sensitivity(species, HyperfineState(2, -2), HyperfineState(1, -1), 1.0)
+
+
+class TestFieldArrays:
+    """A field array gives, element by element, the bits of the scalar calls."""
+
+    FIELDS = np.concatenate([np.linspace(0.0, 2500.0, 41), [649.0, 1e-3, 2e5]])
+    RB87_NUCLEAR = AtomSpecies("Rb87n", 1.5, 6.835e9, 2.00233, g_i=-0.000995)
+    # f = 3, m = -3 of an I = 5/2 species: 1 - 3x + x^2 < 0 for x in (0.38, 2.62)
+    I52 = AtomSpecies("I52", 2.5, 1.0e9, 2.0)
+
+    @pytest.mark.parametrize("mode", ["paper", "standard"])
+    @pytest.mark.parametrize("species", [RB87, LI7, RB87_NUCLEAR], ids=lambda sp: sp.name)
+    def test_arrays_equal_scalar_calls(self, species, mode):
+        b = self.FIELDS
+        assert type(breit_rabi_energy(species, UP, 649.0, mode=mode)) is float
+        assert type(field_sensitivity(species, UP, DOWN, 649.0, mode=mode)) is float
+        for state in all_states(species):
+            energies = breit_rabi_energy(species, state, b, mode=mode)
+            assert np.array_equal(energies, [breit_rabi_energy(species, state, float(v), mode=mode)
+                                             for v in b])
+        for upper, lower in ((UP, DOWN), (HyperfineState(2, -1), HyperfineState(1, 0))):
+            assert np.array_equal(
+                transition_frequency(species, upper, lower, b, mode=mode),
+                [transition_frequency(species, upper, lower, float(v), mode=mode) for v in b])
+            assert np.array_equal(
+                field_sensitivity(species, upper, lower, b, mode=mode),
+                [field_sensitivity(species, upper, lower, float(v), mode=mode) for v in b])
+
+    @pytest.mark.parametrize("call", [
+        lambda b: zeeman_parameter(RB87, b),
+        lambda b: breit_rabi_energy(RB87, UP, b),
+        lambda b: transition_frequency(RB87, UP, DOWN, b, mode="standard"),
+        lambda b: field_sensitivity(RB87, UP, DOWN, b),
+    ])
+    def test_negative_field_anywhere_names_the_first(self, call):
+        with pytest.raises(DomainError) as err:
+            call(np.array([649.0, 0.0, -2.5, 10.0, -7.0]))
+        assert str(err.value) == "magnetic field must be >= 0 G, got -2.5"
+        with pytest.raises(DomainError, match="got -7.0$"):
+            call(np.array([649.0, -7.0]))
+
+    def test_negative_radicand_anywhere_names_the_first_field(self):
+        x_per_g = 2.0 * 1.399624604e6 / 1.0e9
+        fields = np.array([0.0, 0.2, 1.2, 1.5, 0.3, 3.0]) / x_per_g
+        state = HyperfineState(3, -3)
+        with pytest.raises(DomainError) as err:
+            breit_rabi_energy(self.I52, state, fields)
+        message = str(err.value)
+        assert message.startswith("negative Breit-Rabi radicand -")
+        assert message.endswith(f"for |3,-3> at {fields[2]} G")
+        with pytest.raises(DomainError, match=rf"for \|3,-3> at {fields[2]} G$"):
+            field_sensitivity(self.I52, HyperfineState(2, -2), state, fields)
+        with pytest.raises(DomainError, match=rf"at {fields[2]} G$"):
+            transition_frequency(self.I52, HyperfineState(2, -2), state, fields)
+
+    def test_kink_point_anywhere_names_the_field(self):
+        species = AtomSpecies("kink", 1.5, 2.0 * 1.399624604e6, 2.0)
+        with pytest.raises(DomainError, match=r"radicand zero for \|2,-2> at 1.0 G$"):
+            field_sensitivity(species, HyperfineState(2, -2), HyperfineState(1, -1),
+                              np.array([0.5, 1.0, 2.0]))
 
 
 class TestAddressing:
