@@ -8,6 +8,7 @@ Every parse or validation problem raises ConfigError naming the offending
 section.
 """
 
+import math
 from dataclasses import dataclass
 
 from .budget import NoiseModel
@@ -169,6 +170,8 @@ def _float(sections, section, key, default=_REQUIRED, minimum=None, positive=Fal
         value = float(raw)
     except ValueError:
         raise ConfigError(f"not a number: {raw!r}", key=f"[{section}] {key}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"must be a finite number, got {value!r}", key=f"[{section}] {key}")
     if positive and not value > 0:
         raise ConfigError(f"must be > 0, got {value!r}", key=f"[{section}] {key}")
     if minimum is not None and value < minimum:

@@ -42,6 +42,10 @@ class TestDephasingTime:
         with pytest.raises(DomainError):
             dephasing_time(0.0, SIGMA)
 
+    def test_nan_noise_rejected(self):
+        with pytest.raises(DomainError):
+            dephasing_time(SENS, math.nan)
+
 
 class TestRamseyContrast:
     def test_zero_time_is_exactly_one(self):
@@ -81,8 +85,9 @@ class TestRamseyContrast:
         for chunk_index in (1, 0):
             key = np.array([seed, chunk_index], dtype=np.uint64)
             z = np.random.Generator(np.random.Philox(key=key)).standard_normal(MC_CHUNK)
-            phase = (2.0 * math.pi * SENS * t * SIGMA) * z
-            sums[chunk_index] = (np.cos(phase).sum(), np.sin(phase).sum())
+            tan_half = np.tan(z * (0.5 * 2.0 * math.pi * SENS * t * SIGMA))
+            inv = 1.0 / (tan_half * tan_half + 1.0)
+            sums[chunk_index] = (2.0 * inv.sum() - MC_CHUNK, 2.0 * (tan_half * inv).sum())
         manual = math.hypot(0.0 + sums[0][0] + sums[1][0], 0.0 + sums[0][1] + sums[1][1]) / n
         assert ramsey_contrast_mc(SENS, SIGMA, t, n, seed) == manual
 
@@ -100,9 +105,30 @@ class TestRamseyContrast:
         expected = abs(total / n)
         assert ramsey_contrast_mc(SENS, SIGMA, t, n, seed) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("factor", [0.01, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("n", [1000, 2 * MC_CHUNK + 1234])
+    def test_half_angle_form_matches_cos_sin_reduction(self, factor, n):
+        # cos and sin summed directly over the same Philox chunks; phases at
+        # 10 T_phi reach well past +-pi.
+        t = factor * dephasing_time(SENS, SIGMA)
+        cos_sum = sin_sum = 0.0
+        for chunk_index, start in enumerate(range(0, n, MC_CHUNK)):
+            key = np.array([5, chunk_index], dtype=np.uint64)
+            z = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+                min(MC_CHUNK, n - start))
+            phase = (2.0 * math.pi * SENS * t * SIGMA) * z
+            cos_sum += np.cos(phase).sum()
+            sin_sum += np.sin(phase).sum()
+        expected = math.hypot(cos_sum, sin_sum) / n
+        assert abs(ramsey_contrast_mc(SENS, SIGMA, t, n, 5) - expected) <= 1e-14
+
     def test_minimum_samples_enforced(self):
         with pytest.raises(DomainError):
             ramsey_contrast_mc(SENS, SIGMA, 1e-4, 999, 0)
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(DomainError):
+            ramsey_contrast_mc(SENS, SIGMA, math.nan, 1000, 0)
 
 
 class TestInelasticLoss:
@@ -129,6 +155,10 @@ class TestInelasticLoss:
     def test_validation(self):
         with pytest.raises(DomainError):
             inelastic_loss_probability(-1.0, 1.0)
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(DomainError):
+            inelastic_loss_probability(math.nan, 20e-6)
 
 
 class TestOperationsBudget:
@@ -220,3 +250,9 @@ class TestAssembleBudget:
             NoiseModel(SIGMA, -1.0, 1e5)
         with pytest.raises(DomainError):
             NoiseModel(SIGMA, 1e5, 0.0)
+
+    def test_noise_model_rejects_nan(self):
+        with pytest.raises(DomainError):
+            NoiseModel(math.nan, 1e5, 1e5)
+        with pytest.raises(DomainError):
+            NoiseModel(SIGMA, math.nan, 1e5)

@@ -246,6 +246,21 @@ class TestExitCodes:
         assert cli.main(["budget", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "sigma_B_G" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("section,line", [
+        ("noise", "gamma_inelastic_per_s = 1e5"),
+        ("noise", "sigma_B_G = 3e-4"),
+        ("readout", "splitting_Hz = 1e3"),
+    ])
+    def test_non_finite_number_names_the_key(self, tmp_path, capsys, section, line, value):
+        key = line.split(" = ")[0]
+        text = _bundled_text().replace(line, f"{key} = {value}")
+        cfg = _write_config(tmp_path, text)
+        assert cli.main(["budget", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"[{section}] {key}: must be a finite number, got {value}\n")
+        assert not (tmp_path / "o" / "budget_report.json").exists()
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_out_of_range_seed_names_the_option(self, tmp_path, capsys, seed):
         cfg = _write_config(tmp_path, _bundled_text())
