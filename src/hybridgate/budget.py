@@ -8,6 +8,8 @@ when it spans at least ADIABATIC_MIN_PERIODS trap oscillation periods.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +18,10 @@ from .constants import TWO_PI
 from .errors import DomainError
 from .gate import ENABLER_KINDS, schedule_total_duration
 
-# Monte Carlo samples are derived per chunk from (seed, chunk index), so the
-# result is independent of how chunks would be distributed across workers.
+# Monte Carlo samples are drawn in chunks of MC_CHUNK, chunk c from a Philox
+# stream keyed by (seed, c). The chunks are spread over worker threads, one
+# per CPU in the affinity mask, and their sums are added in chunk order, so
+# the result does not depend on the number of workers.
 MC_CHUNK = 65536
 
 ADIABATIC_MIN_PERIODS = 3.0
@@ -66,11 +70,20 @@ def dephasing_time(sensitivity_hz_per_g, sigma_b_gauss):
     """
     if not sensitivity_hz_per_g > 0:
         raise DomainError(f"sensitivity must be > 0 Hz/G, got {sensitivity_hz_per_g!r}")
-    if not sigma_b_gauss >= 0:
-        raise DomainError(f"sigma_B must be >= 0 G, got {sigma_b_gauss!r}")
+    if not math.isfinite(sensitivity_hz_per_g):
+        raise DomainError(f"sensitivity must be finite, got {sensitivity_hz_per_g!r}")
+    if not (sigma_b_gauss >= 0 and math.isfinite(sigma_b_gauss)):
+        raise DomainError(f"sigma_B must be finite and >= 0 G, got {sigma_b_gauss!r}")
     if sigma_b_gauss == 0.0:
         return math.inf
     return 1.0 / (TWO_PI * (sensitivity_hz_per_g * sigma_b_gauss))
+
+
+def _available_cpus():
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def ramsey_contrast_mc(sensitivity_hz_per_g, sigma_b_gauss, t_s, n_samples, seed):
@@ -81,42 +94,77 @@ def ramsey_contrast_mc(sensitivity_hz_per_g, sigma_b_gauss, t_s, n_samples, seed
     t = tan(phase/2) give cos = 2/(1+t^2) - 1 and sin = 2t/(1+t^2), so the
     result differs from a cos/sin reduction only by rounding (<= 1e-14 absolute).
 
-    Bit-identical for identical seeds: sample chunk c comes from an
-    independent Philox stream keyed by (seed, c) and chunks are reduced in
-    index order.
+    Bit-identical for identical seeds on any number of CPUs. Chunk c draws
+    from an independent Philox stream keyed by (seed, c). The chunks run on
+    min(chunks, CPUs in the affinity mask) threads, the caller being one of
+    them: worker w takes chunks w, w + workers, ... and stores each chunk's
+    cos and sin sums in row c. Once every worker has joined, the caller
+    raises the first worker's exception, if any, or adds the rows in index
+    order.
     """
     if n_samples < 1000:
         raise DomainError(f"need n_samples >= 1000 for a meaningful contrast, got {n_samples!r}")
-    if not t_s >= 0:
-        raise DomainError(f"time must be >= 0, got {t_s!r}")
+    if not (sigma_b_gauss >= 0 and math.isfinite(sigma_b_gauss)):
+        raise DomainError(f"sigma_B must be finite and >= 0 G, got {sigma_b_gauss!r}")
+    if not math.isfinite(sensitivity_hz_per_g):
+        raise DomainError(f"sensitivity must be finite, got {sensitivity_hz_per_g!r}")
+    if not (t_s >= 0 and math.isfinite(t_s)):
+        raise DomainError(f"time must be finite and >= 0, got {t_s!r}")
     half_phase_per_normal = 0.5 * TWO_PI * sensitivity_hz_per_g * t_s * sigma_b_gauss
+    if not math.isfinite(half_phase_per_normal):
+        raise DomainError(f"phase per unit normal overflows: {half_phase_per_normal!r}")
+    n_chunks = -(-n_samples // MC_CHUNK)
+    workers = min(n_chunks, _available_cpus())
+    seed64 = int(seed) & 0xFFFFFFFFFFFFFFFF
+    # Generators and buffers are allocated here, not in the workers: a thread
+    # that calls malloc gets a glibc arena of its own, which raises peak RSS.
+    rngs = [np.random.Generator(np.random.Philox(key=np.array([seed64, c], dtype=np.uint64)))
+            for c in range(n_chunks)]
+    buffers = np.empty((workers, 2, min(MC_CHUNK, n_samples)))  # t and 1/(1+t^2) per worker
+    sums = np.empty((n_chunks, 2))
+    errors = [None] * workers
+
+    def work(w):
+        try:
+            for c in range(w, n_chunks, workers):
+                take = min(MC_CHUNK, n_samples - c * MC_CHUNK)
+                t, inv = buffers[w, :, :take]
+                rngs[c].standard_normal(out=t)
+                t *= half_phase_per_normal
+                np.tan(t, out=t)
+                np.multiply(t, t, out=inv)
+                inv += 1.0
+                np.reciprocal(inv, out=inv)
+                sums[c, 0] = 2.0 * inv.sum() - take
+                t *= inv
+                sums[c, 1] = 2.0 * t.sum()
+        except BaseException as exc:  # raised again by the caller after the join
+            errors[w] = exc
+
+    started = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=work, args=(w,))
+            thread.start()
+            started.append(thread)
+        work(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     cos_sum = sin_sum = 0.0
-    done = 0
-    chunk_index = 0
-    buffers = np.empty((2, min(MC_CHUNK, n_samples)))  # t and 1/(1+t^2), reused per chunk
-    while done < n_samples:
-        take = min(MC_CHUNK, n_samples - done)
-        key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        t, inv = buffers[:, :take]
-        rng.standard_normal(out=t)
-        t *= half_phase_per_normal
-        np.tan(t, out=t)
-        np.multiply(t, t, out=inv)
-        inv += 1.0
-        np.reciprocal(inv, out=inv)
-        cos_sum += 2.0 * inv.sum() - take
-        t *= inv
-        sin_sum += 2.0 * t.sum()
-        done += take
-        chunk_index += 1
+    for chunk_cos, chunk_sin in sums.tolist():
+        cos_sum += chunk_cos
+        sin_sum += chunk_sin
     return math.hypot(cos_sum, sin_sum) / n_samples
 
 
 def inelastic_loss_probability(gamma_per_s, t_s):
     """Probability 1 - exp(-gamma*t) of an inelastic loss event within t."""
-    if not (gamma_per_s >= 0 and t_s >= 0):
-        raise DomainError("rate and time must both be >= 0")
+    if not (gamma_per_s >= 0 and t_s >= 0 and math.isfinite(gamma_per_s) and math.isfinite(t_s)):
+        raise DomainError("rate and time must both be finite and >= 0")
     return -math.expm1(-gamma_per_s * t_s)
 
 

@@ -1,8 +1,12 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from hybridgate import budget
 from hybridgate.budget import (
     MC_CHUNK,
     NoiseModel,
@@ -45,6 +49,12 @@ class TestDephasingTime:
     def test_nan_noise_rejected(self):
         with pytest.raises(DomainError):
             dephasing_time(SENS, math.nan)
+
+    @pytest.mark.parametrize("sens, sigma", [(math.inf, SIGMA), (SENS, math.inf)])
+    def test_infinite_inputs_rejected(self, sens, sigma):
+        # 1/(2 pi * sens * sigma) would be a dephasing time of 0.0 s.
+        with pytest.raises(DomainError, match="finite"):
+            dephasing_time(sens, sigma)
 
 
 class TestRamseyContrast:
@@ -130,6 +140,93 @@ class TestRamseyContrast:
         with pytest.raises(DomainError):
             ramsey_contrast_mc(SENS, SIGMA, math.nan, 1000, 0)
 
+    @pytest.mark.parametrize("sens, sigma, t", [
+        (SENS, math.nan, 1e-4),    # was a nan contrast
+        (SENS, math.inf, 1e-4),
+        (SENS, -1e-4, 1e-4),       # was 0.8208; NoiseModel rejects a negative sigma_B
+        (math.nan, SIGMA, 1e-4),   # was a nan contrast
+        (math.inf, SIGMA, 1e-4),
+        (SENS, SIGMA, math.inf),   # was nan with a RuntimeWarning from tan
+        (1e300, 1e2, 1e10),        # finite inputs whose phase scale overflows
+    ])
+    def test_non_finite_or_negative_inputs_rejected(self, sens, sigma, t):
+        with pytest.raises(DomainError):
+            ramsey_contrast_mc(sens, sigma, t, 1000, 0)
+
+
+def _workers(monkeypatch, cpus):
+    monkeypatch.setattr(budget, "_available_cpus", lambda: cpus)
+
+
+class TestParallelChunks:
+    # Each worker is a real thread, so no test asks for more than 8.
+
+    @pytest.mark.parametrize("n", [1000, MC_CHUNK, 2 * MC_CHUNK + 1234, 2_000_000])
+    def test_result_does_not_depend_on_worker_count(self, monkeypatch, n):
+        t = dephasing_time(SENS, SIGMA)
+        _workers(monkeypatch, 1)
+        serial = ramsey_contrast_mc(SENS, SIGMA, t, n, 2024)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # switch threads as often as possible
+        try:
+            for cpus in (2, 3, 8):
+                _workers(monkeypatch, cpus)
+                assert ramsey_contrast_mc(SENS, SIGMA, t, n, 2024) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n, cpus, extra", [
+        (1000, 8, 0),
+        (MC_CHUNK, 8, 0),
+        (MC_CHUNK + 1, 8, 1),
+        (3 * MC_CHUNK, 2, 1),
+        (3 * MC_CHUNK, 8, 2),
+        (3 * MC_CHUNK, 1, 0),
+    ])
+    def test_one_thread_per_extra_worker(self, monkeypatch, n, cpus, extra):
+        # min(chunks, cpus) workers, the caller being one of them.
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        _workers(monkeypatch, cpus)
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        ramsey_contrast_mc(SENS, SIGMA, 1e-4, n, 1)
+        assert len(started) == extra
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("failing_chunk", [0, 1, 3])
+    def test_failing_chunk_raises_in_the_caller(self, monkeypatch, failing_chunk):
+        # Chunk 0 runs in the calling thread, chunks 1 and 3 in the worker.
+        real_generator = np.random.Generator
+        ran_in = []
+
+        class FailingGenerator:
+            def standard_normal(self, out):
+                ran_in.append(threading.current_thread())
+                raise FloatingPointError(f"chunk {failing_chunk} failed")
+
+        def generator(bit_generator):
+            if int(bit_generator.state["state"]["key"][1]) == failing_chunk:
+                return FailingGenerator()
+            return real_generator(bit_generator)
+
+        _workers(monkeypatch, 2)
+        monkeypatch.setattr(np.random, "Generator", generator)
+        with pytest.raises(FloatingPointError, match=f"chunk {failing_chunk} failed"):
+            ramsey_contrast_mc(SENS, SIGMA, 1e-4, 4 * MC_CHUNK, 9)
+        assert (ran_in[0] is threading.main_thread()) == (failing_chunk == 0)
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert budget._available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert budget._available_cpus() == 1
+
 
 class TestInelasticLoss:
     def test_paper_value(self):
@@ -159,6 +256,12 @@ class TestInelasticLoss:
     def test_nan_rate_rejected(self):
         with pytest.raises(DomainError):
             inelastic_loss_probability(math.nan, 20e-6)
+
+    @pytest.mark.parametrize("gamma, t", [(math.inf, 0.0), (1e5, math.inf)])
+    def test_infinite_inputs_rejected(self, gamma, t):
+        # inf * 0 made (inf, 0.0) a nan probability.
+        with pytest.raises(DomainError):
+            inelastic_loss_probability(gamma, t)
 
 
 class TestOperationsBudget:
