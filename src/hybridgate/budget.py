@@ -76,7 +76,12 @@ def dephasing_time(sensitivity_hz_per_g, sigma_b_gauss):
         raise DomainError(f"sigma_B must be finite and >= 0 G, got {sigma_b_gauss!r}")
     if sigma_b_gauss == 0.0:
         return math.inf
-    return 1.0 / (TWO_PI * (sensitivity_hz_per_g * sigma_b_gauss))
+    rate = TWO_PI * (sensitivity_hz_per_g * sigma_b_gauss)
+    t_phi = 1.0 / rate if rate > 0.0 else math.inf   # rate underflowed to 0.0
+    if not 0.0 < t_phi < math.inf:
+        raise DomainError(f"dephasing time for sensitivity {sensitivity_hz_per_g!r} Hz/G and "
+                          f"sigma_B {sigma_b_gauss!r} G is out of float range: {t_phi!r} s")
+    return t_phi
 
 
 def _available_cpus():
@@ -174,7 +179,11 @@ def operations_budget(dephasing_time_s, gate_time_s):
         raise DomainError(f"dephasing time must be finite and > 0, got {dephasing_time_s!r}")
     if not gate_time_s > 0:
         raise DomainError(f"gate time must be > 0, got {gate_time_s!r}")
-    return int(math.floor(dephasing_time_s / gate_time_s))
+    ratio = dephasing_time_s / gate_time_s
+    if math.isinf(ratio):
+        raise DomainError(f"dephasing time {dephasing_time_s!r} s over gate time "
+                          f"{gate_time_s!r} s overflows")
+    return int(math.floor(ratio))
 
 
 def adiabaticity_check(pulse_duration_s, trap_frequency_hz):

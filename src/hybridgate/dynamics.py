@@ -1,12 +1,14 @@
-"""Two- and three-level coherent dynamics: analytic Rabi formulas and a
-deterministic fixed-step Schrodinger integrator.
+"""Two- and three-level coherent dynamics: analytic Rabi formulas, the exact
+propagation of a rectangular Raman pulse and a deterministic fixed-step
+Schrodinger integrator for time-dependent drives.
 
 The Lambda system is written in the rotating frame with the atom-pair state
 at zero energy, the excited molecular state at -delta_e and the target
 molecular state at -delta; couplings are real, omega_p/2 and omega_s/2.
 All frequencies are angular (rad/s) with hbar absorbed, so i dpsi/dt = H psi.
 States are normalized 1-d complex arrays ordered as LAMBDA_LABELS. Pulses are
-a rectangular Raman pulse (constant H) or STIRAP under Gaussian PulseEnvelopes.
+a rectangular Raman pulse (constant H, propagated exactly through the
+eigendecomposition of H) or STIRAP under Gaussian PulseEnvelopes.
 
 Integration is classical 4th-order Runge-Kutta with a fixed substep chosen
 so that ||H||*h stays at STEP_PHASE_TARGET (hard limit STEP_PHASE_MAX,
@@ -14,8 +16,7 @@ checked on every H the update uses). For the linear equation the RK4 update
 of one substep is a matrix built from H at the substep's start, midpoint and
 end; it is built for all grid intervals at once, and each interval's
 propagator is the product of its substep updates. Hamiltonian callables take
-a 1-d array of times and return an (n, d, d) array, or one (d, d) matrix
-when H does not depend on time.
+a 1-d array of n times and return an (n, d, d) array.
 
 Internally a stack of n matrices is held matrix-last, as a contiguous
 (d, d, n) array: a product of two stacks is then d broadcast multiply-adds
@@ -82,8 +83,8 @@ class LambdaParams:
     """Pump/Stokes drive of the three-level system.
 
     gamma_e adds a loss term -i*gamma_e/2 on the excited diagonal.
-    stark_compensated shifts the bare two-photon detuning so the dressed
-    (light-shifted) detuning equals delta_rad_s.
+    delta_rad_s is the dressed (light-shifted) two-photon detuning; the
+    bare detuning of the drive is compensated_bare_detuning(params).
     """
 
     omega_p_rad_s: float
@@ -91,7 +92,6 @@ class LambdaParams:
     delta_e_rad_s: float
     delta_rad_s: float = 0.0
     gamma_e_rad_s: float = 0.0
-    stark_compensated: bool = True
 
     def __post_init__(self):
         if self.gamma_e_rad_s < 0:
@@ -189,15 +189,14 @@ def _matmul_last(x, y):
     return out
 
 
-def _rk4_update(h_a, h_mid, h_b, h, matmul):
-    """Classical RK4 update matrix of i dpsi/dt = H psi over one substep of
-    length h, from H at its start, midpoint and end. The matrix axes lead:
-    one (d, d) matrix with matmul = np.matmul, or (d, d, n) stacks with
-    matmul = _matmul_last."""
+def _rk4_update(h_a, h_mid, h_b, h):
+    """Classical RK4 update matrices of i dpsi/dt = H psi over one substep of
+    length h, from matrix-last (d, d, n) stacks of H at its start, midpoint
+    and end."""
     a, m, b = (-1j * h) * h_a, (-1j * h) * h_mid, (-1j * h) * h_b
-    k2 = m + 0.5 * matmul(m, a)
-    k3 = m + 0.5 * matmul(m, k2)
-    k4 = b + matmul(b, k3)
+    k2 = m + 0.5 * _matmul_last(m, a)
+    k3 = m + 0.5 * _matmul_last(m, k2)
+    k4 = b + _matmul_last(b, k3)
     update = (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     diagonal = np.arange(len(update))
     update[diagonal, diagonal] += 1.0
@@ -215,12 +214,22 @@ def _norm_and_hermiticity(h_matrices):
     return norm_max, bool(np.all(asym.max(axis=0) <= 1e-12 * scale))
 
 
-def _to_matrix_last(h_matrices):
-    """One (d, d) matrix as it is; an (n, d, d) stack as a contiguous (d, d, n) array."""
+def _to_matrix_last(h_matrices, n, d):
+    """H's (n, d, d) stack for n times as a contiguous (d, d, n) array."""
     h_matrices = np.asarray(h_matrices, dtype=complex)
-    if h_matrices.ndim == 2:
-        return h_matrices
+    if h_matrices.shape != (n, d, d):
+        raise DomainError(f"H must return an ({n}, {d}, {d}) stack for {n} times, "
+                          f"got shape {h_matrices.shape}")
     return np.ascontiguousarray(np.moveaxis(h_matrices, 0, -1))
+
+
+def _unitary_checked(traj, hermitian):
+    """traj, unless H is Hermitian and traj drifts from unit norm by more
+    than NORM_DRIFT_LIMIT (NumericalFailure)."""
+    if hermitian and traj.norm_drift > NORM_DRIFT_LIMIT:
+        raise NumericalFailure(
+            f"norm drift {traj.norm_drift:.3e} exceeds {NORM_DRIFT_LIMIT} on a unitary run")
+    return traj
 
 
 def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
@@ -228,17 +237,16 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
 
     Parameters
     ----------
-    hamiltonian : callable, 1-d array of n times -> (n, d, d) complex array,
-        or one (d, d) matrix when H does not depend on time
+    hamiltonian : callable, 1-d array of n times -> (n, d, d) complex array
     psi0 : normalized 1-d complex array
     t_grid : increasing, uniform array of output times
     substeps : RK4 substeps per grid interval; derived from STEP_PHASE_TARGET and
         the max Frobenius norm of H on grid points and midpoints when omitted
 
-    When H comes back as one matrix, the interval propagator is the substep
-    update raised to the power substeps. Raises StepSizeError when max||H||*h
-    over every H the updates use exceeds the hard limit, and NumericalFailure
-    when a Hermitian run drifts from unit norm by more than NORM_DRIFT_LIMIT.
+    Raises DomainError when H returns anything but an (n, d, d) stack for n
+    times and a state of length d, StepSizeError when max||H||*h over every H the updates use exceeds the
+    hard limit, and NumericalFailure when a Hermitian run drifts from unit
+    norm by more than NORM_DRIFT_LIMIT.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -257,7 +265,8 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
 
     if substeps is None:
         probes = np.concatenate([t_grid, t_grid[:-1] + 0.5 * dt])
-        norm_max, _ = _norm_and_hermiticity(_to_matrix_last(hamiltonian(probes)))
+        norm_max, _ = _norm_and_hermiticity(
+            _to_matrix_last(hamiltonian(probes), len(probes), len(psi)))
         substeps = max(1, int(math.ceil(dt * norm_max / STEP_PHASE_TARGET))) if norm_max > 0 else 1
     if substeps < 1:
         raise DomainError(f"substeps must be >= 1, got {substeps!r}")
@@ -266,7 +275,7 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
 
     def evaluate(times):
         nonlocal hermitian
-        h_matrices = _to_matrix_last(hamiltonian(times))
+        h_matrices = _to_matrix_last(hamiltonian(times), len(times), len(psi))
         norm_max, is_hermitian = _norm_and_hermiticity(h_matrices)
         phase = norm_max * h
         if phase > STEP_PHASE_MAX:
@@ -278,33 +287,21 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
 
     starts = t_grid[:-1]
     h_b = evaluate(starts)
-    constant = h_b.ndim == 2
     propagator = None
     for k in range(substeps):
         t = starts + k * h
         h_a, h_mid, h_b = h_b, evaluate(t + 0.5 * h), evaluate(t + h)
-        if constant:
-            update = _rk4_update(h_a, h_mid, h_b, h, np.matmul)
-            propagator = np.linalg.matrix_power(update, substeps)
-            break
-        update = _rk4_update(h_a, h_mid, h_b, h, _matmul_last)
+        update = _rk4_update(h_a, h_mid, h_b, h)
         propagator = update if propagator is None else _matmul_last(update, propagator)
 
     out = np.empty((len(t_grid), len(psi)), dtype=complex)
     out[0] = psi
-    if constant:
-        propagators = np.broadcast_to(propagator, (len(starts), len(psi), len(psi)))
-    else:
-        propagators = np.ascontiguousarray(np.moveaxis(propagator, -1, 0))
+    propagators = np.ascontiguousarray(np.moveaxis(propagator, -1, 0))
     for i, interval in enumerate(propagators, start=1):
         psi = interval @ psi
         out[i] = psi
 
-    traj = Trajectory(times=t_grid, amplitudes=out)
-    if hermitian and traj.norm_drift > NORM_DRIFT_LIMIT:
-        raise NumericalFailure(
-            f"norm drift {traj.norm_drift:.3e} exceeds {NORM_DRIFT_LIMIT} on a unitary run")
-    return traj
+    return _unitary_checked(Trajectory(times=t_grid, amplitudes=out), hermitian)
 
 
 def compensated_bare_detuning(params):
@@ -313,8 +310,6 @@ def compensated_bare_detuning(params):
     The dressed detuning is delta_bare + shift_pump - shift_stokes, so
     compensation subtracts the differential light shift.
     """
-    if not params.stark_compensated:
-        return params.delta_rad_s
     shifts = effective_rabi(params)
     return params.delta_rad_s - (shifts.light_shift_pump_rad_s - shifts.light_shift_stokes_rad_s)
 
@@ -333,14 +328,22 @@ def lambda_matrix(omega_p, omega_s, delta_e, delta, gamma_e):
 
 
 def raman_trajectory(params, duration_s, n_points=241):
-    """Integrate a rectangular Raman pulse (constant H) from the atom-pair
-    state over [0, duration]."""
+    """Rectangular Raman pulse from the atom-pair state over [0, duration].
+
+    H is constant, so psi(t) = V exp(-i w t) V^-1 psi0 on every grid time at
+    once, from the eigenvalues w and eigenvectors V of H (np.linalg.eig, as
+    gamma_e > 0 makes H non-Hermitian). Raises NumericalFailure when a
+    Hermitian run drifts from unit norm by more than NORM_DRIFT_LIMIT.
+    """
     if not duration_s > 0:
         raise DomainError(f"duration must be > 0, got {duration_s!r}")
     h = lambda_matrix(params.omega_p_rad_s, params.omega_s_rad_s, params.delta_e_rad_s,
                       compensated_bare_detuning(params), params.gamma_e_rad_s)
     grid = np.linspace(0.0, duration_s, n_points)
-    return integrate_schrodinger(lambda t: h, np.array([1.0, 0.0, 0.0]), grid)
+    w, v = np.linalg.eig(h)
+    c = np.linalg.solve(v, np.array([1.0, 0.0, 0.0], dtype=complex))
+    traj = Trajectory(times=grid, amplitudes=(np.exp(-1j * np.outer(grid, w)) * c) @ v.T)
+    return _unitary_checked(traj, _norm_and_hermiticity(h)[1])
 
 
 def stirap_trajectory(pump, stokes, delta_e_rad_s, delta_rad_s):

@@ -27,7 +27,7 @@ class StepSizeError(ConfigError):
 
 
 class NumericalFailure(HybridGateError, RuntimeError):
-    """An integration or quadrature failed its accuracy contract.
+    """A time evolution or quadrature failed its accuracy contract.
 
     Raised on unitarity drift beyond tolerance or non-convergent
     quadrature refinement. Mapped to CLI exit code 2.

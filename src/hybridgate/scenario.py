@@ -117,7 +117,6 @@ class Scenario:
             delta_e_rad_s=self.raman.delta_e_rad_s,
             delta_rad_s=self.raman.delta_rad_s,
             gamma_e_rad_s=self.raman.gamma_e_rad_s,
-            stark_compensated=self.raman.stark_compensated,
         )
 
 
@@ -192,18 +191,6 @@ def _int(sections, section, key, default=_REQUIRED, minimum=None):
     return value
 
 
-def _bool(sections, section, key, default=_REQUIRED):
-    raw = _raw(sections, section, key, default)
-    if not isinstance(raw, str):
-        return raw
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"not a boolean: {raw!r}", key=f"[{section}] {key}")
-
-
 def _str(sections, section, key, default=_REQUIRED):
     return _raw(sections, section, key, default)
 
@@ -271,7 +258,6 @@ def load_scenario_text(text, seed_override=None):
             delta_e_rad_s=_float(sections, "raman", "delta_e_rad_s"),
             delta_rad_s=_float(sections, "raman", "delta_rad_s", default=0.0),
             gamma_e_rad_s=_float(sections, "raman", "gamma_e_rad_s", default=0.0),
-            stark_compensated=_bool(sections, "raman", "stark_compensated", default=True),
         )
     except DomainError as exc:
         raise ConfigError(str(exc), key="[raman]") from exc

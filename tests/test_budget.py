@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 import threading
 
@@ -54,6 +55,14 @@ class TestDephasingTime:
     def test_infinite_inputs_rejected(self, sens, sigma):
         # 1/(2 pi * sens * sigma) would be a dephasing time of 0.0 s.
         with pytest.raises(DomainError, match="finite"):
+            dephasing_time(sens, sigma)
+
+    @pytest.mark.parametrize("sens, sigma", [(1e-200, 1e-200), (1e-160, 1e-160), (1e200, 1e200)])
+    def test_out_of_range_product_rejected(self, sens, sigma):
+        # sens * sigma underflows to 0.0 (a division by zero), to a subnormal
+        # whose inverse is inf, or overflows to inf (a dephasing time of 0.0 s)
+        inputs = f"sensitivity {sens!r} Hz/G and sigma_B {sigma!r} G"
+        with pytest.raises(DomainError, match=re.escape(inputs)):
             dephasing_time(sens, sigma)
 
 
@@ -281,6 +290,13 @@ class TestOperationsBudget:
             operations_budget(math.inf, 20e-6)
         with pytest.raises(DomainError):
             operations_budget(200e-6, 0.0)
+
+    @pytest.mark.parametrize("t_phi, t_gate", [(1.0, 1e-320), (1e300, 1e-10)])
+    def test_overflowing_ratio_rejected(self, t_phi, t_gate):
+        # T_phi / T_gate is inf, which floor() cannot turn into an int
+        inputs = f"{t_phi!r} s over gate time {t_gate!r} s"
+        with pytest.raises(DomainError, match=re.escape(inputs)):
+            operations_budget(t_phi, t_gate)
 
 
 class TestAdiabaticity:

@@ -26,12 +26,12 @@ def _two_level_h(omega):
     return np.array([[0.0, 0.5 * omega], [0.5 * omega, 0.0]], dtype=complex)
 
 
-def _two_level_callable(omega, one_matrix):
-    """H as one matrix, or as one copy of it per requested time."""
-    h = _two_level_h(omega)
-    if one_matrix:
-        return lambda t: h
-    return lambda t: np.broadcast_to(h, np.shape(t) + h.shape)
+def _constant(h, view=True):
+    """Time-independent H as the integrator takes it: one copy per requested
+    time, as a read-only broadcast view or as an array of its own."""
+    if view:
+        return lambda t: np.broadcast_to(h, np.shape(t) + h.shape)
+    return lambda t: np.tile(h, (len(t), 1, 1))
 
 
 def _stirap_setup(peak_factor=1.0, reversed_order=False, sigma=30e-6, separation=45e-6):
@@ -111,14 +111,14 @@ class TestIntegrator:
     def test_zero_hamiltonian_is_identity(self):
         psi0 = np.array([0.6, 0.8j], dtype=complex)
         grid = np.linspace(0.0, 1.0, 11)
-        traj = integrate_schrodinger(lambda t: np.zeros((2, 2), dtype=complex), psi0, grid)
+        traj = integrate_schrodinger(_constant(np.zeros((2, 2), dtype=complex)), psi0, grid)
         assert np.array_equal(traj.amplitudes, np.tile(psi0, (11, 1)))
 
-    @pytest.mark.parametrize("one_matrix", [True, False])
-    def test_matches_analytic_two_level(self, one_matrix):
+    @pytest.mark.parametrize("view", [True, False])
+    def test_matches_analytic_two_level(self, view):
         omega = 1e6
         grid = np.linspace(0.0, math.pi / omega, 101)
-        traj = integrate_schrodinger(_two_level_callable(omega, one_matrix),
+        traj = integrate_schrodinger(_constant(_two_level_h(omega), view),
                                      np.array([1.0, 0.0], dtype=complex), grid)
         analytic = two_level_population(TwoLevelParams(omega, 0.0), grid)
         assert np.max(np.abs(traj.populations()[:, 1] - analytic)) < 1e-8
@@ -129,24 +129,26 @@ class TestIntegrator:
         h = np.array([[0.0, 0.5 * omega], [0.5 * omega, -delta]], dtype=complex)
         p = TwoLevelParams(omega, delta)
         grid = np.linspace(0.0, 3.0 * math.pi / p.generalized_rabi_rad_s, 151)
-        traj = integrate_schrodinger(lambda t: h, np.array([1.0, 0.0], dtype=complex), grid)
+        traj = integrate_schrodinger(_constant(h), np.array([1.0, 0.0], dtype=complex), grid)
         analytic = two_level_population(p, grid)
         assert np.max(np.abs(traj.populations()[:, 1] - analytic)) < 1e-8
 
-    def test_constant_and_loop_paths_agree(self):
-        omega = 1e6
-        grid = np.linspace(0.0, math.pi / omega, 51)
-        psi0 = np.array([1.0, 0.0], dtype=complex)
-        a = integrate_schrodinger(_two_level_callable(omega, True), psi0, grid, substeps=10)
-        b = integrate_schrodinger(_two_level_callable(omega, False), psi0, grid, substeps=10)
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+    @pytest.mark.parametrize("shape", [lambda n: (2, 2), lambda n: (n, 2, 3),
+                                       lambda n: (n - 1, 2, 2), lambda n: (n, 3, 3)],
+                             ids=["one matrix", "not square", "one short", "wrong d"])
+    def test_rejects_anything_but_a_stack(self, shape):
+        # H for n times must be an (n, d, d) stack; one (d, d) matrix for
+        # every time is not accepted
+        with pytest.raises(DomainError, match="stack"):
+            integrate_schrodinger(lambda t: np.zeros(shape(len(t)), dtype=complex),
+                                  np.array([1.0, 0.0], dtype=complex), np.linspace(0.0, 1e-6, 5))
 
     def test_unitarity_drift_per_1e4_steps(self):
         omega = 1e6
         h = _two_level_h(omega)
         step = 0.01 / float(np.linalg.norm(h))
         grid = np.linspace(0.0, step * 10000, 101)
-        traj = integrate_schrodinger(lambda t: h, np.array([1.0, 0.0], dtype=complex),
+        traj = integrate_schrodinger(_constant(h), np.array([1.0, 0.0], dtype=complex),
                                      grid, substeps=100)
         assert traj.norm_drift < 1e-9
 
@@ -154,14 +156,14 @@ class TestIntegrator:
         omega = 1e6
         grid = np.linspace(0.0, math.pi / omega, 101)
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        coarse = integrate_schrodinger(lambda t: _two_level_h(omega), psi0, grid, substeps=10)
-        fine = integrate_schrodinger(lambda t: _two_level_h(omega), psi0, grid, substeps=20)
+        coarse = integrate_schrodinger(_constant(_two_level_h(omega)), psi0, grid, substeps=10)
+        fine = integrate_schrodinger(_constant(_two_level_h(omega)), psi0, grid, substeps=20)
         # a tenth of the 1e-8 analytic-equivalence tolerance
         assert np.max(np.abs(coarse.final_populations() - fine.final_populations())) <= 1e-9
 
     def test_step_size_precondition(self):
         with pytest.raises(StepSizeError):
-            integrate_schrodinger(lambda t: _two_level_h(1e6),
+            integrate_schrodinger(_constant(_two_level_h(1e6)),
                                   np.array([1.0, 0.0], dtype=complex),
                                   np.linspace(0.0, 1e-3, 2), substeps=1)
 
@@ -184,26 +186,31 @@ class TestIntegrator:
         step = 0.05 / float(np.linalg.norm(h))
         grid = np.linspace(0.0, step * 20000, 101)
         with pytest.raises(NumericalFailure):
-            integrate_schrodinger(lambda t: h, np.array([1.0, 0.0], dtype=complex),
+            integrate_schrodinger(_constant(h), np.array([1.0, 0.0], dtype=complex),
                                   grid, substeps=200)
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(DomainError):
-            integrate_schrodinger(lambda t: _two_level_h(1e6),
+            integrate_schrodinger(_constant(_two_level_h(1e6)),
                                   np.array([1.0, 0.5], dtype=complex),
                                   np.linspace(0.0, 1e-6, 5))
 
     def test_rejects_nonuniform_grid(self):
         with pytest.raises(DomainError):
-            integrate_schrodinger(lambda t: _two_level_h(1e6),
+            integrate_schrodinger(_constant(_two_level_h(1e6)),
                                   np.array([1.0, 0.0], dtype=complex),
                                   np.array([0.0, 1e-7, 5e-7]))
 
     def test_rejects_two_dimensional_state(self):
         with pytest.raises(DomainError, match="1-d"):
-            integrate_schrodinger(lambda t: _two_level_h(1e6),
+            integrate_schrodinger(_constant(_two_level_h(1e6)),
                                   np.array([[1.0, 0.0]], dtype=complex),
                                   np.linspace(0.0, 1e-6, 5))
+
+
+def _last(stack):
+    """An (n, d, d) stack as the integrator holds it, (d, d, n)."""
+    return _to_matrix_last(stack, *stack.shape[:2])
 
 
 # --- per-matrix references for the matrix-last kernel: the (n, d, d) forms
@@ -265,11 +272,10 @@ class TestMatrixLastKernel:
                            for _ in range(3))
         h = 0.01
         expected = _reference_update(h_a, h_mid, h_b, h)
-        update = _rk4_update(_to_matrix_last(h_a), _to_matrix_last(h_mid),
-                             _to_matrix_last(h_b), h, _matmul_last)
+        update = _rk4_update(_last(h_a), _last(h_mid), _last(h_b), h)
         assert update.shape == (d, d, 600)
         assert np.max(np.abs(np.moveaxis(update, -1, 0) - expected)) < 1e-13
-        assert np.max(np.abs(np.moveaxis(_matmul_last(_to_matrix_last(h_a), _to_matrix_last(h_b)),
+        assert np.max(np.abs(np.moveaxis(_matmul_last(_last(h_a), _last(h_b)),
                                          -1, 0) - h_a @ h_b)) < 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -300,11 +306,11 @@ class TestMatrixLastKernel:
     def test_one_non_hermitian_matrix_is_flagged(self):
         stack = _random_hermitian(np.random.default_rng(5), (600,), 3)
         assert _reference_is_hermitian(stack)
-        assert _norm_and_hermiticity(_to_matrix_last(stack))[1] is True
+        assert _norm_and_hermiticity(_last(stack))[1] is True
         stack[300, 0, 2] += 1e-9
         assert not _reference_is_hermitian(stack)
-        assert _norm_and_hermiticity(_to_matrix_last(stack))[1] is False
-        norm_max, _ = _norm_and_hermiticity(_to_matrix_last(stack))
+        assert _norm_and_hermiticity(_last(stack))[1] is False
+        norm_max, _ = _norm_and_hermiticity(_last(stack))
         assert norm_max == pytest.approx(_reference_max_frobenius(stack), rel=1e-15)
 
     @pytest.mark.parametrize("phase_ratio, raises", [(0.99, False), (1.01, True)])
@@ -354,7 +360,7 @@ class TestPulseEnvelope:
 
 class TestRamanPiPulse:
     def test_paper_parameters(self):
-        p = LambdaParams(2e7, 2e7, 2e8, delta_rad_s=0.0, stark_compensated=True)
+        p = LambdaParams(2e7, 2e7, 2e8, delta_rad_s=0.0)
         p_a, p_e, p_g = _raman_final_populations(p, math.pi / 1e6)
         assert p_g >= 0.98
         assert p_e <= 5e-3
@@ -385,16 +391,21 @@ class TestRamanPiPulse:
         assert np.max(np.abs(traj.populations()[:, 2] - analytic)) <= 0.01
 
     def test_stark_compensation_restores_resonance(self):
-        # Unequal couplings shift the two-photon resonance; compensation
-        # must cancel the differential light shift.
-        comp = LambdaParams(2e7, 1e7, 4e8, stark_compensated=True)
-        bare = LambdaParams(2e7, 1e7, 4e8, stark_compensated=False)
-        duration = math.pi / effective_rabi(comp).omega_r_rad_s
+        # Unequal couplings shift the two-photon resonance. delta_rad_s is
+        # the dressed detuning, so the drive at 0 is on resonance; the bare
+        # (uncompensated) drive at 0 is the drive with delta_rad_s raised by
+        # the differential light shift.
+        comp = LambdaParams(2e7, 1e7, 4e8)
+        red = effective_rabi(comp)
+        bare = LambdaParams(2e7, 1e7, 4e8,
+                            delta_rad_s=red.light_shift_pump_rad_s - red.light_shift_stokes_rad_s)
+        assert compensated_bare_detuning(bare) == 0.0
+        duration = math.pi / red.omega_r_rad_s
         assert _raman_final_populations(comp, duration)[2] >= 0.98
         assert _raman_final_populations(bare, duration)[2] < 0.9
 
     def test_compensated_detuning_value(self):
-        p = LambdaParams(2e7, 1e7, 4e8, delta_rad_s=0.0, stark_compensated=True)
+        p = LambdaParams(2e7, 1e7, 4e8, delta_rad_s=0.0)
         red = effective_rabi(p)
         expected = -(red.light_shift_pump_rad_s - red.light_shift_stokes_rad_s)
         assert compensated_bare_detuning(p) == pytest.approx(expected, rel=1e-12)
@@ -405,6 +416,31 @@ class TestRamanPiPulse:
         norms = traj.norms_squared()
         assert np.all(np.diff(norms) <= 1e-12)
         assert norms[-1] < 1.0
+
+    @pytest.mark.parametrize("gamma_e", [0.0, 1e6])
+    def test_exact_propagation_matches_the_integrator(self, gamma_e):
+        # the same constant H, lossless and lossy, through the RK4 integrator
+        p = LambdaParams(2e7, 2e7, 2e8, gamma_e_rad_s=gamma_e)
+        duration = math.pi / 1e6
+        exact = raman_trajectory(p, duration)
+        h = lambda_matrix(2e7, 2e7, 2e8, compensated_bare_detuning(p), gamma_e)
+        rk4 = integrate_schrodinger(_constant(h), np.array([1.0, 0.0, 0.0], dtype=complex),
+                                    exact.times)
+        assert np.max(np.abs(exact.populations() - rk4.populations())) <= 1e-9
+        assert (exact.norms_squared()[-1] < 0.999) == (gamma_e > 0)
+
+    @pytest.mark.parametrize("gamma_e, raises", [(0.0, True), (1e6, False)])
+    def test_norm_drift_raises_on_a_lossless_pulse(self, monkeypatch, gamma_e, raises):
+        # a linear solve 1e-6 off in scale drifts the norm by 2e-6, which only
+        # a Hermitian H forbids
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: (1.0 + 1e-6) * solve(a, b))
+        p = LambdaParams(2e7, 2e7, 2e8, gamma_e_rad_s=gamma_e)
+        if raises:
+            with pytest.raises(NumericalFailure):
+                raman_trajectory(p, math.pi / 1e6)
+        else:
+            raman_trajectory(p, math.pi / 1e6)
 
     def test_loss_matrix_form(self):
         h = lambda_matrix(2e7, 2e7, 2e8, 0.0, 1e6)

@@ -118,11 +118,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\[noise\] trap_frequency_Hz"):
             load_scenario_text(text)
 
-    def test_bad_boolean(self):
-        text = _with_replacement("stark_compensated = true", "stark_compensated = maybe")
-        with pytest.raises(ConfigError, match=r"\[raman\] stark_compensated"):
-            load_scenario_text(text)
-
     def test_invalid_custom_species(self):
         text = (_with_replacement("species = Li7", "species = Bad1")
                 + "\n[species Bad1]\nnuclear_spin = 0.0\n"
