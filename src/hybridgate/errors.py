@@ -27,8 +27,8 @@ class StepSizeError(ConfigError):
 
 
 class NumericalFailure(HybridGateError, RuntimeError):
-    """A time evolution or quadrature failed its accuracy contract.
+    """A time evolution failed its accuracy contract.
 
-    Raised on unitarity drift beyond tolerance or non-convergent
-    quadrature refinement. Mapped to CLI exit code 2.
+    Raised when a unitary run drifts from unit norm beyond tolerance.
+    Mapped to CLI exit code 2.
     """

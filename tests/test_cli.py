@@ -185,7 +185,7 @@ class TestOtherSubcommands:
         out = tmp_path / "out"
         assert cli.main(["gate", "--config", cfg, "--out", str(out)]) == 0
         _, rows = _read_csv(out / "gate_phase_rad.csv")
-        assert rows[-1][1] == pytest.approx(np.pi, abs=1e-3)
+        assert rows[-1][1] == pytest.approx(np.pi, abs=1e-11)
         assert np.all(np.diff(rows[:, 1]) >= -1e-15)
 
     def test_budget_report(self, tmp_path):

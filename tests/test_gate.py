@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hybridgate.constants import PLANCK_J_S, debye_to_si
-from hybridgate.dynamics import TwoLevelParams
+from hybridgate.dynamics import TwoLevelParams, two_level_population
 from hybridgate.errors import DomainError
 from hybridgate.gate import (
+    PROFILE_POINTS_PER_STEP,
     DipoleParams,
     EnablerReturn,
     EnablerRotation,
@@ -24,6 +25,7 @@ from hybridgate.gate import (
     induced_dipole,
     interaction_time_for_pi,
     schedule_total_duration,
+    _step_phase_integral,
     total_phase_closed_form,
 )
 
@@ -104,7 +106,7 @@ class TestAccumulatedPhase:
         phi = accumulated_phase_numeric(1.34e5, schedule)
         expected = 1.34e5 * 3.0 * math.pi / (8.0 * 1e6)
         assert expected == pytest.approx(0.15786503084288708, rel=1e-12)
-        assert abs(phi - expected) / expected < 1e-6
+        assert abs(phi - expected) / expected < 1e-13
 
     def test_single_detuned_pulse_matches_analytic(self):
         # with detuning the transfer amplitude drops to A = omega^2/W^2 and
@@ -115,7 +117,7 @@ class TestAccumulatedPhase:
         schedule = GateSchedule((RamanDown(pulse, math.pi / w),))
         phi = accumulated_phase_numeric(1.34e5, schedule)
         expected = 1.34e5 * amp ** 2 * 3.0 * math.pi / (8.0 * w)
-        assert abs(phi - expected) / expected < 1e-6
+        assert abs(phi - expected) / expected < 1e-13
 
     def test_wait_holds_population(self):
         pulse = TwoLevelParams(1e6, 0.0)
@@ -150,7 +152,60 @@ class TestAccumulatedPhase:
         assert np.all(np.diff(phis) >= -1e-15)
         assert np.all(np.diff(times) > 0)
         phi = accumulated_phase_numeric(OMEGA_DD, schedule)
-        assert phis[-1] == pytest.approx(phi, rel=1e-4)
+        assert phis[-1] == phi
+
+
+def _fine_simpson_profile(func, duration):
+    """Composite Simpson of func on 2^16 panels, cumulated at the ends of the
+    PROFILE_POINTS_PER_STEP profile intervals (128 panels each)."""
+    panels = 2 ** 16
+    ts = np.linspace(0.0, duration, panels + 1)
+    values = func(ts)
+    h = duration / panels
+    pairs = (values[:-2:2] + 4.0 * values[1::2] + values[2::2]) * (h / 3.0)
+    per_interval = pairs.reshape(PROFILE_POINTS_PER_STEP, -1).sum(axis=1)
+    return np.cumsum(per_interval)
+
+
+class TestExactPhaseIntegral:
+    """The exact |c_g|^4 antiderivatives against an independent quadrature."""
+
+    HOLD = 0.8
+
+    @pytest.mark.parametrize("kind", ["raman_down", "raman_up"])
+    @pytest.mark.parametrize("detuned", [False, True])
+    @pytest.mark.parametrize("wt", [1e-3, 0.1, 1.0, math.pi, 10 * math.pi])
+    def test_matches_fine_simpson(self, kind, detuned, wt):
+        w = 1e6
+        pulse = TwoLevelParams(0.8 * w, 0.6 * w) if detuned else TwoLevelParams(w, 0.0)
+        duration = wt / pulse.generalized_rabi_rad_s
+        step = (RamanDown if kind == "raman_down" else RamanUp)(pulse, duration)
+
+        def pop_squared(ts):
+            pop = two_level_population(pulse, ts)
+            return (pop if kind == "raman_down" else self.HOLD * (1.0 - pop)) ** 2
+
+        reference = OMEGA_DD * _fine_simpson_profile(pop_squared, duration)
+        grid = np.linspace(0.0, duration, PROFILE_POINTS_PER_STEP + 1)[1:]
+        on_grid = OMEGA_DD * _step_phase_integral(step, self.HOLD, grid)[0]
+        at_end = OMEGA_DD * _step_phase_integral(step, self.HOLD, np.array([duration]))[0]
+        assert at_end[0] == on_grid[-1]
+        bound = 1e-12 * OMEGA_DD * duration
+        assert np.max(np.abs(on_grid - reference)) <= bound
+        if wt >= 1.0:
+            assert abs(at_end[0] - reference[-1]) <= 1e-12 * reference[-1]
+
+    @pytest.mark.parametrize("pulse", [TwoLevelParams(0.0, 0.0), TwoLevelParams(0.0, 2e5)])
+    def test_idle_pulse(self, pulse):
+        duration = 3e-6
+        ts = np.linspace(0.0, duration, PROFILE_POINTS_PER_STEP + 1)
+        with np.errstate(all="raise"):
+            down, hold_down = _step_phase_integral(RamanDown(pulse, duration), 0.0, ts)
+            up, hold_up = _step_phase_integral(RamanUp(pulse, duration), self.HOLD, ts)
+            phi = accumulated_phase_numeric(OMEGA_DD, GateSchedule((RamanDown(pulse, duration),)))
+        assert np.all(down == 0.0) and hold_down == 0.0 and phi == 0.0
+        assert np.array_equal(up, self.HOLD * self.HOLD * ts)
+        assert hold_up == self.HOLD
 
 
 class TestClosedForm:
