@@ -1,17 +1,21 @@
 """Hyperfine level structure of ground-state alkali atoms in a magnetic field.
 
-Level energies follow the closed Breit-Rabi form
+Level energies follow the Breit-Rabi form for J = 1/2,
 
-    E(f = I +/- 1/2, m) / dE_hf = offset +/- (1/2) sqrt(1 + m*x + x^2),
-    x = g_J * mu_B * B / dE_hf,
+    E(f = I +/- 1/2, m) / dE_hf = offset +/- (1/2) sqrt(1 + 4m/(2I+1) * x + x^2),
 
 in two variants selected by ``mode``:
 
-* ``"paper"`` (default): offset fixed at -1/12 and no nuclear term, the
-  as-published variant this package reproduces number-for-number;
-* ``"standard"``: textbook offset -1/(2(2I+1)) plus the nuclear Zeeman term
-  g_I * mu_B * m * B.
+* ``"paper"`` (default): x = g_J * mu_B * B / dE_hf, offset fixed at -1/12
+  and no nuclear term, the as-published variant this package reproduces
+  number-for-number;
+* ``"standard"``: x = (g_J - g_I) * mu_B * B / dE_hf, textbook offset
+  -1/(2(2I+1)) plus the nuclear Zeeman term g_I * mu_B * m * B: the exact
+  eigenvalues of A I.J + mu_B B (g_J J_z + g_I I_z).
 
+The radicand's discriminant (4m/(2I+1))^2 - 4 is <= 0, so it is never
+negative. Its one zero is the stretched state m = -(I+1/2) at x = 1: its
+radicand is (1 - x)^2, so its level is the line (1 - x)/2 through x = 1.
 The offset cancels in every transition frequency, so the two modes differ
 only through g_I (zero by default).  Energies are linear frequencies in Hz,
 relative to the hyperfine centroid; fields are in Gauss.
@@ -33,8 +37,8 @@ class AtomSpecies:
     """Ground-state alkali atom: nuclear spin, splitting and g-factors.
 
     hyperfine_splitting_hz is the zero-field f = I-1/2 <-> I+1/2 interval
-    (linear Hz). g_i uses the convention E_nuclear = g_i * mu_B * m * B and
-    enters only in "standard" mode.
+    (linear Hz). g_i uses the convention H_nuclear = g_i * mu_B * B * I_z and
+    enters only in "standard" mode, both as the nuclear term and in x.
     """
 
     name: str
@@ -113,11 +117,6 @@ def _require_valid_state(species, state):
             f"f must be {species.f_lower} or {species.f_upper}")
 
 
-def _first(values, bad):
-    """First element of a scalar or array where the mask ``bad`` holds."""
-    return float(np.asarray(values)[bad][0])
-
-
 def _require_mode(mode):
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -130,14 +129,6 @@ LI7 = AtomSpecies("Li7", 1.5, 803.5e6, 2.00230)
 SPECIES_PRESETS = {"Rb87": RB87, "Li7": LI7}
 
 
-def zeeman_parameter(species, b_gauss):
-    """Dimensionless field parameter x = g_J * mu_B * B / dE_hf."""
-    bad = np.less(b_gauss, 0)
-    if bad.any():
-        raise DomainError(f"magnetic field must be >= 0 G, got {_first(b_gauss, bad)!r}")
-    return species.g_j * BOHR_MAGNETON_HZ_PER_G * b_gauss / species.hyperfine_splitting_hz
-
-
 def all_states(species):
     """Every |f, m> sublevel of the ground manifold, ordered (f, m) ascending."""
     out = []
@@ -147,30 +138,46 @@ def all_states(species):
     return out
 
 
+def _breit_rabi(species, state, b_gauss, mode, slope=False):
+    """Level energy [Hz] of |f, m> at field B [G] relative to the centroid
+    or, with ``slope``, its derivative dE/dB [Hz/G] (module docstring form)."""
+    _require_mode(mode)
+    _require_valid_state(species, state)
+    bad = np.less(b_gauss, 0)
+    if bad.any():
+        first = float(np.asarray(b_gauss)[bad][0])
+        raise DomainError(f"magnetic field must be >= 0 G, got {first!r}")
+    if mode == "paper":
+        g_x, offset, g_nuclear = species.g_j, -1.0 / 12.0, 0.0
+    else:
+        g_x = species.g_j - species.g_i
+        offset = -1.0 / (2.0 * (2.0 * species.nuclear_spin + 1.0))
+        g_nuclear = species.g_i * BOHR_MAGNETON_HZ_PER_G
+    x = g_x * BOHR_MAGNETON_HZ_PER_G * b_gauss / species.hyperfine_splitting_hz
+    sign = 1.0 if state.f == species.f_upper else -1.0
+    c = 4.0 * state.m / (2.0 * species.nuclear_spin + 1.0)
+    stretched = state.m == -species.f_upper  # c = -2: the radicand is (1 - x)^2
+    if stretched:
+        root = 1.0 - x
+    else:
+        radicand = 1.0 + c * x + x * x
+        root = np.sqrt(radicand) if isinstance(radicand, np.ndarray) else math.sqrt(radicand)
+    if not slope:
+        return (species.hyperfine_splitting_hz * (offset + sign * 0.5 * root)
+                + g_nuclear * state.m * b_gauss)
+    dx_db = g_x * BOHR_MAGNETON_HZ_PER_G / species.hyperfine_splitting_hz
+    # 0.0 * x keeps the stretched slope -1/2 shaped like the field
+    d_half_root = 0.0 * x - 0.5 if stretched else sign * (c + 2.0 * x) / (4.0 * root)
+    return species.hyperfine_splitting_hz * d_half_root * dx_db + g_nuclear * state.m
+
+
 def breit_rabi_energy(species, state, b_gauss, mode="paper"):
     """Level energy [Hz] of |f, m> at field B [G], relative to the centroid.
 
-    Raises DomainError for states invalid for the species, negative field,
-    or a negative radicand 1 + m*x + x^2 (possible for m < 0 at
-    intermediate x); negative radicands are hard errors, never clamped.
+    Defined for every nuclear spin and every field >= 0. Raises DomainError
+    for a state invalid for the species, a negative field or an unknown mode.
     """
-    _require_mode(mode)
-    _require_valid_state(species, state)
-    x = zeeman_parameter(species, b_gauss)
-    radicand = 1.0 + state.m * x + x * x
-    bad = np.less(radicand, 0.0)
-    if bad.any():
-        raise DomainError(f"negative Breit-Rabi radicand {_first(radicand, bad)!r} for "
-                          f"{state.label()} at {_first(b_gauss, bad)} G")
-    sign = 1.0 if state.f == species.f_upper else -1.0
-    if mode == "paper":
-        offset = -1.0 / 12.0
-        nuclear = 0.0
-    else:
-        offset = -1.0 / (2.0 * (2.0 * species.nuclear_spin + 1.0))
-        nuclear = species.g_i * BOHR_MAGNETON_HZ_PER_G * state.m * b_gauss
-    root = np.sqrt(radicand) if isinstance(radicand, np.ndarray) else math.sqrt(radicand)
-    return species.hyperfine_splitting_hz * (offset + sign * 0.5 * root) + nuclear
+    return _breit_rabi(species, state, b_gauss, mode)
 
 
 def transition_frequency(species, upper, lower, b_gauss, mode="paper"):
@@ -183,28 +190,11 @@ def transition_frequency(species, upper, lower, b_gauss, mode="paper"):
 def field_sensitivity(species, upper, lower, b_gauss, mode="paper"):
     """Analytic derivative d(transition_frequency)/dB [Hz/G].
 
-    Undefined where a stretched-state radicand vanishes (kink point);
-    raises DomainError there rather than returning a one-sided value.
+    Defined at every field >= 0: the stretched state m = -(I+1/2) has the
+    constant slope of its linear level through x = 1.
     """
-    _require_mode(mode)
-    _require_valid_state(species, upper)
-    _require_valid_state(species, lower)
-    x = zeeman_parameter(species, b_gauss)
-    dx_db = species.g_j * BOHR_MAGNETON_HZ_PER_G / species.hyperfine_splitting_hz
-
-    def dlevel_db(state):
-        radicand = 1.0 + state.m * x + x * x
-        for bad, what in ((np.less(radicand, 0.0), "negative Breit-Rabi radicand"),
-                          (np.equal(radicand, 0.0), "field sensitivity undefined at radicand zero")):
-            if bad.any():
-                raise DomainError(f"{what} for {state.label()} at {_first(b_gauss, bad)} G")
-        sign = 1.0 if state.f == species.f_upper else -1.0
-        root = np.sqrt(radicand) if isinstance(radicand, np.ndarray) else math.sqrt(radicand)
-        slope = sign * (state.m + 2.0 * x) / (4.0 * root)
-        nuclear = species.g_i * BOHR_MAGNETON_HZ_PER_G * state.m if mode == "standard" else 0.0
-        return species.hyperfine_splitting_hz * slope * dx_db + nuclear
-
-    return dlevel_db(upper) - dlevel_db(lower)
+    return (_breit_rabi(species, upper, b_gauss, mode, slope=True)
+            - _breit_rabi(species, lower, b_gauss, mode, slope=True))
 
 
 def site_frequency_resolution(sensitivity_hz_per_g, gradient_g_per_cm, spacing_cm):

@@ -194,7 +194,7 @@ def paper_repro(scn, mode):
                abs(r["single_pulse_phase_rad"] - phi_single_expected) / phi_single_expected,
                0.0, 1e-6),
         _check("schedule_phase_rad", r["accumulated_phase_rad"], math.pi, 1e-4),
-        _check("closed_form_vs_quadrature_rel_err",
+        _check("closed_form_vs_exact_rel_err",
                abs(r["closed_form_phase_rad"] - r["accumulated_phase_rad"])
                / abs(r["accumulated_phase_rad"]), 0.0, 0.01),
         _window_check("gate_time_s", r["gate_time_s"], 15e-6, 35e-6),

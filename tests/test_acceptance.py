@@ -102,7 +102,7 @@ def test_criterion_06_phase_consistency():
     rel_closed = abs(phi_closed - phi_total) / abs(phi_total)
 
     ok = rel_single <= 1e-6 and err_pi <= 1e-4 and rel_closed <= 0.01
-    _report(6, "quadrature vs 3pi/8, pi accumulation, closed form within 1%", ok,
+    _report(6, "exact phase vs 3pi/8, pi accumulation, closed form within 1%", ok,
             f"single rel={rel_single:.2e}, |phi-pi|={err_pi:.2e}, closed rel={rel_closed:.2e}")
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from hybridgate import __version__, cli, dynamics, repro
 from hybridgate.budget import BudgetReport
+from hybridgate.constants import BOHR_MAGNETON_HZ_PER_G
 from hybridgate.errors import NumericalFailure
 from hybridgate.scenario import load_scenario_text
 
@@ -66,6 +67,27 @@ class TestLevels:
             header, rows = _read_csv(out / f"levels_energy_f{f}_m{m}.csv")
             assert header == ["b_g", "energy_hz"]
             assert len(rows) == 101
+
+    def test_nuclear_spin_other_than_three_halves(self, tmp_path):
+        # An Rb85 qubit (I = 5/2): with m in place of 4m/(2I+1) the |3,-3>
+        # radicand 1 - 3x + x^2 is negative for 0.38 < x < 2.62, inside the
+        # bundled 0-1000 G grid.
+        splitting = 3.0357324390e9
+        text = (f"[species Rb85]\nnuclear_spin = 2.5\nhyperfine_splitting_Hz = {splitting!r}\n"
+                "g_J = 2.00233\n\n" + _bundled_text().replace(
+                    "species = Rb87\nupper_f = 2\nupper_m = 2\nlower_f = 1\nlower_m = 1",
+                    "species = Rb85\nupper_f = 3\nupper_m = 3\nlower_f = 2\nlower_m = 2"))
+        cfg = _write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["levels", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = _read_csv(out / "levels_energy_f3_m-3.csv")
+        # |3,-3> = |m_J = -1/2, m_I = -5/2> is an eigenstate of
+        # A I.J + g_J mu_B B J_z with energy A*I/2 - g_J mu_B B/2, A = dE/3;
+        # for I = 5/2 the -1/12 offset is the centroid's -1/(2(2I+1)).
+        b = rows[:, 0]
+        exact = splitting * 5.0 / 12.0 - 2.00233 * BOHR_MAGNETON_HZ_PER_G * b / 2.0
+        assert b[-1] == 1000.0
+        assert np.allclose(rows[:, 1], exact, rtol=1e-10, atol=0.0)
 
 
 class TestSweep:
