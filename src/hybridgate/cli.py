@@ -20,21 +20,15 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .budget import dephasing_time
-from .dynamics import (LAMBDA_LABELS, TwoLevelParams, pi_pulse_duration, simulate_stirap,
-                       two_level_population)
+from .dynamics import LAMBDA_LABELS, two_level_population
 from .errors import ConfigError, DomainError, NumericalFailure
-from .gate import (accumulated_phase_profile, dipole_dipole_rate, induced_dipole,
-                   interaction_time_for_pi)
+from .gate import accumulated_phase_profile
 from .hyperfine import all_states, breit_rabi_energy, field_sensitivity, transition_frequency
 from .output import ensure_out_dir, format_float, metadata_line, write_csv, write_json
-from .repro import (_budget_run, _gate_run, _gate_schedule, _qubit_sensitivity, _raman_run,
-                    _stirap_args, _stirap_run, paper_repro)
+from .repro import budget_run, gate_run, paper_repro, raman_run, stirap_run, sweep_curves
 from .scenario import load_scenario_text
 
 SUBCOMMANDS = ("levels", "pulse", "stirap", "gate", "budget", "sweep", "paper-repro")
-
-STIRAP_SWEEP_FACTORS = np.geomspace(0.01, 1.0, 8)   # ends at exactly 1.0, the full drive
 
 
 @dataclass(frozen=True)
@@ -116,57 +110,58 @@ def _cmd_levels(scn, ctx):
 
 
 def _cmd_pulse(scn, ctx):
-    _, reduction, drive, duration, traj = _raman_run(scn, 501)
+    raman = raman_run(scn, 501)
+    traj = raman.trajectory
     pops = traj.populations()
-    p2 = two_level_population(drive, traj.times)
+    p2 = two_level_population(raman.drive, traj.times)
     ctx.table("pulse_molecule_3level.csv", ("t_s", "p_molecule"), traj.times, pops[:, 2])
     ctx.table("pulse_molecule_2level.csv", ("t_s", "p_molecule"), traj.times, p2)
     ctx.table("pulse_excited_3level.csv", ("t_s", "p_excited"), traj.times, pops[:, 1])
     max_dev = np.max(np.abs(pops[:, 2] - p2))
-    print(f"pulse: omega_R = {format_float(reduction.omega_r_rad_s)} rad/s, "
-          f"pi duration = {format_float(duration)} s")
+    print(f"pulse: omega_R = {format_float(raman.reduction.omega_r_rad_s)} rad/s, "
+          f"pi duration = {format_float(raman.duration_s)} s")
     print(f"pulse: final P_molecule 3-level = {format_float(pops[-1, 2])}, "
           f"2-level = {format_float(p2[-1])}, max deviation = {format_float(max_dev)}")
     return 0
 
 
 def _cmd_stirap(scn, ctx):
-    traj, efficiency, eff_reversed = _stirap_run(scn)
+    stirap = stirap_run(scn, area_sweep=True)
+    traj = stirap.trajectory
     pops = traj.populations()
     for idx, name in enumerate(LAMBDA_LABELS):
         ctx.table(f"stirap_{name}.csv", ("t_s", f"p_{name}"), traj.times, pops[:, idx])
-    areas = STIRAP_SWEEP_FACTORS * scn.stirap.peak_rad_s * scn.stirap.rms_width_s
-    # the sweep ends at the full drive, whose transfer _stirap_run already integrated
-    ctx.table("stirap_efficiency.csv", ("omega0_rms_area", "efficiency"), areas,
-              [simulate_stirap(*_stirap_args(scn, peak_factor=float(factor)))
-               for factor in STIRAP_SWEEP_FACTORS[:-1]] + [efficiency])
-    print(f"stirap: efficiency = {format_float(efficiency)} (reversed order "
-          f"{format_float(eff_reversed)}), norm drift = {format_float(traj.norm_drift)}")
+    ctx.table("stirap_efficiency.csv", ("omega0_rms_area", "efficiency"), stirap.sweep_areas,
+              stirap.sweep_efficiencies)
+    print(f"stirap: efficiency = {format_float(stirap.efficiency)} (reversed order "
+          f"{format_float(stirap.reversed_efficiency)}), "
+          f"norm drift = {format_float(traj.norm_drift)}")
     return 0
 
 
 def _cmd_gate(scn, ctx):
-    ind, omega_dd, schedule, durations, _, phi, phi_closed, fidelity = _gate_run(scn)
+    gate = gate_run(scn)
     ctx.table("gate_phase_rad.csv", ("t_s", "phi_rad"),
-              *accumulated_phase_profile(omega_dd, schedule))
-    flag = "" if ind.linear_response_valid else " (beyond linear response)"
-    print(f"gate: induced dipole = {format_float(ind.mu_induced_debye)} D{flag}, "
-          f"omega_dd = {format_float(omega_dd)} rad/s")
-    for kind, dur in durations.by_kind.items():
+              *accumulated_phase_profile(gate.omega_dd_rad_s, gate.schedule))
+    flag = "" if gate.induced.linear_response_valid else " (beyond linear response)"
+    print(f"gate: induced dipole = {format_float(gate.induced.mu_induced_debye)} D{flag}, "
+          f"omega_dd = {format_float(gate.omega_dd_rad_s)} rad/s")
+    for kind, dur in gate.durations.by_kind.items():
         print(f"gate:   {kind:<16s} {format_float(dur)} s")
-    print(f"gate: gate time = {format_float(durations.gate_s)} s "
-          f"(total with rotations {format_float(durations.total_s)} s)")
-    print(f"gate: accumulated phase = {format_float(phi)} rad "
-          f"(closed form {format_float(phi_closed)}), fidelity vs ideal = {format_float(fidelity)}")
+    print(f"gate: gate time = {format_float(gate.durations.gate_s)} s "
+          f"(total with rotations {format_float(gate.durations.total_s)} s)")
+    print(f"gate: accumulated phase = {format_float(gate.phase_rad)} rad (closed form "
+          f"{format_float(gate.closed_form_phase_rad)}), "
+          f"fidelity vs ideal = {format_float(gate.fidelity)}")
     return 0
 
 
 def _cmd_budget(scn, ctx):
-    _, _, schedule = _gate_schedule(scn)
-    sens, report, contrast = _budget_run(scn, ctx.mode, schedule)
+    budget = budget_run(scn, ctx.mode, gate_run(scn).schedule)
+    report = budget.report
     write_json(os.path.join(ctx.out_dir, "budget_report.json"),
-               {**ctx.header, "sensitivity_hz_per_g": sens, **asdict(report),
-                "ramsey_contrast_at_t_phi": contrast})
+               {**ctx.header, "sensitivity_hz_per_g": budget.sensitivity_hz_per_g,
+                **asdict(report), "ramsey_contrast_at_t_phi": budget.contrast})
     ops = "unbounded" if report.operations_count is None else report.operations_count
     print(f"budget: T_phi = {format_float(report.dephasing_time_s)} s, "
           f"gate time = {format_float(report.gate_time_s)} s, operations = {ops}")
@@ -176,37 +171,9 @@ def _cmd_budget(scn, ctx):
     return 0
 
 
-def _sweep_curves(scn, ctx, values):
-    """Quantities computed along the sweep axis, one dict entry per curve."""
-    param = scn.sweep.parameter
-    ind = induced_dipole(scn.dipole)
-    if param == "separation_r_m":
-        return {"omega_dd_rad_s":
-                [dipole_dipole_rate(ind.mu_induced_debye, r) for r in values]}
-    if param == "b_G":
-        sp, up, lo, b = scn.qubit.species, scn.qubit.upper, scn.qubit.lower, np.array(values)
-        return {"transition_hz": transition_frequency(sp, up, lo, b, mode=ctx.mode),
-                "sensitivity_hz_per_g": field_sensitivity(sp, up, lo, b, mode=ctx.mode)}
-    if param == "sigma_B_G":
-        sens = _qubit_sensitivity(scn, ctx.mode)
-        return {"dephasing_time_s": [dephasing_time(sens, s) for s in values]}
-    if param == "omega_R_rad_s":
-        omega_dd = dipole_dipole_rate(ind.mu_induced_debye, scn.dipole.separation_m)
-        return {
-            "pi_pulse_duration_s": [pi_pulse_duration(TwoLevelParams(w, 0.0)) for w in values],
-            "interaction_time_s": [interaction_time_for_pi(omega_dd, w) for w in values],
-        }
-    if param == "mu_permanent_D":
-        ratio_per_debye = ind.polarization_ratio / scn.dipole.mu_permanent_debye
-        return {"omega_dd_rad_s":
-                [dipole_dipole_rate(mu * (ratio_per_debye * mu), scn.dipole.separation_m)
-                 for mu in values]}
-    raise ConfigError(f"unknown sweep parameter {param!r}", key="[sweep] parameter")
-
-
 def _cmd_sweep(scn, ctx):
     values = np.linspace(scn.sweep.minimum, scn.sweep.maximum, scn.sweep.count).tolist()
-    curves = _sweep_curves(scn, ctx, values)
+    curves = sweep_curves(scn, ctx.mode, values)
     for name, series in curves.items():
         ctx.table(f"sweep_{name}.csv", (scn.sweep.parameter.lower(), name), values, series)
     print(f"sweep: {scn.sweep.parameter} over [{scn.sweep.minimum}, {scn.sweep.maximum}] "
@@ -226,7 +193,6 @@ def _cmd_paper_repro(scn, ctx):
     failed = sum(1 for c in checks if not c["pass"])
     print(f"paper-repro: {len(checks) - failed}/{len(checks)} checks passed")
     return 0
-
 
 
 _HANDLERS = {

@@ -9,7 +9,7 @@ Built schedules always include both enabler rotations (enabler_rotation_s).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,62 +77,41 @@ def dipole_dipole_rate(mu_induced_debye, separation_m):
 # Gate schedule
 
 
-@dataclass(frozen=True)
-class EnablerRotation:
-    duration_s: float
-    kind: str = field(default="enabler_rotation", init=False)
-
-
-@dataclass(frozen=True)
-class RamanDown:
-    """Atom-pair -> molecule transfer pulse."""
-    pulse: TwoLevelParams
-    duration_s: float
-    kind: str = field(default="raman_down", init=False)
-
-
-@dataclass(frozen=True)
-class Wait:
-    duration_s: float
-    kind: str = field(default="wait", init=False)
-
-
-@dataclass(frozen=True)
-class RamanUp:
-    """Molecule -> atom-pair return pulse."""
-    pulse: TwoLevelParams
-    duration_s: float
-    kind: str = field(default="raman_up", init=False)
-
-
-@dataclass(frozen=True)
-class EnablerReturn:
-    duration_s: float
-    kind: str = field(default="enabler_return", init=False)
-
-
-_KIND_ORDER = ("enabler_rotation", "raman_down", "wait", "raman_up", "enabler_return")
+STEP_KINDS = ("enabler_rotation", "raman_down", "wait", "raman_up", "enabler_return")
+RAMAN_KINDS = ("raman_down", "raman_up")   # atom pair -> molecule, and back
 ENABLER_KINDS = ("enabler_rotation", "enabler_return")
 
 
 @dataclass(frozen=True)
+class Step:
+    """One protocol step of a STEP_KINDS kind; Raman steps carry their pulse."""
+
+    kind: str
+    duration_s: float
+    pulse: TwoLevelParams = None
+
+    def __post_init__(self):
+        if self.kind not in STEP_KINDS:
+            raise DomainError(f"step kind must be one of {STEP_KINDS}, got {self.kind!r}")
+        if not 0 < self.duration_s < math.inf:
+            raise DomainError(f"step duration must be finite and > 0, got {self.duration_s!r}")
+        if (self.pulse is None) == (self.kind in RAMAN_KINDS):
+            raise DomainError(f"Raman steps, and only they, carry a pulse; got a {self.kind} "
+                              f"step with pulse={self.pulse!r}")
+
+
+@dataclass(frozen=True)
 class GateSchedule:
-    """Ordered protocol steps."""
+    """Ordered protocol steps, a tuple of Step."""
 
     steps: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        for step in self.steps:
-            if not step.duration_s > 0:
-                raise DomainError(f"step durations must be > 0, got {step!r}")
-        first = {}
-        for i, step in enumerate(self.steps):
-            first.setdefault(step.kind, i)
-        down, wait, up = (first.get(k) for k in ("raman_down", "wait", "raman_up"))
-        if down is not None and wait is not None and up is not None:
-            if not down < wait < up:
-                raise DomainError("schedule must order raman_down < wait < raman_up")
+        kinds = [step.kind for step in self.steps]
+        if {"raman_down", "wait", "raman_up"} <= set(kinds) and not (
+                kinds.index("raman_down") < kinds.index("wait") < kinds.index("raman_up")):
+            raise DomainError("schedule must order raman_down < wait < raman_up")
 
 
 @dataclass(frozen=True)
@@ -149,11 +128,9 @@ class ScheduleDuration:
 
 
 def schedule_total_duration(schedule):
-    by_kind = {}
-    for kind in _KIND_ORDER:
-        dur = sum(s.duration_s for s in schedule.steps if s.kind == kind)
-        if dur > 0:
-            by_kind[kind] = dur
+    present = {s.kind for s in schedule.steps}
+    by_kind = {kind: sum(s.duration_s for s in schedule.steps if s.kind == kind)
+               for kind in STEP_KINDS if kind in present}
     total = sum(by_kind.values())
     gate = total - sum(by_kind.get(k, 0.0) for k in ENABLER_KINDS)
     return ScheduleDuration(total_s=total, gate_s=gate, by_kind=by_kind)
@@ -188,8 +165,10 @@ def build_gate_schedule(omega_dd_rad_s, omega_r_rad_s, enabler_rotation_s):
     pulse = TwoLevelParams(omega_r_rad_s, 0.0)
     pi_time = math.pi / omega_r_rad_s
     wait = interaction_time_for_pi(omega_dd_rad_s, omega_r_rad_s)
-    return GateSchedule((EnablerRotation(enabler_rotation_s), RamanDown(pulse, pi_time),
-                         Wait(wait), RamanUp(pulse, pi_time), EnablerReturn(enabler_rotation_s)))
+    return GateSchedule((Step("enabler_rotation", enabler_rotation_s),
+                         Step("raman_down", pi_time, pulse), Step("wait", wait),
+                         Step("raman_up", pi_time, pulse),
+                         Step("enabler_return", enabler_rotation_s)))
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +195,7 @@ def _step_phase_integral(step, hold, ts):
     (measured 2.4e-11 at W T = 0.1, 1.1e-7 at W T = 0.01). The pi pulses
     that schedules are built from have W T >= pi and stay within 1e-15.
     """
-    if step.kind not in ("raman_down", "raman_up"):
+    if step.kind not in RAMAN_KINDS:
         return hold * hold * ts, hold
     w = step.pulse.generalized_rabi_rad_s
     a = (step.pulse.omega_r_rad_s / w) ** 2 if w else 0.0  # W = 0 only when omega = 0

@@ -203,18 +203,18 @@ def site_frequency_resolution(sensitivity_hz_per_g, gradient_g_per_cm, spacing_c
     for name, value in (("sensitivity", sensitivity_hz_per_g),
                         ("gradient", gradient_g_per_cm),
                         ("spacing", spacing_cm)):
-        if value < 0:
-            raise DomainError(f"{name} must be >= 0, got {value!r}")
+        if not 0 <= value < math.inf:
+            raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
     return sensitivity_hz_per_g * gradient_g_per_cm * spacing_cm
 
 
 def resonance_site_count(resonance_width_g, gradient_g_per_cm, spacing_cm):
     """Number of sites per lattice dimension that fit inside a resonance of
     the given width under a field gradient: floor(width / (gradient*spacing))."""
-    if resonance_width_g < 0:
-        raise DomainError(f"resonance width must be >= 0 G, got {resonance_width_g!r}")
-    if gradient_g_per_cm <= 0 or spacing_cm <= 0:
-        raise DomainError("gradient and spacing must be > 0 for a site count")
+    if not 0 <= resonance_width_g < math.inf:
+        raise DomainError(f"resonance width must be finite and >= 0 G, got {resonance_width_g!r}")
+    if not (0 < gradient_g_per_cm < math.inf and 0 < spacing_cm < math.inf):
+        raise DomainError("gradient and spacing must be finite and > 0 for a site count")
     return int(math.floor(resonance_width_g / (gradient_g_per_cm * spacing_cm)))
 
 

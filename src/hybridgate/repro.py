@@ -6,29 +6,19 @@ and ``budget`` subcommands use, then checks each against the paper's figure.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 # Called through their modules, not imported by name, so that wrapping a
 # module attribute (as a span tracer does) also covers the calls made here.
 from . import budget, dynamics, gate, hyperfine
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 FD_STEP_G = 0.01
 FD_CHECK_FIELDS_G = (1.0, 10.0, 100.0, 649.0, 1000.0, 2000.0)
 LOSS_BENCHMARK_S = 20e-6       # fixed gate-duration benchmark for the loss figure
-
-
-def _qubit_sensitivity(scn, mode):
-    return hyperfine.field_sensitivity(scn.qubit.species, scn.qubit.upper, scn.qubit.lower,
-                                       scn.field.b_gauss, mode=mode)
-
-
-def _gate_schedule(scn):
-    ind = gate.induced_dipole(scn.dipole)
-    omega_dd = gate.dipole_dipole_rate(ind.mu_induced_debye, scn.dipole.separation_m)
-    schedule = gate.build_gate_schedule(omega_dd, scn.gate.omega_r_rad_s,
-                                        scn.gate.enabler_rotation_s)
-    return ind, omega_dd, schedule
+STIRAP_SWEEP_FACTORS = np.geomspace(0.01, 1.0, 8)   # ends at exactly 1.0, the full drive
 
 
 def _stirap_args(scn, peak_factor=1.0, reversed_order=False):
@@ -56,38 +46,92 @@ def _fd_sensitivity_max_rel_err(scn, mode):
     return worst
 
 
-def _raman_run(scn, n_points):
-    """Raman pi pulse: drive, two-level reduction, pi duration and trajectory."""
+@dataclass(frozen=True)
+class RamanRun:
+    """Raman pi pulse: Lambda drive, two-level reduction and drive, pi duration, trajectory."""
+
+    params: dynamics.LambdaParams
+    reduction: dynamics.EffectiveTwoLevel
+    drive: dynamics.TwoLevelParams
+    duration_s: float
+    trajectory: dynamics.Trajectory
+
+
+def raman_run(scn, n_points):
     params = scn.raman_effective()
     reduction = dynamics.effective_rabi(params)
     drive = dynamics.TwoLevelParams(abs(reduction.omega_r_rad_s), params.delta_rad_s)
     duration = dynamics.pi_pulse_duration(drive)
-    traj = dynamics.raman_trajectory(params, duration, n_points)
-    return params, reduction, drive, duration, traj
+    return RamanRun(params, reduction, drive, duration,
+                    dynamics.raman_trajectory(params, duration, n_points))
 
 
-def _stirap_run(scn):
-    """STIRAP trajectory and efficiency, and the efficiency in reversed order."""
+@dataclass(frozen=True)
+class StirapRun:
+    """STIRAP trajectory and efficiency, the efficiency in reversed order and,
+    when asked for, the efficiency at each pulse area of the sweep."""
+
+    trajectory: dynamics.Trajectory
+    efficiency: float
+    reversed_efficiency: float
+    sweep_areas: tuple = ()          # omega0 * rms width
+    sweep_efficiencies: tuple = ()
+
+
+def stirap_run(scn, area_sweep=False):
     traj = dynamics.stirap_trajectory(*_stirap_args(scn))
+    efficiency = float(traj.final_populations()[2])
     reversed_efficiency = dynamics.simulate_stirap(*_stirap_args(scn, reversed_order=True))
-    return traj, float(traj.final_populations()[2]), reversed_efficiency
+    if not area_sweep:
+        return StirapRun(traj, efficiency, reversed_efficiency)
+    # the sweep ends at the full drive, whose transfer is integrated above
+    sweep = [dynamics.simulate_stirap(*_stirap_args(scn, peak_factor=float(factor)))
+             for factor in STIRAP_SWEEP_FACTORS[:-1]] + [efficiency]
+    areas = STIRAP_SWEEP_FACTORS * scn.stirap.peak_rad_s * scn.stirap.rms_width_s
+    return StirapRun(traj, efficiency, reversed_efficiency, tuple(areas), tuple(sweep))
 
 
-def _gate_run(scn):
-    """Gate schedule, durations, wait time, phase, closed form and fidelity."""
-    ind, omega_dd, schedule = _gate_schedule(scn)
+@dataclass(frozen=True)
+class GateRun:
+    """Induced dipole, omega_dd, schedule and its durations, pi-phase wait, schedule
+    phase and its closed form, and fidelity against the ideal gate."""
+
+    induced: gate.InducedDipole
+    omega_dd_rad_s: float
+    schedule: gate.GateSchedule
+    durations: gate.ScheduleDuration
+    interaction_time_s: float
+    phase_rad: float
+    closed_form_phase_rad: float
+    fidelity: float
+
+
+def gate_run(scn):
+    ind = gate.induced_dipole(scn.dipole)
+    omega_dd = gate.dipole_dipole_rate(ind.mu_induced_debye, scn.dipole.separation_m)
     omega_r = scn.gate.omega_r_rad_s
+    schedule = gate.build_gate_schedule(omega_dd, omega_r, scn.gate.enabler_rotation_s)
     phi = gate.accumulated_phase_numeric(omega_dd, schedule)
     tau = gate.interaction_time_for_pi(omega_dd, omega_r)
     phi_closed = gate.total_phase_closed_form(omega_dd, omega_r, omega_dd, tau)
     fidelity = gate.gate_fidelity(gate.build_phase_gate(phi), gate.build_phase_gate(math.pi))
-    durations = gate.schedule_total_duration(schedule)
-    return ind, omega_dd, schedule, durations, tau, phi, phi_closed, fidelity
+    return GateRun(ind, omega_dd, schedule, gate.schedule_total_duration(schedule), tau, phi,
+                   phi_closed, fidelity)
 
 
-def _budget_run(scn, mode, schedule):
-    """Sensitivity, budget report and MC contrast at T_phi (1 if T_phi is unbounded)."""
-    sens = _qubit_sensitivity(scn, mode)
+@dataclass(frozen=True)
+class BudgetRun:
+    """Qubit field sensitivity, budget report and the Monte Carlo Ramsey
+    contrast at T_phi (1 if T_phi is unbounded)."""
+
+    sensitivity_hz_per_g: float
+    report: budget.BudgetReport
+    contrast: float
+
+
+def budget_run(scn, mode, schedule):
+    sens = hyperfine.field_sensitivity(scn.qubit.species, scn.qubit.upper, scn.qubit.lower,
+                                       scn.field.b_gauss, mode=mode)
     report = budget.assemble_budget(scn.noise, sens, schedule, scn.readout.splitting_hz,
                                     selectivity_factor=scn.readout.selectivity_factor)
     contrast = 1.0
@@ -95,7 +139,36 @@ def _budget_run(scn, mode, schedule):
         contrast = budget.ramsey_contrast_mc(sens, scn.noise.sigma_b_gauss,
                                              report.dephasing_time_s, scn.mc_samples,
                                              scn.noise.seed)
-    return sens, report, contrast
+    return BudgetRun(sens, report, contrast)
+
+
+def sweep_curves(scn, mode, values):
+    """Quantities computed along the ``[sweep] parameter`` axis at ``values``,
+    one dict entry per curve."""
+    param = scn.sweep.parameter
+    ind = gate.induced_dipole(scn.dipole)
+    if param == "separation_r_m":
+        return {"omega_dd_rad_s":
+                [gate.dipole_dipole_rate(ind.mu_induced_debye, r) for r in values]}
+    sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
+    if param == "b_G":
+        b = np.array(values)
+        return {"transition_hz": hyperfine.transition_frequency(sp, up, lo, b, mode=mode),
+                "sensitivity_hz_per_g": hyperfine.field_sensitivity(sp, up, lo, b, mode=mode)}
+    if param == "sigma_B_G":
+        sens = hyperfine.field_sensitivity(sp, up, lo, scn.field.b_gauss, mode=mode)
+        return {"dephasing_time_s": [budget.dephasing_time(sens, s) for s in values]}
+    if param == "omega_R_rad_s":
+        omega_dd = gate.dipole_dipole_rate(ind.mu_induced_debye, scn.dipole.separation_m)
+        return {"pi_pulse_duration_s": [dynamics.pi_pulse_duration(dynamics.TwoLevelParams(w, 0.0))
+                                        for w in values],
+                "interaction_time_s": [gate.interaction_time_for_pi(omega_dd, w) for w in values]}
+    if param == "mu_permanent_D":
+        ratio_per_debye = ind.polarization_ratio / scn.dipole.mu_permanent_debye
+        return {"omega_dd_rad_s":
+                [gate.dipole_dipole_rate(mu * (ratio_per_debye * mu), scn.dipole.separation_m)
+                 for mu in values]}
+    raise ConfigError(f"unknown sweep parameter {param!r}", key="[sweep] parameter")
 
 
 def _check(name, value, expected, tolerance, ok=None):
@@ -119,25 +192,26 @@ def paper_repro(scn, mode):
     spacing_cm = scn.field.site_spacing_m * 100.0
     omega_r = scn.gate.omega_r_rad_s
 
-    ind, omega_dd, schedule, durations, tau_int, phi_total, phi_closed, fidelity = _gate_run(scn)
-    sens, costs, contrast = _budget_run(scn, mode, schedule)
-    if costs.operations_count is None:
+    gr = gate_run(scn)
+    omega_dd = gr.omega_dd_rad_s
+    br = budget_run(scn, mode, gr.schedule)
+    if br.report.operations_count is None:
         raise DomainError("operations count needs a finite dephasing time (sigma_B_G > 0)")
-    single = gate.GateSchedule((gate.RamanDown(dynamics.TwoLevelParams(omega_r, 0.0),
-                                               math.pi / omega_r),))
+    single = gate.GateSchedule((gate.Step("raman_down", math.pi / omega_r,
+                                          dynamics.TwoLevelParams(omega_r, 0.0)),))
 
     # Far-detuned reduction quality at the configured ratio, and again with
     # delta_e scaled x10 at fixed omega_R.
-    params, _, drive, dur, raman = _raman_run(scn, 241)
-    p2 = float(dynamics.two_level_population(drive, dur))
-    scaled = replace(params, omega_p_rad_s=params.omega_p_rad_s * math.sqrt(10.0),
-                     omega_s_rad_s=params.omega_s_rad_s * math.sqrt(10.0),
-                     delta_e_rad_s=params.delta_e_rad_s * 10.0)
-    elim_diff = abs(float(raman.final_populations()[2]) - p2)
-    elim_diff_scaled = abs(float(dynamics.raman_trajectory(scaled, dur).final_populations()[2])
-                           - p2)
+    raman = raman_run(scn, 241)
+    p2 = float(dynamics.two_level_population(raman.drive, raman.duration_s))
+    scaled = replace(raman.params, omega_p_rad_s=raman.params.omega_p_rad_s * math.sqrt(10.0),
+                     omega_s_rad_s=raman.params.omega_s_rad_s * math.sqrt(10.0),
+                     delta_e_rad_s=raman.params.delta_e_rad_s * 10.0)
+    elim_diff = abs(float(raman.trajectory.final_populations()[2]) - p2)
+    elim_diff_scaled = abs(float(dynamics.raman_trajectory(
+        scaled, raman.duration_s).final_populations()[2]) - p2)
 
-    stirap, stirap_eff, stirap_rev = _stirap_run(scn)
+    stirap = stirap_run(scn)
 
     channels = (scn.qubit_channel_storage()[1], *scn.qubit_channel_enabled())
     open_storage_1, open_enabled_0, open_enabled_1 = [
@@ -145,35 +219,35 @@ def paper_repro(scn, mode):
 
     r = {
         "transition_hz": hyperfine.transition_frequency(sp, up, lo, b, mode=mode),
-        "sensitivity_hz_per_g": sens,
+        "sensitivity_hz_per_g": br.sensitivity_hz_per_g,
         "sensitivity_fd_max_rel_err": _fd_sensitivity_max_rel_err(scn, mode),
         "site_resolution_hz": hyperfine.site_frequency_resolution(
-            sens, scn.field.gradient_g_per_cm, spacing_cm),
+            br.sensitivity_hz_per_g, scn.field.gradient_g_per_cm, spacing_cm),
         "resonance_site_count": hyperfine.resonance_site_count(
             scn.field.resonance_width_g, scn.field.gradient_g_per_cm, spacing_cm),
-        "induced_dipole_D": ind.mu_induced_debye,
-        "polarization_ratio": ind.polarization_ratio,
-        "linear_response_valid": ind.linear_response_valid,
+        "induced_dipole_D": gr.induced.mu_induced_debye,
+        "polarization_ratio": gr.induced.polarization_ratio,
+        "linear_response_valid": gr.induced.linear_response_valid,
         "omega_dd_rad_s": omega_dd,
         "pi_pulse_duration_s": dynamics.pi_pulse_duration(dynamics.TwoLevelParams(omega_r, 0.0)),
-        "interaction_time_s": tau_int,
-        "gate_time_s": durations.gate_s,
-        "protocol_time_s": durations.total_s,
+        "interaction_time_s": gr.interaction_time_s,
+        "gate_time_s": gr.durations.gate_s,
+        "protocol_time_s": gr.durations.total_s,
         "single_pulse_phase_rad": gate.accumulated_phase_numeric(omega_dd, single),
-        "accumulated_phase_rad": phi_total,
-        "closed_form_phase_rad": phi_closed,
-        "phase_gate_fidelity": fidelity,
+        "accumulated_phase_rad": gr.phase_rad,
+        "closed_form_phase_rad": gr.closed_form_phase_rad,
+        "phase_gate_fidelity": gr.fidelity,
         "adiabatic_elimination_final_diff": elim_diff,
         "adiabatic_elimination_improvement": elim_diff / max(elim_diff_scaled, 1e-300),
-        "stirap_efficiency": stirap_eff,
-        "stirap_efficiency_reversed": stirap_rev,
-        "stirap_norm_drift": stirap.norm_drift,
-        "dephasing_time_s": costs.dephasing_time_s,
-        "ramsey_contrast_at_t_phi": contrast,
+        "stirap_efficiency": stirap.efficiency,
+        "stirap_efficiency_reversed": stirap.reversed_efficiency,
+        "stirap_norm_drift": stirap.trajectory.norm_drift,
+        "dephasing_time_s": br.report.dephasing_time_s,
+        "ramsey_contrast_at_t_phi": br.contrast,
         "inelastic_loss_20us": budget.inelastic_loss_probability(
             scn.noise.gamma_inelastic_per_s, LOSS_BENCHMARK_S),
-        "inelastic_loss_gate": costs.loss_probability,
-        "operations_count": costs.operations_count,
+        "inelastic_loss_gate": br.report.loss_probability,
+        "operations_count": br.report.operations_count,
         "open_channels_storage_1": len(open_storage_1),
         "open_channels_enabled_0": len(open_enabled_0),
         "open_channels_enabled_1": [c.label() for c in open_enabled_1],

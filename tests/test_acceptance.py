@@ -17,7 +17,7 @@ from hybridgate.dynamics import (LambdaParams, PulseEnvelope, TwoLevelParams,
                                  effective_rabi, pi_pulse_duration, raman_trajectory,
                                  simulate_stirap, stirap_trajectory,
                                  two_level_population)
-from hybridgate.gate import (GateSchedule, RamanDown, accumulated_phase_numeric,
+from hybridgate.gate import (GateSchedule, Step, accumulated_phase_numeric,
                              build_gate_schedule, build_phase_gate, dipole_dipole_rate,
                              gate_fidelity, interaction_time_for_pi,
                              schedule_total_duration, total_phase_closed_form)
@@ -88,7 +88,8 @@ def test_criterion_05_pi_pulse_duration():
 
 
 def test_criterion_06_phase_consistency():
-    single = GateSchedule((RamanDown(TwoLevelParams(OMEGA_R, 0.0), math.pi / OMEGA_R),))
+    single = GateSchedule((Step("raman_down", math.pi / OMEGA_R,
+                                TwoLevelParams(OMEGA_R, 0.0)),))
     phi_single = accumulated_phase_numeric(OMEGA_DD, single)
     expected_single = OMEGA_DD * 3.0 * math.pi / (8.0 * OMEGA_R)
     rel_single = abs(phi_single - expected_single) / expected_single

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -10,6 +12,8 @@ from hybridgate import __version__, cli, dynamics, repro
 from hybridgate.budget import BudgetReport
 from hybridgate.constants import BOHR_MAGNETON_HZ_PER_G
 from hybridgate.errors import NumericalFailure
+from hybridgate.gate import interaction_time_for_pi
+from hybridgate.hyperfine import field_sensitivity
 from hybridgate.scenario import load_scenario_text
 
 
@@ -36,6 +40,14 @@ def _failed_checks_with_derived_verdicts(checks):
         if c["name"] not in EXPLICIT_CONDITION_CHECKS:
             assert c["pass"] == (abs(c["value"] - c["expected"]) <= c["tolerance"]), c["name"]
     return [c["name"] for c in checks if not c["pass"]]
+
+
+def _sweep_text(parameter, minimum, maximum):
+    """The bundled config with its [sweep] axis and range replaced."""
+    text = _bundled_text()
+    for key, value in (("parameter", parameter), ("min", minimum), ("max", maximum)):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    return text
 
 
 def _read_csv(path):
@@ -114,6 +126,47 @@ class TestSweep:
         assert trans[0][1] == 6.835e9
         assert sens.shape == (64, 2)
 
+    def test_noise_sweep_keeps_t_phi_times_sigma(self):
+        scn = load_scenario_text(_sweep_text("sigma_B_G", 1e-5, 1e-3))
+        values = np.linspace(1e-5, 1e-3, 16).tolist()
+        t_phi = np.array(repro.sweep_curves(scn, "paper", values)["dephasing_time_s"])
+        sens = field_sensitivity(scn.qubit.species, scn.qubit.upper, scn.qubit.lower,
+                                 scn.field.b_gauss)
+        np.testing.assert_allclose(t_phi * values, 1.0 / (2.0 * math.pi * sens), rtol=1e-12)
+
+    def test_rabi_sweep_gives_pi_pulse_and_wait(self):
+        scn = load_scenario_text(_sweep_text("omega_R_rad_s", 5e5, 5e6))
+        values = np.linspace(5e5, 5e6, 16).tolist()
+        curves = repro.sweep_curves(scn, "paper", values)
+        omega_dd = repro.gate_run(scn).omega_dd_rad_s
+        np.testing.assert_allclose(curves["pi_pulse_duration_s"], np.pi / np.array(values),
+                                   rtol=1e-15)
+        assert curves["interaction_time_s"] == [interaction_time_for_pi(omega_dd, w)
+                                                for w in values]
+
+    def test_dipole_sweep_scales_as_mu_to_the_fourth(self):
+        scn = load_scenario_text(_sweep_text("mu_permanent_D", 1.0, 6.0))
+        mu = scn.dipole.mu_permanent_debye
+        values = [1.0, 2.5, mu, 6.0]
+        omega = np.array(repro.sweep_curves(scn, "paper", values)["omega_dd_rad_s"])
+        np.testing.assert_allclose(omega / np.array(values) ** 4, omega[2] / mu ** 4, rtol=1e-12)
+        assert omega[2] == pytest.approx(repro.gate_run(scn).omega_dd_rad_s, rel=1e-12)
+
+    @pytest.mark.parametrize("parameter, minimum, maximum, curves", [
+        ("sigma_B_G", 1e-5, 1e-3, ["dephasing_time_s"]),
+        ("omega_R_rad_s", 5e5, 5e6, ["pi_pulse_duration_s", "interaction_time_s"]),
+        ("mu_permanent_D", 1.0, 6.0, ["omega_dd_rad_s"]),
+    ])
+    def test_other_axes_write_their_curves(self, tmp_path, parameter, minimum, maximum, curves):
+        cfg = _write_config(tmp_path, _sweep_text(parameter, minimum, maximum))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"sweep_{c}.csv" for c in curves)
+        for curve in curves:
+            header, rows = _read_csv(out / f"sweep_{curve}.csv")
+            assert header == [parameter.lower(), curve] and rows.shape == (64, 2)
+            assert np.all(np.isfinite(rows)) and rows[-1][0] == maximum
+
 
 class TestPaperRepro:
     def test_all_checks_pass(self, tmp_path):
@@ -175,10 +228,9 @@ class TestPaperRepro:
     def test_stirap_efficiencies_pinned(self):
         # The RK4 arithmetic is fixed: a change to how its products are laid
         # out may move these only by rounding, far inside any physical tolerance.
-        _, efficiency, reversed_efficiency = repro._stirap_run(
-            load_scenario_text(_bundled_text()))
-        assert efficiency == pytest.approx(0.9999807821803351, rel=1e-12)
-        assert reversed_efficiency == pytest.approx(0.5894534225363848, rel=1e-12)
+        stirap = repro.stirap_run(load_scenario_text(_bundled_text()))
+        assert stirap.efficiency == pytest.approx(0.9999807821803351, rel=1e-12)
+        assert stirap.reversed_efficiency == pytest.approx(0.5894534225363848, rel=1e-12)
 
     def test_seed_override_changes_contrast(self, tmp_path):
         cfg = _write_config(tmp_path, _bundled_text())

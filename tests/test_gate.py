@@ -9,13 +9,10 @@ from hybridgate.errors import DomainError
 from hybridgate.gate import (
     PROFILE_POINTS_PER_STEP,
     DipoleParams,
-    EnablerReturn,
-    EnablerRotation,
+    STEP_KINDS,
     GateSchedule,
-    RamanDown,
-    RamanUp,
+    Step,
     TwoQubitUnitary,
-    Wait,
     accumulated_phase_numeric,
     accumulated_phase_profile,
     build_gate_schedule,
@@ -102,7 +99,7 @@ class TestAccumulatedPhase:
     def test_single_resonant_pulse_matches_analytic(self):
         # integral of sin^4 over a pi pulse is 3*pi/(8*omega)
         pulse = TwoLevelParams(1e6, 0.0)
-        schedule = GateSchedule((RamanDown(pulse, math.pi / 1e6),))
+        schedule = GateSchedule((Step("raman_down", math.pi / 1e6, pulse),))
         phi = accumulated_phase_numeric(1.34e5, schedule)
         expected = 1.34e5 * 3.0 * math.pi / (8.0 * 1e6)
         assert expected == pytest.approx(0.15786503084288708, rel=1e-12)
@@ -114,7 +111,7 @@ class TestAccumulatedPhase:
         pulse = TwoLevelParams(1e6, 2e5)
         w = pulse.generalized_rabi_rad_s
         amp = (1e6 / w) ** 2
-        schedule = GateSchedule((RamanDown(pulse, math.pi / w),))
+        schedule = GateSchedule((Step("raman_down", math.pi / w, pulse),))
         phi = accumulated_phase_numeric(1.34e5, schedule)
         expected = 1.34e5 * amp ** 2 * 3.0 * math.pi / (8.0 * w)
         assert abs(phi - expected) / expected < 1e-13
@@ -122,21 +119,21 @@ class TestAccumulatedPhase:
     def test_wait_holds_population(self):
         pulse = TwoLevelParams(1e6, 0.0)
         tau = 7e-6
-        with_wait = GateSchedule((RamanDown(pulse, math.pi / 1e6), Wait(tau)))
-        without = GateSchedule((RamanDown(pulse, math.pi / 1e6),))
+        with_wait = GateSchedule((Step("raman_down", math.pi / 1e6, pulse), Step("wait", tau)))
+        without = GateSchedule((Step("raman_down", math.pi / 1e6, pulse),))
         delta = (accumulated_phase_numeric(1.34e5, with_wait)
                  - accumulated_phase_numeric(1.34e5, without))
         assert delta == pytest.approx(1.34e5 * tau, rel=1e-9)
 
     def test_wait_alone_contributes_nothing(self):
-        schedule = GateSchedule((Wait(1e-5),))
+        schedule = GateSchedule((Step("wait", 1e-5),))
         assert accumulated_phase_numeric(1.34e5, schedule) == 0.0
 
     def test_up_pulse_drains_population(self):
         pulse = TwoLevelParams(1e6, 0.0)
-        schedule = GateSchedule((RamanDown(pulse, math.pi / 1e6),
-                                 Wait(1e-6),
-                                 RamanUp(pulse, math.pi / 1e6)))
+        schedule = GateSchedule((Step("raman_down", math.pi / 1e6, pulse),
+                                 Step("wait", 1e-6),
+                                 Step("raman_up", math.pi / 1e6, pulse)))
         phi = accumulated_phase_numeric(1.34e5, schedule)
         expected = 1.34e5 * (2.0 * 3.0 * math.pi / (8.0 * 1e6) + 1e-6)
         assert phi == pytest.approx(expected, rel=1e-6)
@@ -179,7 +176,7 @@ class TestExactPhaseIntegral:
         w = 1e6
         pulse = TwoLevelParams(0.8 * w, 0.6 * w) if detuned else TwoLevelParams(w, 0.0)
         duration = wt / pulse.generalized_rabi_rad_s
-        step = (RamanDown if kind == "raman_down" else RamanUp)(pulse, duration)
+        step = Step(kind, duration, pulse)
 
         def pop_squared(ts):
             pop = two_level_population(pulse, ts)
@@ -200,9 +197,10 @@ class TestExactPhaseIntegral:
         duration = 3e-6
         ts = np.linspace(0.0, duration, PROFILE_POINTS_PER_STEP + 1)
         with np.errstate(all="raise"):
-            down, hold_down = _step_phase_integral(RamanDown(pulse, duration), 0.0, ts)
-            up, hold_up = _step_phase_integral(RamanUp(pulse, duration), self.HOLD, ts)
-            phi = accumulated_phase_numeric(OMEGA_DD, GateSchedule((RamanDown(pulse, duration),)))
+            down, hold_down = _step_phase_integral(Step("raman_down", duration, pulse), 0.0, ts)
+            up, hold_up = _step_phase_integral(Step("raman_up", duration, pulse), self.HOLD, ts)
+            phi = accumulated_phase_numeric(
+                OMEGA_DD, GateSchedule((Step("raman_down", duration, pulse),)))
         assert np.all(down == 0.0) and hold_down == 0.0 and phi == 0.0
         assert np.array_equal(up, self.HOLD * self.HOLD * ts)
         assert hold_up == self.HOLD
@@ -254,8 +252,8 @@ class TestSchedule:
 
     def test_concatenation_additivity(self):
         pulse = TwoLevelParams(1e6, 0.0)
-        a = (RamanDown(pulse, 1e-6), Wait(2e-6))
-        b = (RamanUp(pulse, 3e-6),)
+        a = (Step("raman_down", 1e-6, pulse), Step("wait", 2e-6))
+        b = (Step("raman_up", 3e-6, pulse),)
         total_ab = schedule_total_duration(GateSchedule(a + b)).total_s
         total_sep = (schedule_total_duration(GateSchedule(a)).total_s
                      + schedule_total_duration(GateSchedule(b)).total_s)
@@ -264,11 +262,42 @@ class TestSchedule:
     def test_ordering_enforced(self):
         pulse = TwoLevelParams(1e6, 0.0)
         with pytest.raises(DomainError):
-            GateSchedule((RamanUp(pulse, 1e-6), Wait(1e-6), RamanDown(pulse, 1e-6)))
+            GateSchedule((Step("raman_up", 1e-6, pulse), Step("wait", 1e-6),
+                          Step("raman_down", 1e-6, pulse)))
 
     def test_positive_durations_enforced(self):
         with pytest.raises(DomainError):
-            GateSchedule((Wait(0.0),))
+            GateSchedule((Step("wait", 0.0),))
+
+    def test_built_schedule_follows_the_kinds_order(self):
+        schedule = build_gate_schedule(OMEGA_DD, 1e6, 30e-6)
+        assert tuple(step.kind for step in schedule.steps) == STEP_KINDS
+        assert [step.pulse is not None for step in schedule.steps] == [
+            False, True, False, True, False]
+
+
+class TestStep:
+    PULSE = TwoLevelParams(1e6, 0.0)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(DomainError, match="kind"):
+            Step("rotation", 1e-6)
+
+    @pytest.mark.parametrize("duration", [0.0, -1e-6, math.inf, math.nan])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        with pytest.raises(DomainError, match="duration"):
+            Step("wait", duration)
+
+    @pytest.mark.parametrize("kind", ["raman_down", "raman_up"])
+    def test_raman_step_needs_a_pulse(self, kind):
+        # without the guard the schedule phase fails later with AttributeError
+        with pytest.raises(DomainError, match="pulse"):
+            Step(kind, 1e-6)
+
+    @pytest.mark.parametrize("kind", ["enabler_rotation", "wait", "enabler_return"])
+    def test_other_steps_carry_no_pulse(self, kind):
+        with pytest.raises(DomainError, match="pulse"):
+            Step(kind, 1e-6, self.PULSE)
 
 
 class TestPhaseGateUnitary:

@@ -1,3 +1,4 @@
+import math
 from importlib import resources
 
 import numpy as np
@@ -344,6 +345,22 @@ class TestAddressing:
             resonance_site_count(5.0, 0.0, 5e-5)
         with pytest.raises(DomainError):
             resonance_site_count(5.0, 1000.0, 0.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1000.0, 5e-5), (math.inf, 1000.0, 5e-5),
+                                      (2.33e6, math.nan, 5e-5), (2.33e6, math.inf, 5e-5),
+                                      (2.33e6, 1000.0, math.inf)])
+    def test_site_resolution_rejects_non_finite(self, args):
+        # nan and inf used to come back as the resolution
+        with pytest.raises(DomainError, match="finite"):
+            site_frequency_resolution(*args)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1000.0, 5e-5), (math.inf, 1000.0, 5e-5),
+                                      (5.0, math.nan, 5e-5), (5.0, math.inf, 5e-5),
+                                      (5.0, 1000.0, math.nan), (5.0, 1000.0, math.inf)])
+    def test_site_count_rejects_non_finite(self, args):
+        # math.floor used to raise a bare ValueError (nan) or OverflowError (inf)
+        with pytest.raises(DomainError, match="finite"):
+            resonance_site_count(*args)
 
 
 class TestOpenDecayChannels:

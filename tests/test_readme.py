@@ -14,3 +14,4 @@ def test_library_example_runs():
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["failed"] == []
     assert abs(namespace["phi"] - math.pi) < 1e-12
+    assert abs(namespace["phase"] - math.pi) < 1e-12
