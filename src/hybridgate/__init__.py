@@ -44,7 +44,7 @@ from .gate import (
     DipoleParams,
     GateSchedule,
     TwoQubitUnitary,
-    accumulated_phase_numeric,
+    accumulated_phase_profile,
     build_gate_schedule,
     build_phase_gate,
     dipole_dipole_rate,

@@ -20,12 +20,11 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .dynamics import LAMBDA_LABELS, two_level_population
+from .dynamics import LAMBDA_LABELS
 from .errors import ConfigError, DomainError, NumericalFailure
-from .gate import accumulated_phase_profile
-from .hyperfine import all_states, breit_rabi_energy, field_sensitivity, transition_frequency
 from .output import ensure_out_dir, format_float, metadata_line, write_csv, write_json
-from .repro import budget_run, gate_run, paper_repro, raman_run, stirap_run, sweep_curves
+from .repro import (budget_run, gate_run, levels_run, paper_repro, raman_run, stirap_run,
+                    sweep_curves)
 from .scenario import load_scenario_text
 
 SUBCOMMANDS = ("levels", "pulse", "stirap", "gate", "budget", "sweep", "paper-repro")
@@ -94,18 +93,14 @@ def _read_config_bytes(path):
 
 
 def _cmd_levels(scn, ctx):
-    cfg = scn.levels
-    grid = np.linspace(cfg.b_min_gauss, cfg.b_max_gauss, cfg.count)
-    sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
-    for state in all_states(sp):
-        ctx.table(f"levels_energy_f{state.f}_m{state.m}.csv", ("b_g", "energy_hz"), grid,
-                  breit_rabi_energy(sp, state, grid, mode=ctx.mode))
+    levels = levels_run(scn, ctx.mode)
+    grid = levels.grid_g
+    for state, energy in levels.energies_hz.items():
+        ctx.table(f"levels_energy_f{state.f}_m{state.m}.csv", ("b_g", "energy_hz"), grid, energy)
     ctx.table("levels_table.csv", ("b_g", "transition_hz", "sensitivity_hz_per_g"), grid,
-              transition_frequency(sp, up, lo, grid, mode=ctx.mode),
-              field_sensitivity(sp, up, lo, grid, mode=ctx.mode))
-    t_ref = transition_frequency(sp, up, lo, scn.field.b_gauss, mode=ctx.mode)
+              levels.transition_hz, levels.sensitivity_hz_per_g)
     print(f"levels: {len(grid)} field points; transition at {scn.field.b_gauss} G "
-          f"= {format_float(t_ref)} Hz")
+          f"= {format_float(levels.transition_at_b_hz)} Hz")
     return 0
 
 
@@ -113,15 +108,14 @@ def _cmd_pulse(scn, ctx):
     raman = raman_run(scn, 501)
     traj = raman.trajectory
     pops = traj.populations()
-    p2 = two_level_population(raman.drive, traj.times)
+    p2 = raman.two_level_population
     ctx.table("pulse_molecule_3level.csv", ("t_s", "p_molecule"), traj.times, pops[:, 2])
     ctx.table("pulse_molecule_2level.csv", ("t_s", "p_molecule"), traj.times, p2)
     ctx.table("pulse_excited_3level.csv", ("t_s", "p_excited"), traj.times, pops[:, 1])
-    max_dev = np.max(np.abs(pops[:, 2] - p2))
     print(f"pulse: omega_R = {format_float(raman.reduction.omega_r_rad_s)} rad/s, "
           f"pi duration = {format_float(raman.duration_s)} s")
     print(f"pulse: final P_molecule 3-level = {format_float(pops[-1, 2])}, "
-          f"2-level = {format_float(p2[-1])}, max deviation = {format_float(max_dev)}")
+          f"2-level = {format_float(p2[-1])}, max deviation = {format_float(raman.max_deviation)}")
     return 0
 
 
@@ -141,8 +135,7 @@ def _cmd_stirap(scn, ctx):
 
 def _cmd_gate(scn, ctx):
     gate = gate_run(scn)
-    ctx.table("gate_phase_rad.csv", ("t_s", "phi_rad"),
-              *accumulated_phase_profile(gate.omega_dd_rad_s, gate.schedule))
+    ctx.table("gate_phase_rad.csv", ("t_s", "phi_rad"), *gate.phase_profile)
     flag = "" if gate.induced.linear_response_valid else " (beyond linear response)"
     print(f"gate: induced dipole = {format_float(gate.induced.mu_induced_debye)} D{flag}, "
           f"omega_dd = {format_float(gate.omega_dd_rad_s)} rad/s")

@@ -208,25 +208,11 @@ def _step_phase_integral(step, hold, ts):
     return hold * hold * (ts - 2.0 * a * int_sin2 + a * a * int_sin4), hold * (1.0 - pop_end)
 
 
-def accumulated_phase_numeric(omega_dd_rad_s, schedule):
-    """Accumulated interaction phase [rad]: omega_dd * integral of
-    |c_g(t)|^4 over the schedule, from the exact per-step antiderivatives.
-
-    Raman steps follow the analytic two-level population, wait and enabler
-    steps hold it at the preceding pulse-end value.
-    """
-    phase = 0.0
-    hold = 0.0
-    for step in schedule.steps:
-        integral, hold = _step_phase_integral(step, hold, np.array([step.duration_s]))
-        phase = float(phase + omega_dd_rad_s * integral[0])
-    return phase
-
-
 def accumulated_phase_profile(omega_dd_rad_s, schedule):
-    """Cumulative phase curve (times, phi) across the schedule, for plot data,
-    on PROFILE_POINTS_PER_STEP equal intervals per step. Each point is exact;
-    the last one equals accumulated_phase_numeric bit for bit.
+    """Accumulated interaction phase omega_dd * integral of |c_g(t)|^4 [rad] as the
+    exact curve (times, phi) on PROFILE_POINTS_PER_STEP equal intervals per step;
+    phi[-1] is the schedule's total phase. Raman steps follow the analytic
+    two-level population, wait and enabler steps hold the preceding pulse-end one.
     """
     times = [np.zeros(1)]
     phis = [np.zeros(1)]

@@ -200,12 +200,12 @@ def field_sensitivity(species, upper, lower, b_gauss, mode="paper"):
 def site_frequency_resolution(sensitivity_hz_per_g, gradient_g_per_cm, spacing_cm):
     """Qubit-frequency difference [Hz] between lattice sites one spacing apart
     in a magnetic gradient."""
-    for name, value in (("sensitivity", sensitivity_hz_per_g),
-                        ("gradient", gradient_g_per_cm),
-                        ("spacing", spacing_cm)):
+    resolution = sensitivity_hz_per_g * gradient_g_per_cm * spacing_cm
+    for name, value in (("sensitivity", sensitivity_hz_per_g), ("gradient", gradient_g_per_cm),
+                        ("spacing", spacing_cm), ("resolution", resolution)):
         if not 0 <= value < math.inf:
             raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-    return sensitivity_hz_per_g * gradient_g_per_cm * spacing_cm
+    return resolution
 
 
 def resonance_site_count(resonance_width_g, gradient_g_per_cm, spacing_cm):
@@ -215,7 +215,10 @@ def resonance_site_count(resonance_width_g, gradient_g_per_cm, spacing_cm):
         raise DomainError(f"resonance width must be finite and >= 0 G, got {resonance_width_g!r}")
     if not (0 < gradient_g_per_cm < math.inf and 0 < spacing_cm < math.inf):
         raise DomainError("gradient and spacing must be finite and > 0 for a site count")
-    return int(math.floor(resonance_width_g / (gradient_g_per_cm * spacing_cm)))
+    site_width_g = gradient_g_per_cm * spacing_cm   # 0.0 when the product underflows
+    if not (site_width_g > 0.0 and resonance_width_g / site_width_g < math.inf):
+        raise DomainError(f"site count {resonance_width_g!r}/{site_width_g!r} leaves float range")
+    return int(math.floor(resonance_width_g / site_width_g))
 
 
 def open_decay_channels(channel, b_gauss, mode="paper"):

@@ -47,14 +47,39 @@ def _fd_sensitivity_max_rel_err(scn, mode):
 
 
 @dataclass(frozen=True)
+class LevelsRun:
+    """On the [levels] field grid, each sublevel's energy keyed by HyperfineState in
+    all_states order, the qubit transition and its sensitivity; the transition at b_G."""
+
+    grid_g: np.ndarray
+    energies_hz: dict
+    transition_hz: np.ndarray
+    sensitivity_hz_per_g: np.ndarray
+    transition_at_b_hz: float
+
+
+def levels_run(scn, mode):
+    grid = np.linspace(scn.levels.b_min_gauss, scn.levels.b_max_gauss, scn.levels.count)
+    sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
+    energies = {state: hyperfine.breit_rabi_energy(sp, state, grid, mode=mode)
+                for state in hyperfine.all_states(sp)}
+    return LevelsRun(grid, energies, hyperfine.transition_frequency(sp, up, lo, grid, mode=mode),
+                     hyperfine.field_sensitivity(sp, up, lo, grid, mode=mode),
+                     hyperfine.transition_frequency(sp, up, lo, scn.field.b_gauss, mode=mode))
+
+
+@dataclass(frozen=True)
 class RamanRun:
-    """Raman pi pulse: Lambda drive, two-level reduction and drive, pi duration, trajectory."""
+    """Raman pi pulse: Lambda drive, two-level reduction and drive, pi duration, trajectory,
+    two-level molecule population on its times and the 3-level population's largest deviation."""
 
     params: dynamics.LambdaParams
     reduction: dynamics.EffectiveTwoLevel
     drive: dynamics.TwoLevelParams
     duration_s: float
     trajectory: dynamics.Trajectory
+    two_level_population: np.ndarray
+    max_deviation: float
 
 
 def raman_run(scn, n_points):
@@ -62,8 +87,10 @@ def raman_run(scn, n_points):
     reduction = dynamics.effective_rabi(params)
     drive = dynamics.TwoLevelParams(abs(reduction.omega_r_rad_s), params.delta_rad_s)
     duration = dynamics.pi_pulse_duration(drive)
-    return RamanRun(params, reduction, drive, duration,
-                    dynamics.raman_trajectory(params, duration, n_points))
+    traj = dynamics.raman_trajectory(params, duration, n_points)
+    p2 = dynamics.two_level_population(drive, traj.times)
+    return RamanRun(params, reduction, drive, duration, traj, p2,
+                    float(np.max(np.abs(traj.populations()[:, 2] - p2))))
 
 
 @dataclass(frozen=True)
@@ -93,14 +120,15 @@ def stirap_run(scn, area_sweep=False):
 
 @dataclass(frozen=True)
 class GateRun:
-    """Induced dipole, omega_dd, schedule and its durations, pi-phase wait, schedule
-    phase and its closed form, and fidelity against the ideal gate."""
+    """Induced dipole, omega_dd, schedule and its durations, pi-phase wait, phase profile
+    (times, phi), its last point and closed form, and fidelity against the ideal gate."""
 
     induced: gate.InducedDipole
     omega_dd_rad_s: float
     schedule: gate.GateSchedule
     durations: gate.ScheduleDuration
     interaction_time_s: float
+    phase_profile: tuple
     phase_rad: float
     closed_form_phase_rad: float
     fidelity: float
@@ -111,12 +139,13 @@ def gate_run(scn):
     omega_dd = gate.dipole_dipole_rate(ind.mu_induced_debye, scn.dipole.separation_m)
     omega_r = scn.gate.omega_r_rad_s
     schedule = gate.build_gate_schedule(omega_dd, omega_r, scn.gate.enabler_rotation_s)
-    phi = gate.accumulated_phase_numeric(omega_dd, schedule)
+    profile = gate.accumulated_phase_profile(omega_dd, schedule)
+    phi = float(profile[1][-1])
     tau = gate.interaction_time_for_pi(omega_dd, omega_r)
     phi_closed = gate.total_phase_closed_form(omega_dd, omega_r, omega_dd, tau)
     fidelity = gate.gate_fidelity(gate.build_phase_gate(phi), gate.build_phase_gate(math.pi))
-    return GateRun(ind, omega_dd, schedule, gate.schedule_total_duration(schedule), tau, phi,
-                   phi_closed, fidelity)
+    return GateRun(ind, omega_dd, schedule, gate.schedule_total_duration(schedule), tau,
+                   profile, phi, phi_closed, fidelity)
 
 
 @dataclass(frozen=True)
@@ -199,11 +228,12 @@ def paper_repro(scn, mode):
         raise DomainError("operations count needs a finite dephasing time (sigma_B_G > 0)")
     single = gate.GateSchedule((gate.Step("raman_down", math.pi / omega_r,
                                           dynamics.TwoLevelParams(omega_r, 0.0)),))
+    phi_single = float(gate.accumulated_phase_profile(omega_dd, single)[1][-1])
 
     # Far-detuned reduction quality at the configured ratio, and again with
     # delta_e scaled x10 at fixed omega_R.
     raman = raman_run(scn, 241)
-    p2 = float(dynamics.two_level_population(raman.drive, raman.duration_s))
+    p2 = float(raman.two_level_population[-1])
     scaled = replace(raman.params, omega_p_rad_s=raman.params.omega_p_rad_s * math.sqrt(10.0),
                      omega_s_rad_s=raman.params.omega_s_rad_s * math.sqrt(10.0),
                      delta_e_rad_s=raman.params.delta_e_rad_s * 10.0)
@@ -233,7 +263,7 @@ def paper_repro(scn, mode):
         "interaction_time_s": gr.interaction_time_s,
         "gate_time_s": gr.durations.gate_s,
         "protocol_time_s": gr.durations.total_s,
-        "single_pulse_phase_rad": gate.accumulated_phase_numeric(omega_dd, single),
+        "single_pulse_phase_rad": phi_single,
         "accumulated_phase_rad": gr.phase_rad,
         "closed_form_phase_rad": gr.closed_form_phase_rad,
         "phase_gate_fidelity": gr.fidelity,

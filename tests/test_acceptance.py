@@ -17,7 +17,7 @@ from hybridgate.dynamics import (LambdaParams, PulseEnvelope, TwoLevelParams,
                                  effective_rabi, pi_pulse_duration, raman_trajectory,
                                  simulate_stirap, stirap_trajectory,
                                  two_level_population)
-from hybridgate.gate import (GateSchedule, Step, accumulated_phase_numeric,
+from hybridgate.gate import (GateSchedule, Step, accumulated_phase_profile,
                              build_gate_schedule, build_phase_gate, dipole_dipole_rate,
                              gate_fidelity, interaction_time_for_pi,
                              schedule_total_duration, total_phase_closed_form)
@@ -90,12 +90,12 @@ def test_criterion_05_pi_pulse_duration():
 def test_criterion_06_phase_consistency():
     single = GateSchedule((Step("raman_down", math.pi / OMEGA_R,
                                 TwoLevelParams(OMEGA_R, 0.0)),))
-    phi_single = accumulated_phase_numeric(OMEGA_DD, single)
+    phi_single = accumulated_phase_profile(OMEGA_DD, single)[1][-1]
     expected_single = OMEGA_DD * 3.0 * math.pi / (8.0 * OMEGA_R)
     rel_single = abs(phi_single - expected_single) / expected_single
 
     schedule = build_gate_schedule(OMEGA_DD, OMEGA_R, ENABLER_ROTATION_S)
-    phi_total = accumulated_phase_numeric(OMEGA_DD, schedule)
+    phi_total = accumulated_phase_profile(OMEGA_DD, schedule)[1][-1]
     err_pi = abs(phi_total - math.pi)
 
     tau = interaction_time_for_pi(OMEGA_DD, OMEGA_R)
@@ -122,7 +122,7 @@ def test_criterion_07_gate_time_and_recorded_inconsistency():
 
 def test_criterion_08_noiseless_protocol_fidelity():
     schedule = build_gate_schedule(OMEGA_DD, OMEGA_R, ENABLER_ROTATION_S)
-    phi = accumulated_phase_numeric(OMEGA_DD, schedule)
+    phi = accumulated_phase_profile(OMEGA_DD, schedule)[1][-1]
     fid = gate_fidelity(build_phase_gate(phi),
                         build_phase_gate(math.pi))  # ideal diag(-1, 1, 1, 1)
     ok = fid >= 1.0 - 1e-6

@@ -13,7 +13,7 @@ from hybridgate.budget import BudgetReport
 from hybridgate.constants import BOHR_MAGNETON_HZ_PER_G
 from hybridgate.errors import NumericalFailure
 from hybridgate.gate import interaction_time_for_pi
-from hybridgate.hyperfine import field_sensitivity
+from hybridgate.hyperfine import all_states, field_sensitivity
 from hybridgate.scenario import load_scenario_text
 
 
@@ -197,6 +197,15 @@ class TestPaperRepro:
         assert "invalid value" in err
         assert "Traceback" not in err
 
+    def test_vanishing_gradient_is_an_invalid_value(self, tmp_path, capsys):
+        # The site count width/(gradient*spacing) leaves float range.
+        cfg = _write_config(tmp_path, _bundled_text().replace("gradient_G_per_cm = 1000.0",
+                                                              "gradient_G_per_cm = 1e-320"))
+        assert cli.main(["paper-repro", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "invalid value" in err
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write_config(tmp_path, _bundled_text())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -242,6 +251,33 @@ class TestPaperRepro:
         assert r1["seed"] == 1 and r2["seed"] == 2
         assert r1["ramsey_contrast_at_t_phi"] != r2["ramsey_contrast_at_t_phi"]
         assert r1["transition_hz"] == r2["transition_hz"]
+
+
+class TestStageRecords:
+    SCN = load_scenario_text(_bundled_text())
+
+    @pytest.mark.parametrize("mode", ["paper", "standard"])
+    def test_levels_transition_at_b_matches_report(self, mode):
+        levels = repro.levels_run(self.SCN, mode)
+        assert levels.transition_at_b_hz == repro.paper_repro(self.SCN, mode)["transition_hz"]
+
+    def test_levels_energies_keyed_in_state_order(self):
+        levels = repro.levels_run(self.SCN, "paper")
+        assert list(levels.energies_hz) == all_states(self.SCN.qubit.species)
+        assert all(e.shape == levels.grid_g.shape for e in levels.energies_hz.values())
+
+    def test_raman_two_level_population_ends_on_the_pulse(self):
+        raman = repro.raman_run(self.SCN, 241)
+        assert raman.two_level_population.shape == raman.trajectory.times.shape
+        assert raman.two_level_population[-1] == dynamics.two_level_population(
+            raman.drive, raman.duration_s)
+        assert raman.max_deviation == np.max(np.abs(
+            raman.trajectory.populations()[:, 2] - raman.two_level_population))
+
+    def test_gate_phase_is_the_last_profile_point(self):
+        gr = repro.gate_run(self.SCN)
+        assert gr.phase_rad == gr.phase_profile[1][-1]
+        assert gr.phase_profile[0][-1] == pytest.approx(gr.durations.total_s, rel=1e-15)
 
 
 class TestOtherSubcommands:

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hybridgate.gate import (
     GateSchedule,
     Step,
     TwoQubitUnitary,
-    accumulated_phase_numeric,
     accumulated_phase_profile,
     build_gate_schedule,
     build_phase_gate,
@@ -25,6 +25,8 @@ from hybridgate.gate import (
     _step_phase_integral,
     total_phase_closed_form,
 )
+from hybridgate.repro import gate_run
+from hybridgate.scenario import load_scenario_text
 
 OMEGA_DD = dipole_dipole_rate(4.2, 500e-9)
 
@@ -100,7 +102,7 @@ class TestAccumulatedPhase:
         # integral of sin^4 over a pi pulse is 3*pi/(8*omega)
         pulse = TwoLevelParams(1e6, 0.0)
         schedule = GateSchedule((Step("raman_down", math.pi / 1e6, pulse),))
-        phi = accumulated_phase_numeric(1.34e5, schedule)
+        phi = accumulated_phase_profile(1.34e5, schedule)[1][-1]
         expected = 1.34e5 * 3.0 * math.pi / (8.0 * 1e6)
         assert expected == pytest.approx(0.15786503084288708, rel=1e-12)
         assert abs(phi - expected) / expected < 1e-13
@@ -112,7 +114,7 @@ class TestAccumulatedPhase:
         w = pulse.generalized_rabi_rad_s
         amp = (1e6 / w) ** 2
         schedule = GateSchedule((Step("raman_down", math.pi / w, pulse),))
-        phi = accumulated_phase_numeric(1.34e5, schedule)
+        phi = accumulated_phase_profile(1.34e5, schedule)[1][-1]
         expected = 1.34e5 * amp ** 2 * 3.0 * math.pi / (8.0 * w)
         assert abs(phi - expected) / expected < 1e-13
 
@@ -121,35 +123,43 @@ class TestAccumulatedPhase:
         tau = 7e-6
         with_wait = GateSchedule((Step("raman_down", math.pi / 1e6, pulse), Step("wait", tau)))
         without = GateSchedule((Step("raman_down", math.pi / 1e6, pulse),))
-        delta = (accumulated_phase_numeric(1.34e5, with_wait)
-                 - accumulated_phase_numeric(1.34e5, without))
+        delta = (accumulated_phase_profile(1.34e5, with_wait)[1][-1]
+                 - accumulated_phase_profile(1.34e5, without)[1][-1])
         assert delta == pytest.approx(1.34e5 * tau, rel=1e-9)
 
     def test_wait_alone_contributes_nothing(self):
         schedule = GateSchedule((Step("wait", 1e-5),))
-        assert accumulated_phase_numeric(1.34e5, schedule) == 0.0
+        assert accumulated_phase_profile(1.34e5, schedule)[1][-1] == 0.0
 
     def test_up_pulse_drains_population(self):
         pulse = TwoLevelParams(1e6, 0.0)
         schedule = GateSchedule((Step("raman_down", math.pi / 1e6, pulse),
                                  Step("wait", 1e-6),
                                  Step("raman_up", math.pi / 1e6, pulse)))
-        phi = accumulated_phase_numeric(1.34e5, schedule)
+        phi = accumulated_phase_profile(1.34e5, schedule)[1][-1]
         expected = 1.34e5 * (2.0 * 3.0 * math.pi / (8.0 * 1e6) + 1e-6)
         assert phi == pytest.approx(expected, rel=1e-6)
 
     def test_full_schedule_reaches_pi(self):
         schedule = build_gate_schedule(OMEGA_DD, 1e6, 30e-6)
-        phi = accumulated_phase_numeric(OMEGA_DD, schedule)
+        phi = accumulated_phase_profile(OMEGA_DD, schedule)[1][-1]
         assert abs(phi - math.pi) < 1e-4
 
     def test_profile_is_monotone_and_consistent(self):
-        schedule = build_gate_schedule(OMEGA_DD, 1e6, 30e-6)
-        times, phis = accumulated_phase_profile(OMEGA_DD, schedule)
+        gr = gate_run(load_scenario_text(
+            resources.files("hybridgate").joinpath("data/paper.cfg").read_text()))
+        times, phis = accumulated_phase_profile(gr.omega_dd_rad_s, gr.schedule)
         assert np.all(np.diff(phis) >= -1e-15)
         assert np.all(np.diff(times) > 0)
-        phi = accumulated_phase_numeric(OMEGA_DD, schedule)
+        # the sum of the exact step integrals at each step's end, in step order
+        phi, hold = 0.0, 0.0
+        for step in gr.schedule.steps:
+            integral, hold = _step_phase_integral(step, hold, np.array([step.duration_s]))
+            phi = float(phi + gr.omega_dd_rad_s * integral[0])
         assert phis[-1] == phi
+        assert gr.phase_rad == phi
+        assert np.array_equal(gr.phase_profile[0], times)
+        assert np.array_equal(gr.phase_profile[1], phis)
 
 
 def _fine_simpson_profile(func, duration):
@@ -199,8 +209,8 @@ class TestExactPhaseIntegral:
         with np.errstate(all="raise"):
             down, hold_down = _step_phase_integral(Step("raman_down", duration, pulse), 0.0, ts)
             up, hold_up = _step_phase_integral(Step("raman_up", duration, pulse), self.HOLD, ts)
-            phi = accumulated_phase_numeric(
-                OMEGA_DD, GateSchedule((Step("raman_down", duration, pulse),)))
+            phi = accumulated_phase_profile(
+                OMEGA_DD, GateSchedule((Step("raman_down", duration, pulse),)))[1][-1]
         assert np.all(down == 0.0) and hold_down == 0.0 and phi == 0.0
         assert np.array_equal(up, self.HOLD * self.HOLD * ts)
         assert hold_up == self.HOLD
@@ -224,7 +234,7 @@ class TestClosedForm:
         for delta_frac in (0.05, 0.134, 0.2):
             delta = delta_frac * 1e6
             schedule = build_gate_schedule(OMEGA_DD, 1e6, 30e-6)
-            phi_num = accumulated_phase_numeric(OMEGA_DD, schedule)
+            phi_num = accumulated_phase_profile(OMEGA_DD, schedule)[1][-1]
             tau = interaction_time_for_pi(OMEGA_DD, 1e6)
             phi_cf = total_phase_closed_form(OMEGA_DD, 1e6, delta, tau)
             rel = abs(phi_cf - phi_num) / abs(phi_num)

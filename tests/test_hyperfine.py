@@ -362,6 +362,19 @@ class TestAddressing:
         with pytest.raises(DomainError, match="finite"):
             resonance_site_count(*args)
 
+    @pytest.mark.parametrize("args", [(5.0, 1e-300, 1e-30),     # product underflows to 0
+                                      (5.0, 1e-160, 1e-160),    # quotient overflows
+                                      (1e300, 1e-10, 1e-10)])
+    def test_site_count_rejects_a_count_out_of_float_range(self, args):
+        # used to raise a bare ZeroDivisionError or OverflowError
+        with pytest.raises(DomainError, match="float range"):
+            resonance_site_count(*args)
+
+    def test_site_resolution_rejects_an_overflowing_product(self):
+        # used to come back as inf
+        with pytest.raises(DomainError, match="resolution must be finite"):
+            site_frequency_resolution(1e200, 1e200, 1.0)
+
 
 class TestOpenDecayChannels:
     def test_enabled_1_decays_to_swapped_pair(self):
