@@ -12,16 +12,17 @@ eigendecomposition of H) or STIRAP under Gaussian PulseEnvelopes.
 
 Integration is classical 4th-order Runge-Kutta with a fixed substep chosen
 so that ||H||*h stays at STEP_PHASE_TARGET (hard limit STEP_PHASE_MAX,
-checked on every H the update uses). For the linear equation the RK4 update
-of one substep is a matrix built from H at the substep's start, midpoint and
-end; it is built for all grid intervals at once, and each interval's
-propagator is the product of its substep updates. Hamiltonian callables take
-a 1-d array of n times and return an (n, d, d) array.
+checked on every H the stages use). The propagators of all grid intervals
+start at the identity and advance together: each substep applies the four
+RK4 stages, from H at the substep's start, midpoint and end, to them in
+place, in buffers allocated once per call. Hamiltonian callables take a
+1-d array of n times and return an (n, d, d) array.
 
 Internally a stack of n matrices is held matrix-last, as a contiguous
 (d, d, n) array: a product of two stacks is then d broadcast multiply-adds
 over length-n rows, where an (n, d, d) matmul makes one BLAS call per
-matrix. Only the interval propagators are turned back to (n, d, d).
+matrix. lambda_matrix builds its stacks in that layout, so they arrive
+without a copy; only the interval propagators are turned back to (n, d, d).
 """
 
 import math
@@ -181,37 +182,74 @@ def pi_pulse_duration(params):
     return math.pi / w
 
 
-def _matmul_last(x, y):
-    """Matrix products of two matrix-last (d, d, n) stacks."""
-    out = x[:, :1] * y[0]
+def _matmul_last(x, y, out, term):
+    """out = x @ y for matrix-last (d, d, n) stacks; term is (d, d, n) scratch."""
+    np.multiply(x[:, :1], y[0], out=out)
     for k in range(1, len(x)):
-        out += x[:, k:k + 1] * y[k]
+        out += np.multiply(x[:, k:k + 1], y[k], out=term)
     return out
 
 
-def _rk4_update(h_a, h_mid, h_b, h):
-    """Classical RK4 update matrices of i dpsi/dt = H psi over one substep of
-    length h, from matrix-last (d, d, n) stacks of H at its start, midpoint
-    and end."""
-    a, m, b = (-1j * h) * h_a, (-1j * h) * h_mid, (-1j * h) * h_b
-    k2 = m + 0.5 * _matmul_last(m, a)
-    k3 = m + 0.5 * _matmul_last(m, k2)
-    k4 = b + _matmul_last(b, k3)
-    update = (a + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    diagonal = np.arange(len(update))
-    update[diagonal, diagonal] += 1.0
-    return update
+def _rk4_substep(propagator, h_a, h_mid, h_b, h, buffers):
+    """Advance the matrix-last (d, d, n) propagators P in place by one
+    classical RK4 substep of dP/dt = -i H P, of length h, from H at the
+    substep's start, midpoint and end; buffers are four (d, d, n) complex
+    scratch arrays.
+
+    With c = -i h: k1 = H_a P, k2 = H_mid (P + c k1 / 2),
+    k3 = H_mid (P + c k2 / 2), k4 = H_b (P + c k3) and
+    P += c (k1 + 2 k2 + 2 k3 + k4) / 6, summed as (u1 + 2 u2 + u3 + u4) / 3
+    from the scaled stages u1 = c k1 / 2, u2 = c k2 / 2, u3 = c k3 and
+    u4 = c k4 / 2.
+    """
+    stage, y, total, term = buffers
+    c = -1j * h
+    np.multiply(_matmul_last(h_a, propagator, stage, term), 0.5 * c, out=total)
+    np.add(propagator, total, out=y)
+    np.multiply(_matmul_last(h_mid, y, stage, term), 0.5 * c, out=y)
+    total += y
+    total += y
+    y += propagator
+    np.multiply(_matmul_last(h_mid, y, stage, term), c, out=y)
+    total += y
+    y += propagator
+    total += np.multiply(_matmul_last(h_b, y, stage, term), 0.5 * c, out=stage)
+    total *= 1.0 / 3.0
+    propagator += total
 
 
-def _norm_and_hermiticity(h_matrices):
+def _norm_and_hermiticity(h_matrices, scratch=None):
     """Largest Frobenius norm of matrices whose axes lead, and whether each
-    is Hermitian to 1e-12 of max(1, its largest |element|)."""
+    is Hermitian to 1e-12 of max(1, its largest |element|).
+
+    Both are computed on squares from the real and imaginary parts: h is
+    Hermitian when Re h is symmetric and Im h antisymmetric, so |h - h^H|^2
+    is (Re h - Re h^T)^2 + (Im h + Im h^T)^2, compared with
+    (1e-12 max(1, max|h|))^2. Past |h| ~ 1e154 the squares overflow: the
+    norm is then inf and the test runs on |h - h^H| and |h| themselves.
+    scratch is a float array of shape (3,) + h_matrices.shape, allocated
+    when not given.
+    """
+    if scratch is None:
+        scratch = np.empty((3,) + h_matrices.shape)
+    squared, asym, term = scratch
+    re, im = h_matrices.real, h_matrices.imag
     rows = len(h_matrices) ** 2    # one row per matrix element, one column per matrix
-    magnitude = np.abs(h_matrices).reshape(rows, -1)
-    norm_max = math.sqrt(np.max((magnitude * magnitude).sum(axis=0)))
-    scale = np.maximum(1.0, magnitude.max(axis=0))
-    asym = np.abs(h_matrices - np.swapaxes(h_matrices, 0, 1).conj()).reshape(rows, -1)
-    return norm_max, bool(np.all(asym.max(axis=0) <= 1e-12 * scale))
+    with np.errstate(over="ignore"):    # an overflow makes norm_max inf, handled below
+        np.multiply(re, re, out=squared)
+        squared += np.multiply(im, im, out=term)
+        np.subtract(re, re.swapaxes(0, 1), out=asym)
+        asym *= asym
+        np.add(im, im.swapaxes(0, 1), out=term)
+        asym += np.multiply(term, term, out=term)
+        squared, asym = squared.reshape(rows, -1), asym.reshape(rows, -1)
+        norm_max = math.sqrt(squared.sum(axis=0).max())
+    if not math.isfinite(norm_max):
+        asym = np.abs(h_matrices - h_matrices.swapaxes(0, 1).conj()).reshape(rows, -1)
+        tolerance = 1e-12 * np.maximum(1.0, np.abs(h_matrices).reshape(rows, -1).max(axis=0))
+    else:
+        tolerance = 1e-24 * np.maximum(1.0, squared.max(axis=0))
+    return norm_max, bool((asym.max(axis=0) <= tolerance).all())
 
 
 def _to_matrix_last(h_matrices, n, d):
@@ -220,7 +258,7 @@ def _to_matrix_last(h_matrices, n, d):
     if h_matrices.shape != (n, d, d):
         raise DomainError(f"H must return an ({n}, {d}, {d}) stack for {n} times, "
                           f"got shape {h_matrices.shape}")
-    return np.ascontiguousarray(np.moveaxis(h_matrices, 0, -1))
+    return np.ascontiguousarray(h_matrices.transpose(1, 2, 0))
 
 
 def _unitary_checked(traj, hermitian):
@@ -244,9 +282,9 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
         the max Frobenius norm of H on grid points and midpoints when omitted
 
     Raises DomainError when H returns anything but an (n, d, d) stack for n
-    times and a state of length d, StepSizeError when max||H||*h over every H the updates use exceeds the
-    hard limit, and NumericalFailure when a Hermitian run drifts from unit
-    norm by more than NORM_DRIFT_LIMIT.
+    times and a state of length d, StepSizeError when max||H||*h over every
+    H the stages use exceeds the hard limit, and NumericalFailure when a
+    Hermitian run drifts from unit norm by more than NORM_DRIFT_LIMIT.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -271,12 +309,15 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     if substeps < 1:
         raise DomainError(f"substeps must be >= 1, got {substeps!r}")
     h = dt / substeps
+    starts = t_grid[:-1]
+    n, d = len(starts), len(psi)
+    scratch = np.empty((3, d, d, n))
     hermitian = True
 
     def evaluate(times):
         nonlocal hermitian
-        h_matrices = _to_matrix_last(hamiltonian(times), len(times), len(psi))
-        norm_max, is_hermitian = _norm_and_hermiticity(h_matrices)
+        h_matrices = _to_matrix_last(hamiltonian(times), n, d)
+        norm_max, is_hermitian = _norm_and_hermiticity(h_matrices, scratch)
         phase = norm_max * h
         if phase > STEP_PHASE_MAX:
             raise StepSizeError(
@@ -285,14 +326,14 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
         hermitian = hermitian and is_hermitian
         return h_matrices
 
-    starts = t_grid[:-1]
+    propagator = np.zeros((d, d, n), dtype=complex)
+    propagator[np.arange(d), np.arange(d)] = 1.0
+    buffers = [np.empty_like(propagator) for _ in range(4)]
     h_b = evaluate(starts)
-    propagator = None
     for k in range(substeps):
         t = starts + k * h
         h_a, h_mid, h_b = h_b, evaluate(t + 0.5 * h), evaluate(t + h)
-        update = _rk4_update(h_a, h_mid, h_b, h)
-        propagator = update if propagator is None else _matmul_last(update, propagator)
+        _rk4_substep(propagator, h_a, h_mid, h_b, h, buffers)
 
     out = np.empty((len(t_grid), len(psi)), dtype=complex)
     out[0] = psi
@@ -317,14 +358,16 @@ def compensated_bare_detuning(params):
 def lambda_matrix(omega_p, omega_s, delta_e, delta, gamma_e):
     """Rotating-frame Lambda Hamiltonian [rad/s] for instantaneous couplings,
     one-photon detuning, bare two-photon detuning and excited-state loss.
-    Array arguments broadcast; the result has shape broadcast_shape + (3, 3)."""
+    Array arguments broadcast; the result has shape broadcast_shape + (3, 3).
+    It is a view of a (3, 3) + broadcast_shape array, so the integrator
+    holds an (n, 3, 3) stack matrix-last without a copy."""
     shape = np.broadcast(omega_p, omega_s, delta_e, delta, gamma_e).shape
-    h = np.zeros(shape + (3, 3), dtype=complex)
-    h[..., 0, 1] = h[..., 1, 0] = 0.5 * omega_p
-    h[..., 1, 2] = h[..., 2, 1] = 0.5 * omega_s
-    h[..., 1, 1] = -delta_e - 0.5j * gamma_e
-    h[..., 2, 2] = -delta
-    return h
+    h = np.zeros((3, 3) + shape, dtype=complex)
+    h[0, 1] = h[1, 0] = 0.5 * omega_p
+    h[1, 2] = h[2, 1] = 0.5 * omega_s
+    h[1, 1] = -delta_e - 0.5j * gamma_e
+    h[2, 2] = -delta
+    return h.transpose(*range(2, h.ndim), 0, 1)
 
 
 def raman_trajectory(params, duration_s, n_points=241):

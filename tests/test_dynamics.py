@@ -18,7 +18,7 @@ from hybridgate.dynamics import (
     stirap_trajectory,
     two_level_population,
 )
-from hybridgate.dynamics import _matmul_last, _norm_and_hermiticity, _rk4_update, _to_matrix_last
+from hybridgate.dynamics import _matmul_last, _norm_and_hermiticity, _rk4_substep, _to_matrix_last
 from hybridgate.errors import DomainError, NumericalFailure, StepSizeError
 
 
@@ -266,17 +266,20 @@ def _smooth_hamiltonian(rng, d, rate):
 
 class TestMatrixLastKernel:
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_update_matches_per_matrix_matmul(self, d):
+    def test_substep_matches_per_matrix_update(self, d):
+        # one substep applied to a random propagator P in place equals the
+        # per-matrix update matrix times P
         rng = np.random.default_rng(d)
-        h_a, h_mid, h_b = (rng.normal(size=(600, d, d)) + 1j * rng.normal(size=(600, d, d))
-                           for _ in range(3))
+        h_a, h_mid, h_b, p = (rng.normal(size=(600, d, d)) + 1j * rng.normal(size=(600, d, d))
+                              for _ in range(4))
         h = 0.01
-        expected = _reference_update(h_a, h_mid, h_b, h)
-        update = _rk4_update(_last(h_a), _last(h_mid), _last(h_b), h)
-        assert update.shape == (d, d, 600)
-        assert np.max(np.abs(np.moveaxis(update, -1, 0) - expected)) < 1e-13
-        assert np.max(np.abs(np.moveaxis(_matmul_last(_last(h_a), _last(h_b)),
-                                         -1, 0) - h_a @ h_b)) < 1e-13
+        expected = _reference_update(h_a, h_mid, h_b, h) @ p
+        propagator = _last(p)
+        _rk4_substep(propagator, _last(h_a), _last(h_mid), _last(h_b), h,
+                     [np.empty_like(propagator) for _ in range(4)])
+        assert np.max(np.abs(np.moveaxis(propagator, -1, 0) - expected)) < 1e-13
+        product = _matmul_last(_last(h_a), _last(h_b), *(np.empty_like(propagator) for _ in range(2)))
+        assert np.max(np.abs(np.moveaxis(product, -1, 0) - h_a @ h_b)) < 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_propagators_match_per_matrix_rk4(self, d):
@@ -312,6 +315,41 @@ class TestMatrixLastKernel:
         assert _norm_and_hermiticity(_last(stack))[1] is False
         norm_max, _ = _norm_and_hermiticity(_last(stack))
         assert norm_max == pytest.approx(_reference_max_frobenius(stack), rel=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("size", [1e-3, 1e6], ids=["below 1", "above 1"])
+    @pytest.mark.parametrize("asym_ratio", [0.5, 0.99, 1.01, 2.0])
+    @pytest.mark.parametrize("phase_ratio", [0.99, 1.01])
+    def test_squared_checks_agree_with_the_references_at_the_margin(
+            self, d, size, asym_ratio, phase_ratio):
+        # matrix 300 sits at phase_ratio of the step-phase limit and matrix
+        # 450 has one element asym_ratio times its Hermiticity tolerance off;
+        # "below 1" keeps every element under 1, so the tolerance is 1e-12
+        rng = np.random.default_rng(d)
+        stack = _random_hermitian(rng, (600,), d)
+        stack *= 0.5 * size / np.max(np.linalg.norm(stack, axis=(-2, -1)))
+        stack[300] *= phase_ratio * size / np.linalg.norm(stack[300])
+        h = STEP_PHASE_MAX / size
+        stack[450, 0, d - 1] += asym_ratio * 1e-12 * max(1.0, np.max(np.abs(stack[450])))
+        norm_max, is_hermitian = _norm_and_hermiticity(_last(stack))
+        assert _reference_is_hermitian(stack) == (asym_ratio < 1) == is_hermitian
+        assert (_reference_max_frobenius(stack) * h > STEP_PHASE_MAX) == (phase_ratio > 1)
+        assert (norm_max * h > STEP_PHASE_MAX) == (phase_ratio > 1)
+
+    @pytest.mark.parametrize("n", [None, 600], ids=["one matrix", "stack"])
+    @pytest.mark.parametrize("size", [1e155, 1e160])
+    @pytest.mark.parametrize("asym_ratio", [0.5, 2.0])
+    def test_hermiticity_holds_where_the_squares_overflow(self, n, size, asym_ratio):
+        # elements past ~1e154 overflow their squares: the norm is inf, and
+        # the Hermitian verdict still equals the unsquared reference's
+        rng = np.random.default_rng(7)
+        stack = _random_hermitian(rng, (1,) if n is None else (n,), 3)
+        stack *= size / np.max(np.abs(stack))
+        stack[-1, 0, 2] += asym_ratio * 1e-12 * np.max(np.abs(stack[-1]))
+        h = stack[0] if n is None else _last(stack)
+        norm_max, is_hermitian = _norm_and_hermiticity(h)
+        assert norm_max == np.inf
+        assert _reference_is_hermitian(stack) == (asym_ratio < 1) == is_hermitian
 
     @pytest.mark.parametrize("phase_ratio, raises", [(0.99, False), (1.01, True)])
     def test_one_over_limit_matrix_raises(self, phase_ratio, raises):
@@ -450,6 +488,29 @@ class TestRamanPiPulse:
         assert stack.shape == (3, 3, 3)
         for i in range(3):
             assert np.array_equal(stack[i], lambda_matrix(omega_p[i], 2e7, 2e8, 0.0, gamma_e[i]))
+
+    def test_stack_is_built_matrix_last(self):
+        # an (n, 3, 3) view of a (3, 3, n) array: equal bit for bit to a
+        # matrix-by-matrix construction, and taken by the integrator as is
+        n = 50
+        omega_p, gamma_e = np.linspace(0.0, 2e7, n), np.linspace(1e5, 1e6, n)
+        h = lambda_matrix(omega_p, 1.5e7, 2e8, 3e3, gamma_e)
+        expected = np.zeros((n, 3, 3), dtype=complex)
+        for i in range(n):
+            expected[i, 0, 1] = expected[i, 1, 0] = 0.5 * omega_p[i]
+            expected[i, 1, 2] = expected[i, 2, 1] = 0.5 * 1.5e7
+            expected[i, 1, 1] = -2e8 - 0.5j * gamma_e[i]
+            expected[i, 2, 2] = -3e3
+        assert h.shape == (n, 3, 3)
+        assert np.array_equal(h, expected)
+        assert np.shares_memory(_to_matrix_last(h, n, 3), h)
+
+    def test_scalar_inputs_give_one_plain_matrix(self):
+        # the (3, 3) matrix raman_trajectory diagonalises
+        h = lambda_matrix(2e7, 1.5e7, 2e8, 3e3, 1e6)
+        expected = np.array([[0.0, 1e7, 0.0], [1e7, -2e8 - 0.5e6j, 0.75e7], [0.0, 0.75e7, -3e3]])
+        assert h.shape == (3, 3) and h.flags.c_contiguous
+        assert np.array_equal(h, expected)
 
 
 class TestStirap:
