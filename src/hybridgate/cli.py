@@ -6,7 +6,8 @@
 Subcommands: levels, pulse, stirap, gate, budget, sweep, paper-repro.
 Output tables are CSV with a metadata comment line; identical config and
 seed produce byte-identical files. Exit codes: 0 success, 1 configuration
-error, 2 numerical failure.
+error or invalid value (a nan or inf in an output table is one; that table
+is not written), 2 numerical failure.
 """
 
 import argparse
@@ -47,8 +48,16 @@ class RunContext:
                 "seed": self.seed, "mode": self.mode}
 
     def table(self, name, columns, *series):
-        """Write a CSV table of float columns, one per series, to the output directory."""
-        rows = np.column_stack(series).tolist()   # Python floats format faster than numpy's
+        """Write a CSV table of float columns, one per series, to the output directory.
+
+        Raises DomainError naming the file, column and row (1 is the first after the
+        header) of the first nan or inf, before anything is written."""
+        data = np.column_stack(series)
+        if not np.isfinite(data).all():
+            row, col = np.argwhere(~np.isfinite(data))[0]
+            raise DomainError(f"{name}: {columns[col]} = {float(data[row, col])} in row {row + 1} "
+                              f"is not finite")
+        rows = data.tolist()   # Python floats format faster than numpy's
         write_csv(os.path.join(self.out_dir, name), columns, rows, self.meta)
 
 

@@ -35,6 +35,7 @@ from .errors import DomainError, NumericalFailure, StepSizeError
 
 STEP_PHASE_TARGET = 0.01   # default ||H||_F * h per RK4 substep
 STEP_PHASE_MAX = 0.05      # hard precondition on ||H||_F * h
+MAX_SUBSTEPS = 5000        # work bound on the derived substeps per interval (bundled STIRAP: 37)
 NORM_DRIFT_LIMIT = 1e-7    # max allowed |sum|c|^2 - 1| for unitary evolution
 GAUSSIAN_CUTOFF_SIGMAS = 4.0  # gaussian envelopes are zero beyond this many rms widths
 STIRAP_POINTS = 601        # output grid of a STIRAP trajectory
@@ -162,16 +163,19 @@ def effective_rabi(params):
     """Reduce the far-detuned Lambda system to a two-level drive.
 
     Returns the effective Rabi frequency omega_p*omega_s/(2*delta_e) and the
-    two light shifts omega_p^2/(4*delta_e), omega_s^2/(4*delta_e).
+    two light shifts omega_p^2/(4*delta_e), omega_s^2/(4*delta_e). Raises
+    DomainError when one of them is beyond float range.
     """
     if params.delta_e_rad_s == 0.0:
         raise DomainError("effective two-level reduction requires delta_e != 0")
-    de = params.delta_e_rad_s
-    return EffectiveTwoLevel(
-        omega_r_rad_s=params.omega_p_rad_s * params.omega_s_rad_s / (2.0 * de),
-        light_shift_pump_rad_s=params.omega_p_rad_s ** 2 / (4.0 * de),
-        light_shift_stokes_rad_s=params.omega_s_rad_s ** 2 / (4.0 * de),
-    )
+    p, s, de = params.omega_p_rad_s, params.omega_s_rad_s, params.delta_e_rad_s
+    try:
+        reduction = EffectiveTwoLevel(p * s / (2.0 * de), p ** 2 / (4.0 * de), s ** 2 / (4.0 * de))
+    except OverflowError:   # a square beyond float range
+        reduction = None
+    if reduction is None or not all(map(math.isfinite, vars(reduction).values())):
+        raise DomainError(f"effective Rabi rate or light shift overflows for {params!r}")
+    return reduction
 
 
 def pi_pulse_duration(params):
@@ -282,8 +286,9 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
         the max Frobenius norm of H on grid points and midpoints when omitted
 
     Raises DomainError when H returns anything but an (n, d, d) stack for n
-    times and a state of length d, StepSizeError when max||H||*h over every
-    H the stages use exceeds the hard limit, and NumericalFailure when a
+    times and a state of length d, StepSizeError when the derived substeps
+    exceed MAX_SUBSTEPS (or are not finite) or when max||H||*h over every H
+    the stages use exceeds the hard limit, and NumericalFailure when a
     Hermitian run drifts from unit norm by more than NORM_DRIFT_LIMIT.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -305,7 +310,11 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
         probes = np.concatenate([t_grid, t_grid[:-1] + 0.5 * dt])
         norm_max, _ = _norm_and_hermiticity(
             _to_matrix_last(hamiltonian(probes), len(probes), len(psi)))
-        substeps = max(1, int(math.ceil(dt * norm_max / STEP_PHASE_TARGET))) if norm_max > 0 else 1
+        needed = dt * norm_max / STEP_PHASE_TARGET
+        if not needed <= MAX_SUBSTEPS:
+            raise StepSizeError(f"the step phase target needs {needed:.3g} RK4 substeps per "
+                                f"interval, more than the work bound {MAX_SUBSTEPS}")
+        substeps = max(1, math.ceil(needed))
     if substeps < 1:
         raise DomainError(f"substeps must be >= 1, got {substeps!r}")
     h = dt / substeps

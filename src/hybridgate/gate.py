@@ -54,23 +54,39 @@ def induced_dipole(params):
     """Lab-frame dipole mu * (mu*E_dc / (3*h*B_rot)) induced by a dc field.
 
     Order-unity polarization ratios are outside linear response; the result
-    is still returned, flagged with linear_response_valid=False.
+    is still returned, flagged with linear_response_valid=False. Raises
+    DomainError when the induced dipole is beyond float range.
     """
     mu_si = debye_to_si(params.mu_permanent_debye)
-    ratio = mu_si * params.e_dc_v_per_m / (3.0 * PLANCK_J_S * params.rotational_const_hz)
+    try:
+        ratio = mu_si * params.e_dc_v_per_m / (3.0 * PLANCK_J_S * params.rotational_const_hz)
+    except ZeroDivisionError:   # 3*h*B_rot underflows to 0
+        ratio = math.inf
+    mu_induced = params.mu_permanent_debye * ratio
+    if not math.isfinite(mu_induced):
+        raise DomainError(f"induced dipole mu*(mu*E_dc/(3*h*B_rot)) overflows for {params!r}")
     return InducedDipole(
-        mu_induced_debye=params.mu_permanent_debye * ratio,
+        mu_induced_debye=mu_induced,
         polarization_ratio=ratio,
         linear_response_valid=ratio < POLARIZATION_VALIDITY_LIMIT,
     )
 
 
 def dipole_dipole_rate(mu_induced_debye, separation_m):
-    """Dipole-dipole interaction rate omega_dd = mu^2/(4 pi eps0 r^3 hbar) [rad/s]."""
+    """Dipole-dipole interaction rate omega_dd = mu^2/(4 pi eps0 r^3 hbar) [rad/s].
+
+    Raises DomainError when the rate or r^3 is beyond float range."""
     if not separation_m > 0:
         raise DomainError(f"separation must be > 0 m, got {separation_m!r}")
     mu_si = debye_to_si(mu_induced_debye)
-    return mu_si * mu_si / (FOUR_PI_EPSILON0 * separation_m ** 3 * HBAR_J_S)
+    try:
+        rate = mu_si * mu_si / (FOUR_PI_EPSILON0 * separation_m ** 3 * HBAR_J_S)
+    except ArithmeticError:   # r^3 overflows, or underflows to 0
+        rate = math.nan
+    if not math.isfinite(rate):
+        raise DomainError(f"omega_dd is beyond float range for mu = {mu_induced_debye!r} D "
+                          f"and r = {separation_m!r} m")
+    return rate
 
 
 # --------------------------------------------------------------------------

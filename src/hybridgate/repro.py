@@ -193,10 +193,9 @@ def sweep_curves(scn, mode, values):
                                         for w in values],
                 "interaction_time_s": [gate.interaction_time_for_pi(omega_dd, w) for w in values]}
     if param == "mu_permanent_D":
-        ratio_per_debye = ind.polarization_ratio / scn.dipole.mu_permanent_debye
-        return {"omega_dd_rad_s":
-                [gate.dipole_dipole_rate(mu * (ratio_per_debye * mu), scn.dipole.separation_m)
-                 for mu in values]}
+        return {"omega_dd_rad_s": [gate.dipole_dipole_rate(
+            gate.induced_dipole(replace(scn.dipole, mu_permanent_debye=mu)).mu_induced_debye,
+            scn.dipole.separation_m) for mu in values]}
     raise ConfigError(f"unknown sweep parameter {param!r}", key="[sweep] parameter")
 
 

@@ -5,11 +5,13 @@ Config files are plain text: ``[section]`` headers followed by
 Keys carry their unit as a suffix (``sigma_B_G``, ``separation_r_m``).
 Every parse or validation problem raises ConfigError naming the offending
 ``[section] key``; so do a key that no setting reads and a repeated key or
-section.
+section. One table, ``_KEYS``, declares each key's kind, default and bound.
 """
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
+from functools import partial
 
 from .budget import NoiseModel
 from .dynamics import LambdaParams
@@ -19,7 +21,9 @@ from .hyperfine import SPECIES_PRESETS, AtomSpecies, HyperfineChannel, Hyperfine
 
 _REQUIRED = object()
 
-SWEEP_PARAMETERS = ("separation_r_m", "b_G", "sigma_B_G", "omega_R_rad_s", "mu_permanent_D")
+# Each sweep axis and the section that holds the config key of that name.
+SWEEP_PARAMETERS = {"separation_r_m": "dipole", "b_G": "field", "sigma_B_G": "noise",
+                    "omega_R_rad_s": "gate", "mu_permanent_D": "dipole"}
 
 
 @dataclass(frozen=True)
@@ -111,13 +115,8 @@ class Scenario:
 
     def raman_effective(self):
         """Raman drive with the Feshbach enhancement applied to the pump."""
-        return LambdaParams(
-            omega_p_rad_s=self.raman.omega_p_rad_s * self.dipole.fopa_enhancement,
-            omega_s_rad_s=self.raman.omega_s_rad_s,
-            delta_e_rad_s=self.raman.delta_e_rad_s,
-            delta_rad_s=self.raman.delta_rad_s,
-            gamma_e_rad_s=self.raman.gamma_e_rad_s,
-        )
+        return replace(self.raman,
+                       omega_p_rad_s=self.raman.omega_p_rad_s * self.dipole.fopa_enhancement)
 
 
 def parse_config_text(text):
@@ -126,9 +125,9 @@ def parse_config_text(text):
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        if not line or line[0] in "#;":
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             name = line[1:-1].strip()
             if not name:
                 raise ConfigError(f"line {lineno}: empty section name")
@@ -151,193 +150,160 @@ def parse_config_text(text):
     return sections
 
 
-def _raw(sections, section, key, default=_REQUIRED):
-    """Remove and return one key's text, so that unread keys are left over."""
-    sec = sections.get(section)
-    if sec is None or key not in sec:
-        if default is _REQUIRED:
+def _noise(mc_samples, **noise):
+    """The [noise] section holds the noise model and the Monte Carlo sample count."""
+    return NoiseModel(**noise), mc_samples
+
+
+def _atom_rows(*prefixes):
+    """The species name, then f and m of each state."""
+    return (("species", "species", str, _REQUIRED, None),
+            *((f"{p}_{q}", f"{p}_{q}", int, _REQUIRED, None) for p in prefixes for q in "fm"))
+
+
+# One row per config key: (record field, key, kind, default, bound), grouped by the
+# section whose record they build (None: a dict; "species": each [species <name>]).
+# A number read must be finite and meet its bound, "> x" or ">= x", if it has one.
+_KEYS = {
+    "species": (AtomSpecies, (
+        ("nuclear_spin", "nuclear_spin", float, _REQUIRED, None),
+        ("hyperfine_splitting_hz", "hyperfine_splitting_Hz", float, _REQUIRED, "> 0"),
+        ("g_j", "g_J", float, _REQUIRED, None),
+        ("g_i", "g_I", float, 0.0, None))),
+    "qubit": (None, _atom_rows("upper", "lower")),
+    "enabler": (None, _atom_rows("storage", "enabled")),
+    "field": (FieldConfig, (
+        ("b_gauss", "b_G", float, _REQUIRED, ">= 0"),
+        ("gradient_g_per_cm", "gradient_G_per_cm", float, _REQUIRED, "> 0"),
+        ("site_spacing_m", "site_spacing_m", float, _REQUIRED, "> 0"),
+        ("resonance_width_g", "resonance_width_G", float, _REQUIRED, ">= 0"))),
+    "raman": (LambdaParams, (
+        ("omega_p_rad_s", "omega_p_rad_s", float, _REQUIRED, ">= 0"),
+        ("omega_s_rad_s", "omega_s_rad_s", float, _REQUIRED, ">= 0"),
+        ("delta_e_rad_s", "delta_e_rad_s", float, _REQUIRED, None),
+        ("delta_rad_s", "delta_rad_s", float, 0.0, None),
+        ("gamma_e_rad_s", "gamma_e_rad_s", float, 0.0, ">= 0"))),
+    "stirap": (StirapConfig, (
+        ("peak_rad_s", "peak_rad_s", float, _REQUIRED, "> 0"),
+        ("rms_width_s", "rms_width_s", float, _REQUIRED, "> 0"),
+        ("separation_s", "separation_s", float, _REQUIRED, "> 0"),
+        ("delta_e_rad_s", "delta_e_rad_s", float, 0.0, None),
+        ("delta_rad_s", "delta_rad_s", float, 0.0, None))),
+    "dipole": (DipoleParams, (
+        ("mu_permanent_debye", "mu_permanent_D", float, _REQUIRED, "> 0"),
+        ("rotational_const_hz", "rotational_const_Hz", float, _REQUIRED, "> 0"),
+        ("e_dc_v_per_m", "e_dc_V_per_m", float, _REQUIRED, "> 0"),
+        ("separation_m", "separation_r_m", float, _REQUIRED, "> 0"),
+        ("fopa_enhancement", "fopa_enhancement", float, 1.0, ">= 1"))),
+    "gate": (GateConfig, (
+        ("omega_r_rad_s", "omega_R_rad_s", float, _REQUIRED, "> 0"),
+        ("enabler_rotation_s", "enabler_rotation_s", float, _REQUIRED, "> 0"))),
+    "noise": (_noise, (
+        ("sigma_b_gauss", "sigma_B_G", float, _REQUIRED, ">= 0"),
+        ("gamma_inelastic_per_s", "gamma_inelastic_per_s", float, _REQUIRED, ">= 0"),
+        ("trap_frequency_hz", "trap_frequency_Hz", float, _REQUIRED, "> 0"),
+        ("seed", "seed", int, 0, ">= 0"),
+        ("mc_samples", "mc_samples", int, 100000, ">= 1000"))),
+    "readout": (ReadoutConfig, (
+        ("splitting_hz", "splitting_Hz", float, _REQUIRED, "> 0"),
+        ("selectivity_factor", "selectivity_factor", float, 1.0, "> 0"))),
+    "levels": (LevelsConfig, (
+        ("b_min_gauss", "b_min_G", float, 0.0, ">= 0"),
+        ("b_max_gauss", "b_max_G", float, 1000.0, ">= 0"),
+        ("count", "count", int, 101, ">= 1"))),
+    "sweep": (SweepConfig, (
+        ("parameter", "parameter", str, _REQUIRED, None),
+        ("minimum", "min", float, _REQUIRED, None),
+        ("maximum", "max", float, _REQUIRED, None),
+        ("count", "count", int, _REQUIRED, ">= 2"))),
+}
+
+# Each bound text as a test of the value ("> x" is x < value), parsed once here.
+_BOUNDS = {bound: partial({">": operator.lt, ">=": operator.le}[bound.split()[0]],
+                          float(bound.split()[1]))
+           for _, rows in _KEYS.values() for *_, bound in rows if bound}
+
+
+def _record(sections, section, **fixed):
+    """Build ``section``'s record from its table rows, removing each key read so that
+    unread keys are left over. A ``fixed`` field that is not None replaces the value read."""
+    record, rows = _KEYS[section.partition(" ")[0]]
+    given = sections.get(section) or {}
+    values = {}
+    for field, key, kind, default, bound in rows:
+        value = given.pop(key, default)
+        if value is _REQUIRED:
             raise ConfigError("missing required key", key=f"[{section}] {key}")
-        return default
-    return sec.pop(key)
-
-
-def _float(sections, section, key, default=_REQUIRED, minimum=None, positive=False):
-    raw = _raw(sections, section, key, default)
-    if not isinstance(raw, str):
-        return raw
+        if kind is not str and isinstance(value, str):
+            try:
+                value = kind(value)
+            except ValueError:
+                what = "a number" if kind is float else "an integer"
+                raise ConfigError(f"not {what}: {value!r}", key=f"[{section}] {key}") from None
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"must be a finite number, got {value!r}",
+                                  key=f"[{section}] {key}")
+            if bound and not _BOUNDS[bound](value):
+                raise ConfigError(f"must be {bound}, got {value!r}", key=f"[{section}] {key}")
+        values[field] = value
+    values.update({field: value for field, value in fixed.items() if value is not None})
+    if record is None:
+        return values
     try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"not a number: {raw!r}", key=f"[{section}] {key}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"must be a finite number, got {value!r}", key=f"[{section}] {key}")
-    if positive and not value > 0:
-        raise ConfigError(f"must be > 0, got {value!r}", key=f"[{section}] {key}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {value!r}", key=f"[{section}] {key}")
-    return value
-
-
-def _int(sections, section, key, default=_REQUIRED, minimum=None):
-    raw = _raw(sections, section, key, default)
-    if not isinstance(raw, str):
-        return raw
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"not an integer: {raw!r}", key=f"[{section}] {key}") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {value!r}", key=f"[{section}] {key}")
-    return value
-
-
-def _str(sections, section, key, default=_REQUIRED):
-    return _raw(sections, section, key, default)
-
-
-def _species_catalog(sections):
-    catalog = dict(SPECIES_PRESETS)
-    for name in sections:
-        if not name.startswith("species "):
-            continue
-        label = name[len("species "):].strip()
-        try:
-            catalog[label] = AtomSpecies(
-                name=label,
-                nuclear_spin=_float(sections, name, "nuclear_spin"),
-                hyperfine_splitting_hz=_float(sections, name, "hyperfine_splitting_Hz", positive=True),
-                g_j=_float(sections, name, "g_J"),
-                g_i=_float(sections, name, "g_I", default=0.0),
-            )
-        except DomainError as exc:
-            raise ConfigError(str(exc), key=f"[{name}]") from exc
-    return catalog
-
-
-def _state(sections, section, prefix, species):
-    f = _int(sections, section, f"{prefix}_f")
-    m = _int(sections, section, f"{prefix}_m")
-    try:
-        state = HyperfineState(f, m)
-        if state.f not in (species.f_lower, species.f_upper):
-            raise DomainError(f"f must be {species.f_lower} or {species.f_upper} for {species.name}")
+        return record(**values)
     except DomainError as exc:
-        raise ConfigError(str(exc), key=f"[{section}] {prefix}_f/{prefix}_m") from exc
-    return state
+        raise ConfigError(str(exc), key=f"[{section}]") from exc
 
 
-def _atom_config(sections, section, catalog, state_prefixes):
-    name = _str(sections, section, "species")
-    species = catalog.get(name)
-    if species is None:
+def _atom_config(sections, section, catalog, record, state_prefixes):
+    values = _record(sections, section)
+    name = values["species"]
+    if name not in catalog:
         raise ConfigError(f"unknown species {name!r}; define a [species {name}] section",
                           key=f"[{section}] species")
-    states = [_state(sections, section, prefix, species) for prefix in state_prefixes]
-    return species, states
+    species, states = catalog[name], []
+    for prefix in state_prefixes:
+        try:
+            states.append(HyperfineState(values[f"{prefix}_f"], values[f"{prefix}_m"]))
+            if states[-1].f not in (species.f_lower, species.f_upper):
+                raise DomainError(f"f must be {species.f_lower} or {species.f_upper} "
+                                  f"for {species.name}")
+        except DomainError as exc:
+            raise ConfigError(str(exc), key=f"[{section}] {prefix}_f/{prefix}_m") from exc
+    return record(species, *states)
 
 
 def load_scenario_text(text, seed_override=None):
     sections = parse_config_text(text)
-    catalog = _species_catalog(sections)
+    catalog = dict(SPECIES_PRESETS)
+    for name in sections:
+        if name.startswith("species "):
+            label = name[len("species "):].strip()
+            catalog[label] = _record(sections, name, name=label)
 
-    qubit_species, (upper, lower) = _atom_config(sections, "qubit", catalog, ("upper", "lower"))
-    enabler_species, (storage, enabled) = _atom_config(sections, "enabler", catalog,
-                                                       ("storage", "enabled"))
-
-    field = FieldConfig(
-        b_gauss=_float(sections, "field", "b_G", minimum=0.0),
-        gradient_g_per_cm=_float(sections, "field", "gradient_G_per_cm", positive=True),
-        site_spacing_m=_float(sections, "field", "site_spacing_m", positive=True),
-        resonance_width_g=_float(sections, "field", "resonance_width_G", minimum=0.0),
-    )
-
-    try:
-        raman = LambdaParams(
-            omega_p_rad_s=_float(sections, "raman", "omega_p_rad_s", minimum=0.0),
-            omega_s_rad_s=_float(sections, "raman", "omega_s_rad_s", minimum=0.0),
-            delta_e_rad_s=_float(sections, "raman", "delta_e_rad_s"),
-            delta_rad_s=_float(sections, "raman", "delta_rad_s", default=0.0),
-            gamma_e_rad_s=_float(sections, "raman", "gamma_e_rad_s", default=0.0),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc), key="[raman]") from exc
-
-    stirap = StirapConfig(
-        peak_rad_s=_float(sections, "stirap", "peak_rad_s", positive=True),
-        rms_width_s=_float(sections, "stirap", "rms_width_s", positive=True),
-        separation_s=_float(sections, "stirap", "separation_s", positive=True),
-        delta_e_rad_s=_float(sections, "stirap", "delta_e_rad_s", default=0.0),
-        delta_rad_s=_float(sections, "stirap", "delta_rad_s", default=0.0),
-    )
-
-    try:
-        dipole = DipoleParams(
-            mu_permanent_debye=_float(sections, "dipole", "mu_permanent_D", positive=True),
-            rotational_const_hz=_float(sections, "dipole", "rotational_const_Hz", positive=True),
-            e_dc_v_per_m=_float(sections, "dipole", "e_dc_V_per_m", positive=True),
-            separation_m=_float(sections, "dipole", "separation_r_m", positive=True),
-            fopa_enhancement=_float(sections, "dipole", "fopa_enhancement", default=1.0),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc), key="[dipole]") from exc
-
-    gate = GateConfig(
-        omega_r_rad_s=_float(sections, "gate", "omega_R_rad_s", positive=True),
-        enabler_rotation_s=_float(sections, "gate", "enabler_rotation_s", positive=True),
-    )
-
-    seed = _int(sections, "noise", "seed", default=0, minimum=0)
-    if seed_override is not None:
-        seed = seed_override
-    try:
-        noise = NoiseModel(
-            sigma_b_gauss=_float(sections, "noise", "sigma_B_G", minimum=0.0),
-            gamma_inelastic_per_s=_float(sections, "noise", "gamma_inelastic_per_s", minimum=0.0),
-            trap_frequency_hz=_float(sections, "noise", "trap_frequency_Hz", positive=True),
-            seed=seed,
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc), key="[noise]") from exc
-    mc_samples = _int(sections, "noise", "mc_samples", default=100000, minimum=1000)
-
-    readout = ReadoutConfig(
-        splitting_hz=_float(sections, "readout", "splitting_Hz", positive=True),
-        selectivity_factor=_float(sections, "readout", "selectivity_factor", default=1.0,
-                                  positive=True),
-    )
-
-    levels = LevelsConfig(
-        b_min_gauss=_float(sections, "levels", "b_min_G", default=0.0, minimum=0.0),
-        b_max_gauss=_float(sections, "levels", "b_max_G", default=1000.0, minimum=0.0),
-        count=_int(sections, "levels", "count", default=101, minimum=1),
-    )
+    qubit = _atom_config(sections, "qubit", catalog, QubitConfig, ("upper", "lower"))
+    enabler = _atom_config(sections, "enabler", catalog, EnablerConfig, ("storage", "enabled"))
+    records = {name: _record(sections, name) for name in
+               ("field", "raman", "stirap", "dipole", "gate", "readout", "levels", "sweep")}
+    noise, mc_samples = _record(sections, "noise", seed=seed_override)
+    levels, sweep = records["levels"], records["sweep"]
     if levels.count > 1 and not levels.b_max_gauss > levels.b_min_gauss:
         raise ConfigError("b_max_G must exceed b_min_G for a multi-point grid",
                           key="[levels] b_max_G")
 
-    sweep = SweepConfig(
-        parameter=_str(sections, "sweep", "parameter"),
-        minimum=_float(sections, "sweep", "min"),
-        maximum=_float(sections, "sweep", "max"),
-        count=_int(sections, "sweep", "count", minimum=2),
-    )
     if sweep.parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {sweep.parameter!r}; "
-                          f"choose one of {SWEEP_PARAMETERS}", key="[sweep] parameter")
+                          f"choose one of {tuple(SWEEP_PARAMETERS)}", key="[sweep] parameter")
     if not sweep.maximum > sweep.minimum:
         raise ConfigError("max must exceed min", key="[sweep] max")
-    if sweep.parameter == "b_G" and not sweep.minimum >= 0:
-        raise ConfigError(f"min must be >= 0 for b_G, got {sweep.minimum!r}", key="[sweep] min")
-    if sweep.parameter != "b_G" and not sweep.minimum > 0:
-        raise ConfigError(f"min must be > 0 for {sweep.parameter}", key="[sweep] min")
+    section = SWEEP_PARAMETERS[sweep.parameter]
+    bound = next(row[4] for row in _KEYS[section][1] if row[1] == sweep.parameter)
+    if not _BOUNDS[bound](sweep.minimum):
+        raise ConfigError(f"must be {bound}, the bound of [{section}] {sweep.parameter}, "
+                          f"got {sweep.minimum!r}", key="[sweep] min")
 
     unknown = [f"[{name}] {key}" for name, keys in sections.items() for key in keys]
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
 
-    return Scenario(field=field,
-                    qubit=QubitConfig(qubit_species, upper, lower),
-                    enabler=EnablerConfig(enabler_species, storage, enabled),
-                    raman=raman, stirap=stirap, dipole=dipole, gate=gate,
-                    noise=noise, readout=readout, levels=levels, sweep=sweep,
-                    mc_samples=mc_samples)
+    return Scenario(qubit=qubit, enabler=enabler, noise=noise, mc_samples=mc_samples, **records)

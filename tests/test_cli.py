@@ -50,6 +50,35 @@ def _sweep_text(parameter, minimum, maximum):
     return text
 
 
+def _with_key(text, section, key, value):
+    """``text`` with ``[section] key`` set to ``value`` (keys repeat across sections)."""
+    head, header, body = text.partition(f"[{section}]\n")
+    body, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", body, count=1)
+    assert header and count == 1, (section, key)
+    return head + header + body
+
+
+# numpy warns on its way to the nan or inf that the table check then rejects.
+_OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                        "ignore:invalid value encountered:RuntimeWarning")
+
+# Config values at the edge of float range, each with the subcommand it breaks.
+CONFIG_EXTREMES = [
+    ("pulse", "raman", "omega_p_rad_s", "1e300"),
+    pytest.param("pulse", "raman", "omega_p_rad_s", "1e-300", marks=_OVERFLOWS),
+    ("pulse", "dipole", "fopa_enhancement", "1e300"),
+    ("gate", "dipole", "separation_r_m", "1e300"),
+    ("gate", "dipole", "separation_r_m", "1e-300"),
+    ("gate", "dipole", "rotational_const_Hz", "1e-300"),
+    ("stirap", "stirap", "peak_rad_s", "1e300"),
+    ("stirap", "stirap", "delta_e_rad_s", "1e300"),
+    ("stirap", "stirap", "rms_width_s", "1e300"),
+    pytest.param("levels", "levels", "b_max_G", "1e300", marks=_OVERFLOWS),
+    ("sweep", "dipole", "e_dc_V_per_m", "1e300"),
+    ("sweep", "sweep", "min", "0.0"),   # sigma_B_G from 0: T_phi is inf in row 1
+]
+
+
 def _read_csv(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith(f"# hybridgate {__version__} config=sha256:")
@@ -350,6 +379,28 @@ class TestOtherSubcommands:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("subcommand, section, key, value", CONFIG_EXTREMES)
+    def test_config_extremes_exit_cleanly(self, tmp_path, capsys, subcommand, section, key, value):
+        # No exception escapes main, exit 0 writes only finite numbers, exit 1 no traceback.
+        text = (_sweep_text("sigma_B_G", value, 1e-3) if (section, key) == ("sweep", "min")
+                else _with_key(_bundled_text(), section, key, value))
+        out = tmp_path / "o"
+        code = cli.main([subcommand, "--config", _write_config(tmp_path, text), "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            for path in out.glob("*.csv"):
+                assert np.isfinite(_read_csv(path)[1]).all(), path.name
+        else:
+            assert "Traceback" not in err
+
+    def test_non_finite_table_value_is_named_and_not_written(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, _sweep_text("sigma_B_G", 0.0, 1e-3))
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.endswith(
+            "invalid value: sweep_dephasing_time_s.csv: dephasing_time_s = inf in row 1 "
+            "is not finite\n")
+        assert not (tmp_path / "o" / "sweep_dephasing_time_s.csv").exists()
+
     def test_missing_key_exits_1(self, tmp_path, capsys):
         text = _bundled_text().replace("sigma_B_G = 3e-4", "")
         cfg = _write_config(tmp_path, text)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hybridgate.dynamics import (
+    MAX_SUBSTEPS,
     STEP_PHASE_MAX,
+    STEP_PHASE_TARGET,
     LambdaParams,
     PulseEnvelope,
     TwoLevelParams,
@@ -93,6 +95,14 @@ class TestEffectiveRabi:
         with pytest.raises(DomainError):
             effective_rabi(LambdaParams(2e7, 2e7, 0.0))
 
+    @pytest.mark.parametrize("params", [LambdaParams(1e300, 2e7, 2e8),
+                                        LambdaParams(1e300, 1e300, 2e8),
+                                        LambdaParams(2e7, 2e7, 1e-320)],
+                             ids=["square overflows", "product overflows", "quotient overflows"])
+    def test_rates_beyond_float_range_are_a_domain_error(self, params):
+        with pytest.raises(DomainError, match="overflows"):
+            effective_rabi(params)
+
 
 class TestPiPulseDuration:
     def test_values(self):
@@ -166,6 +176,16 @@ class TestIntegrator:
             integrate_schrodinger(_constant(_two_level_h(1e6)),
                                   np.array([1.0, 0.0], dtype=complex),
                                   np.linspace(0.0, 1e-3, 2), substeps=1)
+
+    @pytest.mark.parametrize("omega", [1e300, 1e9])
+    def test_derived_substeps_have_a_work_bound(self, omega):
+        # 1e300: ||H||*dt is inf; 1e9: finite, but past MAX_SUBSTEPS
+        grid = np.linspace(0.0, 1e-3, 2)
+        needed = 1e-3 * float(np.linalg.norm(_two_level_h(1e9))) / STEP_PHASE_TARGET
+        assert needed > MAX_SUBSTEPS
+        with pytest.raises(StepSizeError, match="work bound"):
+            integrate_schrodinger(_constant(_two_level_h(omega)),
+                                  np.array([1.0, 0.0], dtype=complex), grid)
 
     def test_step_size_check_sees_the_stencil(self):
         # H is large only around 0.25 us, the midpoint of the first of two

@@ -62,6 +62,11 @@ class TestInducedDipole:
         with pytest.raises(DomainError):
             DipoleParams(4.2, 6.6e9, 1e5, 500e-9, fopa_enhancement=0.5)
 
+    def test_vanishing_rotational_constant_is_a_domain_error(self):
+        # 3*h*B_rot underflows to 0 at B_rot = 1e-300 Hz
+        with pytest.raises(DomainError, match="induced dipole"):
+            induced_dipole(DipoleParams(4.2, 1e-300, 9.3647e5, 500e-9))
+
 
 class TestDipoleDipoleRate:
     def test_paper_value(self):
@@ -80,6 +85,12 @@ class TestDipoleDipoleRate:
     def test_zero_separation_rejected(self):
         with pytest.raises(DomainError):
             dipole_dipole_rate(4.2, 0.0)
+
+    @pytest.mark.parametrize("mu, r", [(4.2, 1e300), (4.2, 1e-300), (1e200, 500e-9)],
+                             ids=["r^3 overflows", "r^3 underflows", "mu^2 overflows"])
+    def test_rate_beyond_float_range_is_a_domain_error(self, mu, r):
+        with pytest.raises(DomainError, match="omega_dd"):
+            dipole_dipole_rate(mu, r)
 
 
 class TestInteractionTime:

@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 import pytest
@@ -14,6 +15,48 @@ def _with_replacement(old, new):
     text = _bundled_text()
     assert old in text, old
     return text.replace(old, new)
+
+
+def _with_key(text, section, key, value):
+    """``text`` with ``[section] key`` set to ``value`` (keys repeat across sections)."""
+    head, header, body = text.partition(f"[{section}]\n")
+    body, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", body, count=1)
+    assert header and count == 1, (section, key)
+    return head + header + body
+
+
+# One rejected value for each bounded key, written out here rather than read from
+# the loader's table; a ">=" bound also gives the limit, which must load.
+BOUNDED_KEYS = [
+    ("field", "b_G", "-1.0", "0.0"),
+    ("field", "gradient_G_per_cm", "0.0", None),
+    ("field", "site_spacing_m", "0.0", None),
+    ("field", "resonance_width_G", "-1.0", "0.0"),
+    ("raman", "omega_p_rad_s", "-1.0", "0.0"),
+    ("raman", "omega_s_rad_s", "-1.0", "0.0"),
+    ("raman", "gamma_e_rad_s", "-1.0", "0.0"),
+    ("stirap", "peak_rad_s", "0.0", None),
+    ("stirap", "rms_width_s", "0.0", None),
+    ("stirap", "separation_s", "-1e-5", None),
+    ("dipole", "mu_permanent_D", "0.0", None),
+    ("dipole", "rotational_const_Hz", "0.0", None),
+    ("dipole", "e_dc_V_per_m", "-1.0", None),
+    ("dipole", "separation_r_m", "0.0", None),
+    ("dipole", "fopa_enhancement", "0.5", "1.0"),
+    ("gate", "omega_R_rad_s", "0.0", None),
+    ("gate", "enabler_rotation_s", "0.0", None),
+    ("noise", "sigma_B_G", "-1e-4", "0.0"),
+    ("noise", "gamma_inelastic_per_s", "-1.0", "0.0"),
+    ("noise", "trap_frequency_Hz", "0.0", None),
+    ("noise", "seed", "-1", "0"),
+    ("noise", "mc_samples", "999", "1000"),
+    ("readout", "splitting_Hz", "0.0", None),
+    ("readout", "selectivity_factor", "0.0", None),
+    ("levels", "b_min_G", "-1.0", "0.0"),
+    ("levels", "b_max_G", "-1.0", "0.0"),
+    ("levels", "count", "0", "1"),
+    ("sweep", "count", "1", "2"),
+]
 
 
 class TestParser:
@@ -112,6 +155,38 @@ class TestValidation:
                 .replace("min = 3e-7", "min = -100.0"))
         with pytest.raises(ConfigError, match=r"\[sweep\] min"):
             load_scenario_text(text)
+
+    @pytest.mark.parametrize("section, key, rejected, limit", BOUNDED_KEYS)
+    def test_each_bound_names_its_key(self, section, key, rejected, limit):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: must be >"):
+            load_scenario_text(_with_key(_bundled_text(), section, key, rejected))
+        if limit is not None:
+            text = _with_key(_bundled_text(), section, key, limit)
+            if key == "b_max_G":   # a one-point grid may end at its start
+                text = _with_key(text, "levels", "count", "1")
+            load_scenario_text(text)
+
+    def test_custom_species_splitting_bound(self):
+        text = (_with_replacement("species = Li7", "species = Bad1")
+                + "\n[species Bad1]\nnuclear_spin = 1.5\n"
+                  "hyperfine_splitting_Hz = 0.0\ng_J = 2.0\n")
+        with pytest.raises(ConfigError, match=r"^\[species Bad1\] hyperfine_splitting_Hz: must be > 0"):
+            load_scenario_text(text)
+
+    @pytest.mark.parametrize("parameter, rejected, limit", [
+        ("separation_r_m", "0.0", None),
+        ("b_G", "-100.0", "0.0"),
+        ("sigma_B_G", "-1e-5", "0.0"),
+        ("omega_R_rad_s", "0.0", None),
+        ("mu_permanent_D", "0.0", None),
+    ])
+    def test_sweep_minimum_meets_the_swept_keys_bound(self, parameter, rejected, limit):
+        text = _with_key(_with_key(_bundled_text(), "sweep", "parameter", parameter),
+                         "sweep", "max", "1e3")
+        with pytest.raises(ConfigError, match=r"^\[sweep\] min: must be >"):
+            load_scenario_text(_with_key(text, "sweep", "min", rejected))
+        if limit is not None:
+            assert load_scenario_text(_with_key(text, "sweep", "min", limit)).sweep.minimum == 0.0
 
     def test_negative_physical_value(self):
         text = _with_replacement("trap_frequency_Hz = 1e5", "trap_frequency_Hz = -1e5")
