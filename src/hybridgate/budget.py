@@ -37,8 +37,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sigma_b_gauss >= 0:
-            raise DomainError(f"sigma_B must be >= 0 G, got {self.sigma_b_gauss!r}")
+        if not self.sigma_b_gauss > 0:
+            raise DomainError(f"sigma_B must be > 0 G, got {self.sigma_b_gauss!r}")
         if not self.gamma_inelastic_per_s >= 0:
             raise DomainError(f"inelastic rate must be >= 0, got {self.gamma_inelastic_per_s!r}")
         if not self.trap_frequency_hz > 0:
@@ -57,25 +57,20 @@ class AdiabaticityResult:
 class BudgetReport:
     dephasing_time_s: float
     gate_time_s: float
-    operations_count: int      # None when the dephasing time is unbounded
+    operations_count: int
     loss_probability: float
     adiabaticity_ok: bool
     readout_min_duration_s: float
 
 
 def dephasing_time(sensitivity_hz_per_g, sigma_b_gauss):
-    """Dephasing time of the qubit transition under rms field noise sigma_B.
-
-    Returns math.inf when sigma_B = 0.
-    """
+    """Dephasing time of the qubit transition under rms field noise sigma_B > 0."""
     if not sensitivity_hz_per_g > 0:
         raise DomainError(f"sensitivity must be > 0 Hz/G, got {sensitivity_hz_per_g!r}")
     if not math.isfinite(sensitivity_hz_per_g):
         raise DomainError(f"sensitivity must be finite, got {sensitivity_hz_per_g!r}")
-    if not (sigma_b_gauss >= 0 and math.isfinite(sigma_b_gauss)):
-        raise DomainError(f"sigma_B must be finite and >= 0 G, got {sigma_b_gauss!r}")
-    if sigma_b_gauss == 0.0:
-        return math.inf
+    if not (sigma_b_gauss > 0 and math.isfinite(sigma_b_gauss)):
+        raise DomainError(f"sigma_B must be finite and > 0 G, got {sigma_b_gauss!r}")
     rate = TWO_PI * (sensitivity_hz_per_g * sigma_b_gauss)
     t_phi = 1.0 / rate if rate > 0.0 else math.inf   # rate underflowed to 0.0
     if not 0.0 < t_phi < math.inf:
@@ -218,7 +213,7 @@ def assemble_budget(noise, sensitivity_hz_per_g, schedule, readout_splitting_hz,
     gate_time = durations.gate_s
     if not gate_time > 0:
         raise DomainError("schedule has no gate steps; gate time must be > 0")
-    ops = None if math.isinf(t_phi) else operations_budget(t_phi, gate_time)
+    ops = operations_budget(t_phi, gate_time)
     loss = inelastic_loss_probability(noise.gamma_inelastic_per_s, gate_time)
     rotations = [s.duration_s for s in schedule.steps if s.kind in ENABLER_KINDS]
     adiabatic_ok = all(adiabaticity_check(d, noise.trap_frequency_hz).ok for d in rotations)

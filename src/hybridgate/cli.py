@@ -1,13 +1,12 @@
 """Scenario-driven command-line front end.
 
     hybridgate <subcommand> --config <path> [--out <dir>] [--seed <u64>]
-               [--mode paper|standard]
 
 Subcommands: levels, pulse, stirap, gate, budget, sweep, paper-repro.
 Output tables are CSV with a metadata comment line; identical config and
 seed produce byte-identical files. Exit codes: 0 success, 1 configuration
-error or invalid value (a nan or inf in an output table is one; that table
-is not written), 2 numerical failure.
+error or invalid value (a nan or inf in an output table or report is one;
+that file is not written), 2 numerical failure.
 """
 
 import argparse
@@ -35,17 +34,16 @@ SUBCOMMANDS = ("levels", "pulse", "stirap", "gate", "budget", "sweep", "paper-re
 class RunContext:
     out_dir: str
     seed: int
-    mode: str
     config_hash: str
 
     @property
     def meta(self):
-        return metadata_line(self.config_hash, self.seed, self.mode)
+        return metadata_line(self.config_hash, self.seed)
 
     @property
     def header(self):   # leading keys of every JSON report
         return {"tool_version": __version__, "config_sha256": self.config_hash,
-                "seed": self.seed, "mode": self.mode}
+                "seed": self.seed}
 
     def table(self, name, columns, *series):
         """Write a CSV table of float columns, one per series, to the output directory.
@@ -77,8 +75,6 @@ def _build_parser():
                         help="output directory (default: $HYBRIDGATE_OUT or ./out)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the Monte Carlo seed from the config")
-    common.add_argument("--mode", choices=("paper", "standard"), default="paper",
-                        help="level-energy formula variant")
     parser = _Parser(prog="hybridgate", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hybridgate {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
@@ -102,7 +98,7 @@ def _read_config_bytes(path):
 
 
 def _cmd_levels(scn, ctx):
-    levels = levels_run(scn, ctx.mode)
+    levels = levels_run(scn)
     grid = levels.grid_g
     for state, energy in levels.energies_hz.items():
         ctx.table(f"levels_energy_f{state.f}_m{state.m}.csv", ("b_g", "energy_hz"), grid, energy)
@@ -159,14 +155,14 @@ def _cmd_gate(scn, ctx):
 
 
 def _cmd_budget(scn, ctx):
-    budget = budget_run(scn, ctx.mode, gate_run(scn).schedule)
+    budget = budget_run(scn, gate_run(scn).schedule)
     report = budget.report
     write_json(os.path.join(ctx.out_dir, "budget_report.json"),
                {**ctx.header, "sensitivity_hz_per_g": budget.sensitivity_hz_per_g,
                 **asdict(report), "ramsey_contrast_at_t_phi": budget.contrast})
-    ops = "unbounded" if report.operations_count is None else report.operations_count
     print(f"budget: T_phi = {format_float(report.dephasing_time_s)} s, "
-          f"gate time = {format_float(report.gate_time_s)} s, operations = {ops}")
+          f"gate time = {format_float(report.gate_time_s)} s, "
+          f"operations = {report.operations_count}")
     print(f"budget: loss probability = {format_float(report.loss_probability)}, "
           f"adiabaticity {'pass' if report.adiabaticity_ok else 'FAIL'}, "
           f"readout >= {format_float(report.readout_min_duration_s)} s")
@@ -175,7 +171,7 @@ def _cmd_budget(scn, ctx):
 
 def _cmd_sweep(scn, ctx):
     values = np.linspace(scn.sweep.minimum, scn.sweep.maximum, scn.sweep.count).tolist()
-    curves = sweep_curves(scn, ctx.mode, values)
+    curves = sweep_curves(scn, values)
     for name, series in curves.items():
         ctx.table(f"sweep_{name}.csv", (scn.sweep.parameter.lower(), name), values, series)
     print(f"sweep: {scn.sweep.parameter} over [{scn.sweep.minimum}, {scn.sweep.maximum}] "
@@ -184,7 +180,7 @@ def _cmd_sweep(scn, ctx):
 
 
 def _cmd_paper_repro(scn, ctx):
-    report = paper_repro(scn, ctx.mode)
+    report = paper_repro(scn)
     write_json(os.path.join(ctx.out_dir, "paper_repro.json"), {**ctx.header, **report})
     checks = report["checks"]
     for check in checks:
@@ -227,8 +223,7 @@ def run(argv):
         ensure_out_dir(out_dir)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}", key="--out") from exc
-    ctx = RunContext(out_dir=out_dir, seed=scenario.noise.seed, mode=args.mode,
-                     config_hash=config_hash)
+    ctx = RunContext(out_dir=out_dir, seed=scenario.noise.seed, config_hash=config_hash)
     return _HANDLERS[args.subcommand](scenario, ctx)
 
 

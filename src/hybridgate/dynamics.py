@@ -384,8 +384,9 @@ def raman_trajectory(params, duration_s, n_points=241):
 
     H is constant, so psi(t) = V exp(-i w t) V^-1 psi0 on every grid time at
     once, from the eigenvalues w and eigenvectors V of H (np.linalg.eig, as
-    gamma_e > 0 makes H non-Hermitian). Raises NumericalFailure when a
-    Hermitian run drifts from unit norm by more than NORM_DRIFT_LIMIT.
+    gamma_e > 0 makes H non-Hermitian). Raises DomainError when a phase w*t
+    leaves float range and NumericalFailure when a Hermitian run drifts from
+    unit norm by more than NORM_DRIFT_LIMIT.
     """
     if not duration_s > 0:
         raise DomainError(f"duration must be > 0, got {duration_s!r}")
@@ -393,6 +394,8 @@ def raman_trajectory(params, duration_s, n_points=241):
                       compensated_bare_detuning(params), params.gamma_e_rad_s)
     grid = np.linspace(0.0, duration_s, n_points)
     w, v = np.linalg.eig(h)
+    if not math.isfinite(duration_s * float(np.abs(w).max())):
+        raise DomainError(f"phase w*t of a {duration_s!r} s pulse leaves float range")
     c = np.linalg.solve(v, np.array([1.0, 0.0, 0.0], dtype=complex))
     traj = Trajectory(times=grid, amplitudes=(np.exp(-1j * np.outer(grid, w)) * c) @ v.T)
     return _unitary_checked(traj, _norm_and_hermiticity(h)[1])

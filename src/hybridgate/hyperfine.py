@@ -1,24 +1,19 @@
 """Hyperfine level structure of ground-state alkali atoms in a magnetic field.
 
-Level energies follow the Breit-Rabi form for J = 1/2,
+Level energies are the Breit-Rabi eigenvalues for J = 1/2 (Breit & Rabi,
+Phys. Rev. 38, 2082 (1931)),
 
-    E(f = I +/- 1/2, m) / dE_hf = offset +/- (1/2) sqrt(1 + 4m/(2I+1) * x + x^2),
+    E(f = I +/- 1/2, m) = dE_hf * (-1/(2(2I+1)) +/- (1/2) sqrt(1 + 4m/(2I+1) * x + x^2))
+                          + g_I * mu_B * m * B,    x = (g_J - g_I) * mu_B * B / dE_hf,
 
-in two variants selected by ``mode``:
-
-* ``"paper"`` (default): x = g_J * mu_B * B / dE_hf, offset fixed at -1/12
-  and no nuclear term, the as-published variant this package reproduces
-  number-for-number;
-* ``"standard"``: x = (g_J - g_I) * mu_B * B / dE_hf, textbook offset
-  -1/(2(2I+1)) plus the nuclear Zeeman term g_I * mu_B * m * B: the exact
-  eigenvalues of A I.J + mu_B B (g_J J_z + g_I I_z).
+the exact eigenvalues of A I.J + mu_B B (g_J J_z + g_I I_z). That Hamiltonian
+is traceless, so the sublevel energies sum to 0 at every field.
 
 The radicand's discriminant (4m/(2I+1))^2 - 4 is <= 0, so it is never
 negative. Its one zero is the stretched state m = -(I+1/2) at x = 1: its
 radicand is (1 - x)^2, so its level is the line (1 - x)/2 through x = 1.
-The offset cancels in every transition frequency, so the two modes differ
-only through g_I (zero by default).  Energies are linear frequencies in Hz,
-relative to the hyperfine centroid; fields are in Gauss.
+Energies are linear frequencies in Hz, relative to the hyperfine centroid;
+fields are in Gauss.
 """
 
 import math
@@ -29,8 +24,6 @@ import numpy as np
 from .constants import BOHR_MAGNETON_HZ_PER_G
 from .errors import DomainError
 
-MODES = ("paper", "standard")
-
 
 @dataclass(frozen=True)
 class AtomSpecies:
@@ -38,7 +31,7 @@ class AtomSpecies:
 
     hyperfine_splitting_hz is the zero-field f = I-1/2 <-> I+1/2 interval
     (linear Hz). g_i uses the convention H_nuclear = g_i * mu_B * B * I_z and
-    enters only in "standard" mode, both as the nuclear term and in x.
+    enters both as the nuclear term and in x.
     """
 
     name: str
@@ -103,11 +96,11 @@ class HyperfineChannel:
         return (f"{self.state_a.label()}{self.species_a.name}"
                 f"+{self.state_b.label()}{self.species_b.name}")
 
-    def internal_energy_hz(self, b_gauss, mode="paper"):
+    def internal_energy_hz(self, b_gauss):
         """Sum of the two single-atom level energies [Hz]; kinetic energy is
         taken as zero (ultracold regime)."""
-        return (breit_rabi_energy(self.species_a, self.state_a, b_gauss, mode=mode)
-                + breit_rabi_energy(self.species_b, self.state_b, b_gauss, mode=mode))
+        return (breit_rabi_energy(self.species_a, self.state_a, b_gauss)
+                + breit_rabi_energy(self.species_b, self.state_b, b_gauss))
 
 
 def _require_valid_state(species, state):
@@ -115,11 +108,6 @@ def _require_valid_state(species, state):
         raise DomainError(
             f"state {state.label()} invalid for {species.name}: "
             f"f must be {species.f_lower} or {species.f_upper}")
-
-
-def _require_mode(mode):
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 # Built-in species. The Li7 splitting is a pinned literature value.
@@ -138,24 +126,27 @@ def all_states(species):
     return out
 
 
-def _breit_rabi(species, state, b_gauss, mode, slope=False):
+def _breit_rabi(species, state, b_gauss, slope=False):
     """Level energy [Hz] of |f, m> at field B [G] relative to the centroid
     or, with ``slope``, its derivative dE/dB [Hz/G] (module docstring form)."""
-    _require_mode(mode)
     _require_valid_state(species, state)
     bad = np.less(b_gauss, 0)
     if bad.any():
         first = float(np.asarray(b_gauss)[bad][0])
         raise DomainError(f"magnetic field must be >= 0 G, got {first!r}")
-    if mode == "paper":
-        g_x, offset, g_nuclear = species.g_j, -1.0 / 12.0, 0.0
-    else:
-        g_x = species.g_j - species.g_i
-        offset = -1.0 / (2.0 * (2.0 * species.nuclear_spin + 1.0))
-        g_nuclear = species.g_i * BOHR_MAGNETON_HZ_PER_G
-    x = g_x * BOHR_MAGNETON_HZ_PER_G * b_gauss / species.hyperfine_splitting_hz
+    g_x = species.g_j - species.g_i
+    offset = -1.0 / (2.0 * (2.0 * species.nuclear_spin + 1.0))
+    g_nuclear = species.g_i * BOHR_MAGNETON_HZ_PER_G
     sign = 1.0 if state.f == species.f_upper else -1.0
     c = 4.0 * state.m / (2.0 * species.nuclear_spin + 1.0)
+    # The radicand is convex in x >= 0, so where it is finite at the largest
+    # field (in Python floats, which do not warn) it is finite at every field.
+    b_max = float(b_gauss.max() if isinstance(b_gauss, np.ndarray) else b_gauss)
+    x_max = g_x * BOHR_MAGNETON_HZ_PER_G * b_max / species.hyperfine_splitting_hz
+    if not math.isfinite(1.0 + c * x_max + x_max * x_max):
+        raise DomainError(f"magnetic field {b_max!r} G is beyond the float range of the "
+                          f"Breit-Rabi formula")
+    x = g_x * BOHR_MAGNETON_HZ_PER_G * b_gauss / species.hyperfine_splitting_hz
     stretched = state.m == -species.f_upper  # c = -2: the radicand is (1 - x)^2
     if stretched:
         root = 1.0 - x
@@ -171,30 +162,30 @@ def _breit_rabi(species, state, b_gauss, mode, slope=False):
     return species.hyperfine_splitting_hz * d_half_root * dx_db + g_nuclear * state.m
 
 
-def breit_rabi_energy(species, state, b_gauss, mode="paper"):
+def breit_rabi_energy(species, state, b_gauss):
     """Level energy [Hz] of |f, m> at field B [G], relative to the centroid.
 
     Defined for every nuclear spin and every field >= 0. Raises DomainError
-    for a state invalid for the species, a negative field or an unknown mode.
+    for a state invalid for the species, a negative field or a field whose
+    radicand leaves float range.
     """
-    return _breit_rabi(species, state, b_gauss, mode)
+    return _breit_rabi(species, state, b_gauss)
 
 
-def transition_frequency(species, upper, lower, b_gauss, mode="paper"):
-    """E(upper) - E(lower) [Hz]. The mode offset cancels; modes differ only
-    through the g_I term."""
-    return (breit_rabi_energy(species, upper, b_gauss, mode=mode)
-            - breit_rabi_energy(species, lower, b_gauss, mode=mode))
+def transition_frequency(species, upper, lower, b_gauss):
+    """E(upper) - E(lower) [Hz]."""
+    return (breit_rabi_energy(species, upper, b_gauss)
+            - breit_rabi_energy(species, lower, b_gauss))
 
 
-def field_sensitivity(species, upper, lower, b_gauss, mode="paper"):
+def field_sensitivity(species, upper, lower, b_gauss):
     """Analytic derivative d(transition_frequency)/dB [Hz/G].
 
     Defined at every field >= 0: the stretched state m = -(I+1/2) has the
     constant slope of its linear level through x = 1.
     """
-    return (_breit_rabi(species, upper, b_gauss, mode, slope=True)
-            - _breit_rabi(species, lower, b_gauss, mode, slope=True))
+    return (_breit_rabi(species, upper, b_gauss, slope=True)
+            - _breit_rabi(species, lower, b_gauss, slope=True))
 
 
 def site_frequency_resolution(sensitivity_hz_per_g, gradient_g_per_cm, spacing_cm):
@@ -221,14 +212,14 @@ def resonance_site_count(resonance_width_g, gradient_g_per_cm, spacing_cm):
     return int(math.floor(resonance_width_g / site_width_g))
 
 
-def open_decay_channels(channel, b_gauss, mode="paper"):
+def open_decay_channels(channel, b_gauss):
     """All two-atom channels (same species pair) the input can decay into.
 
     A channel is open when it conserves m_tot and has strictly lower total
     internal energy. An empty list means the input channel is collisionally
     stable in this model. Results are sorted by energy, lowest first.
     """
-    e_in = channel.internal_energy_hz(b_gauss, mode=mode)
+    e_in = channel.internal_energy_hz(b_gauss)
     found = []
     for sa in all_states(channel.species_a):
         for sb in all_states(channel.species_b):
@@ -237,7 +228,7 @@ def open_decay_channels(channel, b_gauss, mode="paper"):
             if sa == channel.state_a and sb == channel.state_b:
                 continue
             cand = HyperfineChannel(channel.species_a, sa, channel.species_b, sb)
-            e = cand.internal_energy_hz(b_gauss, mode=mode)
+            e = cand.internal_energy_hz(b_gauss)
             if e < e_in:
                 found.append((e, cand))
     found.sort(key=lambda pair: (pair[0], pair[1].state_a.f, pair[1].state_a.m))

@@ -1,6 +1,6 @@
 """The paper-reproduction report and the stages it shares with the subcommands.
 
-``paper_repro(scenario, mode)`` computes every headline quantity of the
+``paper_repro(scenario)`` computes every headline quantity of the
 protocol from the same stage functions the ``pulse``, ``stirap``, ``gate``
 and ``budget`` subcommands use, then checks each against the paper's figure.
 """
@@ -13,7 +13,7 @@ import numpy as np
 # Called through their modules, not imported by name, so that wrapping a
 # module attribute (as a span tracer does) also covers the calls made here.
 from . import budget, dynamics, gate, hyperfine
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 FD_STEP_G = 0.01
 FD_CHECK_FIELDS_G = (1.0, 10.0, 100.0, 649.0, 1000.0, 2000.0)
@@ -34,13 +34,13 @@ def _stirap_args(scn, peak_factor=1.0, reversed_order=False):
             scn.stirap.delta_e_rad_s, scn.stirap.delta_rad_s)
 
 
-def _fd_sensitivity_max_rel_err(scn, mode):
+def _fd_sensitivity_max_rel_err(scn):
     sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
     worst = 0.0
     for b in FD_CHECK_FIELDS_G:
-        analytic = hyperfine.field_sensitivity(sp, up, lo, b, mode=mode)
-        upper = hyperfine.transition_frequency(sp, up, lo, b + FD_STEP_G, mode=mode)
-        lower = hyperfine.transition_frequency(sp, up, lo, b - FD_STEP_G, mode=mode)
+        analytic = hyperfine.field_sensitivity(sp, up, lo, b)
+        upper = hyperfine.transition_frequency(sp, up, lo, b + FD_STEP_G)
+        lower = hyperfine.transition_frequency(sp, up, lo, b - FD_STEP_G)
         fd = (upper - lower) / (2.0 * FD_STEP_G)
         worst = max(worst, abs(fd - analytic) / abs(analytic))
     return worst
@@ -58,14 +58,14 @@ class LevelsRun:
     transition_at_b_hz: float
 
 
-def levels_run(scn, mode):
+def levels_run(scn):
     grid = np.linspace(scn.levels.b_min_gauss, scn.levels.b_max_gauss, scn.levels.count)
     sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
-    energies = {state: hyperfine.breit_rabi_energy(sp, state, grid, mode=mode)
+    energies = {state: hyperfine.breit_rabi_energy(sp, state, grid)
                 for state in hyperfine.all_states(sp)}
-    return LevelsRun(grid, energies, hyperfine.transition_frequency(sp, up, lo, grid, mode=mode),
-                     hyperfine.field_sensitivity(sp, up, lo, grid, mode=mode),
-                     hyperfine.transition_frequency(sp, up, lo, scn.field.b_gauss, mode=mode))
+    return LevelsRun(grid, energies, hyperfine.transition_frequency(sp, up, lo, grid),
+                     hyperfine.field_sensitivity(sp, up, lo, grid),
+                     hyperfine.transition_frequency(sp, up, lo, scn.field.b_gauss))
 
 
 @dataclass(frozen=True)
@@ -151,27 +151,24 @@ def gate_run(scn):
 @dataclass(frozen=True)
 class BudgetRun:
     """Qubit field sensitivity, budget report and the Monte Carlo Ramsey
-    contrast at T_phi (1 if T_phi is unbounded)."""
+    contrast at T_phi."""
 
     sensitivity_hz_per_g: float
     report: budget.BudgetReport
     contrast: float
 
 
-def budget_run(scn, mode, schedule):
+def budget_run(scn, schedule):
     sens = hyperfine.field_sensitivity(scn.qubit.species, scn.qubit.upper, scn.qubit.lower,
-                                       scn.field.b_gauss, mode=mode)
+                                       scn.field.b_gauss)
     report = budget.assemble_budget(scn.noise, sens, schedule, scn.readout.splitting_hz,
                                     selectivity_factor=scn.readout.selectivity_factor)
-    contrast = 1.0
-    if math.isfinite(report.dephasing_time_s):
-        contrast = budget.ramsey_contrast_mc(sens, scn.noise.sigma_b_gauss,
-                                             report.dephasing_time_s, scn.mc_samples,
-                                             scn.noise.seed)
+    contrast = budget.ramsey_contrast_mc(sens, scn.noise.sigma_b_gauss, report.dephasing_time_s,
+                                         scn.mc_samples, scn.noise.seed)
     return BudgetRun(sens, report, contrast)
 
 
-def sweep_curves(scn, mode, values):
+def sweep_curves(scn, values):
     """Quantities computed along the ``[sweep] parameter`` axis at ``values``,
     one dict entry per curve."""
     param = scn.sweep.parameter
@@ -182,10 +179,10 @@ def sweep_curves(scn, mode, values):
     sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
     if param == "b_G":
         b = np.array(values)
-        return {"transition_hz": hyperfine.transition_frequency(sp, up, lo, b, mode=mode),
-                "sensitivity_hz_per_g": hyperfine.field_sensitivity(sp, up, lo, b, mode=mode)}
+        return {"transition_hz": hyperfine.transition_frequency(sp, up, lo, b),
+                "sensitivity_hz_per_g": hyperfine.field_sensitivity(sp, up, lo, b)}
     if param == "sigma_B_G":
-        sens = hyperfine.field_sensitivity(sp, up, lo, scn.field.b_gauss, mode=mode)
+        sens = hyperfine.field_sensitivity(sp, up, lo, scn.field.b_gauss)
         return {"dephasing_time_s": [budget.dephasing_time(sens, s) for s in values]}
     if param == "omega_R_rad_s":
         omega_dd = gate.dipole_dipole_rate(ind.mu_induced_debye, scn.dipole.separation_m)
@@ -212,9 +209,9 @@ def _window_check(name, value, low, high):
     return _check(name, value, 0.5 * (low + high), 0.5 * (high - low))
 
 
-def paper_repro(scn, mode):
+def paper_repro(scn):
     """Every headline quantity in report order, then ``checks``; the MC seed is
-    ``scn.noise.seed`` and ``mode`` the level-energy variant."""
+    ``scn.noise.seed``."""
     sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
     b = scn.field.b_gauss
     spacing_cm = scn.field.site_spacing_m * 100.0
@@ -222,9 +219,7 @@ def paper_repro(scn, mode):
 
     gr = gate_run(scn)
     omega_dd = gr.omega_dd_rad_s
-    br = budget_run(scn, mode, gr.schedule)
-    if br.report.operations_count is None:
-        raise DomainError("operations count needs a finite dephasing time (sigma_B_G > 0)")
+    br = budget_run(scn, gr.schedule)
     single = gate.GateSchedule((gate.Step("raman_down", math.pi / omega_r,
                                           dynamics.TwoLevelParams(omega_r, 0.0)),))
     phi_single = float(gate.accumulated_phase_profile(omega_dd, single)[1][-1])
@@ -244,12 +239,12 @@ def paper_repro(scn, mode):
 
     channels = (scn.qubit_channel_storage()[1], *scn.qubit_channel_enabled())
     open_storage_1, open_enabled_0, open_enabled_1 = [
-        hyperfine.open_decay_channels(channel, b, mode=mode) for channel in channels]
+        hyperfine.open_decay_channels(channel, b) for channel in channels]
 
     r = {
-        "transition_hz": hyperfine.transition_frequency(sp, up, lo, b, mode=mode),
+        "transition_hz": hyperfine.transition_frequency(sp, up, lo, b),
         "sensitivity_hz_per_g": br.sensitivity_hz_per_g,
-        "sensitivity_fd_max_rel_err": _fd_sensitivity_max_rel_err(scn, mode),
+        "sensitivity_fd_max_rel_err": _fd_sensitivity_max_rel_err(scn),
         "site_resolution_hz": hyperfine.site_frequency_resolution(
             br.sensitivity_hz_per_g, scn.field.gradient_g_per_cm, spacing_cm),
         "resonance_site_count": hyperfine.resonance_site_count(

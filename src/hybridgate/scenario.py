@@ -199,7 +199,7 @@ _KEYS = {
         ("omega_r_rad_s", "omega_R_rad_s", float, _REQUIRED, "> 0"),
         ("enabler_rotation_s", "enabler_rotation_s", float, _REQUIRED, "> 0"))),
     "noise": (_noise, (
-        ("sigma_b_gauss", "sigma_B_G", float, _REQUIRED, ">= 0"),
+        ("sigma_b_gauss", "sigma_B_G", float, _REQUIRED, "> 0"),
         ("gamma_inelastic_per_s", "gamma_inelastic_per_s", float, _REQUIRED, ">= 0"),
         ("trap_frequency_hz", "trap_frequency_Hz", float, _REQUIRED, "> 0"),
         ("seed", "seed", int, 0, ">= 0"),

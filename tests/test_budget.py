@@ -32,8 +32,10 @@ class TestDephasingTime:
         assert t == pytest.approx(2.229060827617582e-4, rel=1e-12)  # 1/(2 pi * 714 Hz)
         assert abs(t - 200e-6) / 200e-6 < 0.25
 
-    def test_zero_noise_unbounded(self):
-        assert dephasing_time(SENS, 0.0) == math.inf
+    def test_zero_noise_rejected(self):
+        # T_phi would be unbounded
+        with pytest.raises(DomainError, match="> 0 G, got 0.0"):
+            dephasing_time(SENS, 0.0)
 
     def test_inverse_scaling(self):
         assert dephasing_time(SENS, 2 * SIGMA) == pytest.approx(
@@ -342,11 +344,9 @@ class TestAssembleBudget:
         assert report.adiabaticity_ok
         assert report.readout_min_duration_s == pytest.approx(1e-3, rel=1e-12)
 
-    def test_zero_noise(self):
-        noise = NoiseModel(0.0, 0.0, 1e5, seed=1)
+    def test_zero_inelastic_rate_loses_nothing(self):
+        noise = NoiseModel(SIGMA, 0.0, 1e5, seed=1)
         report = assemble_budget(noise, SENS, self._schedule(), 1e3)
-        assert report.dephasing_time_s == math.inf
-        assert report.operations_count is None
         assert report.loss_probability == 0.0
 
     def test_doubling_gate_time_halves_operations(self):
@@ -365,6 +365,8 @@ class TestAssembleBudget:
     def test_noise_model_validation(self):
         with pytest.raises(DomainError):
             NoiseModel(-1e-4, 1e5, 1e5)
+        with pytest.raises(DomainError, match="sigma_B must be > 0 G"):
+            NoiseModel(0.0, 1e5, 1e5)
         with pytest.raises(DomainError):
             NoiseModel(SIGMA, -1.0, 1e5)
         with pytest.raises(DomainError):

@@ -11,7 +11,7 @@ import pytest
 from hybridgate import __version__, cli, dynamics, repro
 from hybridgate.budget import BudgetReport
 from hybridgate.constants import BOHR_MAGNETON_HZ_PER_G
-from hybridgate.errors import NumericalFailure
+from hybridgate.errors import DomainError, NumericalFailure
 from hybridgate.gate import interaction_time_for_pi
 from hybridgate.hyperfine import all_states, field_sensitivity
 from hybridgate.scenario import load_scenario_text
@@ -58,14 +58,11 @@ def _with_key(text, section, key, value):
     return head + header + body
 
 
-# numpy warns on its way to the nan or inf that the table check then rejects.
-_OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                        "ignore:invalid value encountered:RuntimeWarning")
-
 # Config values at the edge of float range, each with the subcommand it breaks.
 CONFIG_EXTREMES = [
     ("pulse", "raman", "omega_p_rad_s", "1e300"),
-    pytest.param("pulse", "raman", "omega_p_rad_s", "1e-300", marks=_OVERFLOWS),
+    ("pulse", "raman", "omega_p_rad_s", "1e-300"),
+    ("paper-repro", "raman", "omega_p_rad_s", "1e-300"),
     ("pulse", "dipole", "fopa_enhancement", "1e300"),
     ("gate", "dipole", "separation_r_m", "1e300"),
     ("gate", "dipole", "separation_r_m", "1e-300"),
@@ -73,9 +70,10 @@ CONFIG_EXTREMES = [
     ("stirap", "stirap", "peak_rad_s", "1e300"),
     ("stirap", "stirap", "delta_e_rad_s", "1e300"),
     ("stirap", "stirap", "rms_width_s", "1e300"),
-    pytest.param("levels", "levels", "b_max_G", "1e300", marks=_OVERFLOWS),
+    ("levels", "levels", "b_max_G", "1e300"),
+    ("levels", "field", "b_G", "1e300"),
     ("sweep", "dipole", "e_dc_V_per_m", "1e300"),
-    ("sweep", "sweep", "min", "0.0"),   # sigma_B_G from 0: T_phi is inf in row 1
+    ("sweep", "sweep", "min", "0.0"),   # sigma_B_G from 0: below the key's > 0 bound
 ]
 
 
@@ -158,7 +156,7 @@ class TestSweep:
     def test_noise_sweep_keeps_t_phi_times_sigma(self):
         scn = load_scenario_text(_sweep_text("sigma_B_G", 1e-5, 1e-3))
         values = np.linspace(1e-5, 1e-3, 16).tolist()
-        t_phi = np.array(repro.sweep_curves(scn, "paper", values)["dephasing_time_s"])
+        t_phi = np.array(repro.sweep_curves(scn, values)["dephasing_time_s"])
         sens = field_sensitivity(scn.qubit.species, scn.qubit.upper, scn.qubit.lower,
                                  scn.field.b_gauss)
         np.testing.assert_allclose(t_phi * values, 1.0 / (2.0 * math.pi * sens), rtol=1e-12)
@@ -166,7 +164,7 @@ class TestSweep:
     def test_rabi_sweep_gives_pi_pulse_and_wait(self):
         scn = load_scenario_text(_sweep_text("omega_R_rad_s", 5e5, 5e6))
         values = np.linspace(5e5, 5e6, 16).tolist()
-        curves = repro.sweep_curves(scn, "paper", values)
+        curves = repro.sweep_curves(scn, values)
         omega_dd = repro.gate_run(scn).omega_dd_rad_s
         np.testing.assert_allclose(curves["pi_pulse_duration_s"], np.pi / np.array(values),
                                    rtol=1e-15)
@@ -177,7 +175,7 @@ class TestSweep:
         scn = load_scenario_text(_sweep_text("mu_permanent_D", 1.0, 6.0))
         mu = scn.dipole.mu_permanent_debye
         values = [1.0, 2.5, mu, 6.0]
-        omega = np.array(repro.sweep_curves(scn, "paper", values)["omega_dd_rad_s"])
+        omega = np.array(repro.sweep_curves(scn, values)["omega_dd_rad_s"])
         np.testing.assert_allclose(omega / np.array(values) ** 4, omega[2] / mu ** 4, rtol=1e-12)
         assert omega[2] == pytest.approx(repro.gate_run(scn).omega_dd_rad_s, rel=1e-12)
 
@@ -217,14 +215,15 @@ class TestPaperRepro:
         report = json.loads((out / "paper_repro.json").read_text())
         assert _failed_checks_with_derived_verdicts(report["checks"]) == ["transition_649G_hz"]
 
-    def test_zero_field_noise_is_an_invalid_value(self, tmp_path, capsys):
-        # The operations count is undefined for an unbounded dephasing time.
+    @pytest.mark.parametrize("subcommand", ["paper-repro", "budget"])
+    def test_zero_field_noise_is_a_configuration_error(self, tmp_path, capsys, subcommand):
+        # T_phi and the operations count are unbounded at sigma_B = 0.
         cfg = _write_config(tmp_path,
                             _bundled_text().replace("sigma_B_G = 3e-4", "sigma_B_G = 0.0"))
-        assert cli.main(["paper-repro", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert "invalid value" in err
-        assert "Traceback" not in err
+        assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "hybridgate: configuration error: [noise] sigma_B_G: must be > 0, got 0.0\n")
+        assert not (tmp_path / "o").exists()
 
     def test_vanishing_gradient_is_an_invalid_value(self, tmp_path, capsys):
         # The site count width/(gradient*spacing) leaves float range.
@@ -258,9 +257,9 @@ class TestPaperRepro:
         out = tmp_path / "out"
         assert cli.main(["paper-repro", "--config", cfg, "--out", str(out)]) == 0
         written = json.loads((out / "paper_repro.json").read_text())
-        header = ("tool_version", "config_sha256", "seed", "mode")
-        assert list(written)[:4] == list(header)
-        report = repro.paper_repro(load_scenario_text(_bundled_text()), "paper")
+        header = ("tool_version", "config_sha256", "seed")
+        assert list(written)[:3] == list(header)
+        report = repro.paper_repro(load_scenario_text(_bundled_text()))
         assert {k: v for k, v in written.items() if k not in header} == report
 
     def test_stirap_efficiencies_pinned(self):
@@ -285,13 +284,12 @@ class TestPaperRepro:
 class TestStageRecords:
     SCN = load_scenario_text(_bundled_text())
 
-    @pytest.mark.parametrize("mode", ["paper", "standard"])
-    def test_levels_transition_at_b_matches_report(self, mode):
-        levels = repro.levels_run(self.SCN, mode)
-        assert levels.transition_at_b_hz == repro.paper_repro(self.SCN, mode)["transition_hz"]
+    def test_levels_transition_at_b_matches_report(self):
+        levels = repro.levels_run(self.SCN)
+        assert levels.transition_at_b_hz == repro.paper_repro(self.SCN)["transition_hz"]
 
     def test_levels_energies_keyed_in_state_order(self):
-        levels = repro.levels_run(self.SCN, "paper")
+        levels = repro.levels_run(self.SCN)
         assert list(levels.energies_hz) == all_states(self.SCN.qubit.species)
         assert all(e.shape == levels.grid_g.shape for e in levels.energies_hz.values())
 
@@ -332,7 +330,7 @@ class TestOtherSubcommands:
         out = tmp_path / "out"
         assert cli.main(["budget", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "budget_report.json").read_text())
-        assert list(report) == ["tool_version", "config_sha256", "seed", "mode",
+        assert list(report) == ["tool_version", "config_sha256", "seed",
                                 "sensitivity_hz_per_g", *BudgetReport.__dataclass_fields__,
                                 "ramsey_contrast_at_t_phi"]
         assert 180e-6 <= report["dephasing_time_s"] <= 250e-6
@@ -381,7 +379,8 @@ class TestOtherSubcommands:
 class TestExitCodes:
     @pytest.mark.parametrize("subcommand, section, key, value", CONFIG_EXTREMES)
     def test_config_extremes_exit_cleanly(self, tmp_path, capsys, subcommand, section, key, value):
-        # No exception escapes main, exit 0 writes only finite numbers, exit 1 no traceback.
+        # No exception or warning escapes main; exit 0 writes only finite numbers, exit 1
+        # prints one line and writes nothing.
         text = (_sweep_text("sigma_B_G", value, 1e-3) if (section, key) == ("sweep", "min")
                 else _with_key(_bundled_text(), section, key, value))
         out = tmp_path / "o"
@@ -391,15 +390,15 @@ class TestExitCodes:
             for path in out.glob("*.csv"):
                 assert np.isfinite(_read_csv(path)[1]).all(), path.name
         else:
-            assert "Traceback" not in err
+            assert err.startswith("hybridgate: ") and err.count("\n") == 1, err
+            assert not out.exists() or not any(out.iterdir())
 
-    def test_non_finite_table_value_is_named_and_not_written(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, _sweep_text("sigma_B_G", 0.0, 1e-3))
-        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.endswith(
-            "invalid value: sweep_dephasing_time_s.csv: dephasing_time_s = inf in row 1 "
-            "is not finite\n")
-        assert not (tmp_path / "o" / "sweep_dephasing_time_s.csv").exists()
+    def test_non_finite_table_value_is_named_and_not_written(self, tmp_path):
+        ctx = cli.RunContext(out_dir=str(tmp_path), seed=0, config_hash="0")
+        with pytest.raises(DomainError) as err:
+            ctx.table("t.csv", ("x", "y"), [1.0, 2.0, 3.0], [0.5, math.inf, math.nan])
+        assert str(err.value) == "t.csv: y = inf in row 2 is not finite"
+        assert not (tmp_path / "t.csv").exists()
 
     def test_missing_key_exits_1(self, tmp_path, capsys):
         text = _bundled_text().replace("sigma_B_G = 3e-4", "")
@@ -496,10 +495,10 @@ class TestEnvironment:
         assert __version__ in proc.stdout
 
     def test_reused_parser_matches_fresh_processes(self, tmp_path, capsys):
-        # Two calls in one process, differing in --seed, --mode and --out,
-        # must write what two fresh interpreters write.
+        # Two calls in one process, differing in --seed and --out, must write
+        # what two fresh interpreters write.
         cfg = _write_config(tmp_path, _bundled_text())
-        calls = (["budget", "--config", cfg, "--mode", "standard", "--seed", "5"],
+        calls = (["budget", "--config", cfg, "--seed", "5"],
                  ["levels", "--config", cfg])
         for i, argv in enumerate(calls):
             assert cli.main(argv + ["--out", str(tmp_path / f"same{i}")]) == 0
@@ -522,19 +521,3 @@ class TestEnvironment:
     def test_default_config_is_bundled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYBRIDGATE_OUT", str(tmp_path / "o"))
         assert cli.main(["levels"]) == 0
-
-    def test_standard_mode(self, tmp_path):
-        cfg = _write_config(tmp_path, _bundled_text())
-        out1, out2 = tmp_path / "paper", tmp_path / "standard"
-        assert cli.main(["levels", "--config", cfg, "--out", str(out1)]) == 0
-        assert cli.main(["levels", "--config", cfg, "--out", str(out2),
-                         "--mode", "standard"]) == 0
-        _, e_paper = _read_csv(out1 / "levels_energy_f2_m2.csv")
-        _, e_std = _read_csv(out2 / "levels_energy_f2_m2.csv")
-        # offsets differ (-1/12 vs -1/8 of the splitting) ...
-        assert e_std[0][1] - e_paper[0][1] == pytest.approx(
-            (1 / 12 - 1 / 8) * 6.835e9, rel=1e-9)
-        # ... but the g_i = 0 transition table is mode-independent
-        _, t_paper = _read_csv(out1 / "levels_table.csv")
-        _, t_std = _read_csv(out2 / "levels_table.csv")
-        assert np.allclose(t_paper[:, 1], t_std[:, 1], rtol=1e-12)

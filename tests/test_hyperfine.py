@@ -40,32 +40,29 @@ def _spin_operators(s):
     return np.diag(m), np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1)
 
 
-def _exact_levels(species, b, mode="paper"):
+def _exact_levels(species, b):
     """{(f, m): energy [Hz]} at field b [G]. Each m = m_I + m_J block is
-    diagonalised on its own; its higher eigenvalue is f = I + 1/2. "paper"
-    mode drops g_I and moves the centroid offset -1/(2(2I+1)) to -1/12."""
+    diagonalised on its own; its higher eigenvalue is f = I + 1/2."""
     i, splitting = species.nuclear_spin, species.hyperfine_splitting_hz
-    g_i = species.g_i if mode == "standard" else 0.0
     iz, ip = _spin_operators(i)
     jz, jp = _spin_operators(0.5)
     h = (splitting / (i + 0.5) * (np.kron(iz, jz) + 0.5 * (np.kron(ip, jp.T) + np.kron(ip.T, jp)))
          + BOHR_MAGNETON_HZ_PER_G * b * (species.g_j * np.kron(np.eye(len(iz)), jz)
-                                         + g_i * np.kron(iz, np.eye(2))))
-    shift = 0.0 if mode == "standard" else splitting * (1.0 / (2.0 * (2.0 * i + 1.0)) - 1.0 / 12.0)
+                                         + species.g_i * np.kron(iz, np.eye(2))))
     m_total = np.add.outer(np.diag(iz), np.diag(jz)).ravel()
     levels = {}
     for m in range(-species.f_upper, species.f_upper + 1):
         block = np.flatnonzero(m_total == m)
-        energies = np.linalg.eigvalsh(h[np.ix_(block, block)]) + shift
+        energies = np.linalg.eigvalsh(h[np.ix_(block, block)])
         for f, e in zip((species.f_lower, species.f_upper)[-len(block):], energies):
             levels[(f, m)] = e
     return levels
 
 
-def _exact_slope(species, state, b, mode="paper", h=1e-3):
+def _exact_slope(species, state, b, h=1e-3):
     """Central finite difference of the exact level [Hz/G]."""
     key = (state.f, state.m)
-    return (_exact_levels(species, b + h, mode)[key] - _exact_levels(species, b - h, mode)[key]) / (2 * h)
+    return (_exact_levels(species, b + h)[key] - _exact_levels(species, b - h)[key]) / (2 * h)
 
 
 # x = 1 at 1 G: the stretched state |2,-2> has a zero radicand there.
@@ -102,52 +99,44 @@ class TestSpecies:
 
 class TestBreitRabiEnergy:
     def test_zero_field_upper(self):
-        # x = 0: -1/12 + 1/2 of the splitting
+        # x = 0: the centroid offset -1/(2(2I+1)) = -1/8 plus 1/2 of the splitting
         e = breit_rabi_energy(RB87, UP, 0.0)
-        assert e == pytest.approx((0.5 - 1.0 / 12.0) * 6.835e9, rel=1e-12)
-        assert e == pytest.approx(2.84792e9, rel=1e-5)
+        assert e == pytest.approx((0.5 - 1.0 / 8.0) * 6.835e9, rel=1e-12)
+        assert e == pytest.approx(2.563125e9, rel=1e-12)
 
     def test_zero_field_lower(self):
         e = breit_rabi_energy(RB87, DOWN, 0.0)
-        assert e == pytest.approx(-(0.5 + 1.0 / 12.0) * 6.835e9, rel=1e-12)
-        assert e == pytest.approx(-3.98708e9, rel=1e-5)
+        assert e == pytest.approx(-(0.5 + 1.0 / 8.0) * 6.835e9, rel=1e-12)
+        assert e == pytest.approx(-4.271875e9, rel=1e-12)
 
     def test_at_resonance_field(self):
-        # |2,2> lies at (-1/12 + (1 + x)/2) of the splitting
-        x = 2.0 * (breit_rabi_energy(RB87, UP, 649.0) / 6.835e9 + 1.0 / 12.0) - 1.0
+        # |2,2> lies at (-1/8 + (1 + x)/2) of the splitting
+        e = breit_rabi_energy(RB87, UP, 649.0)
+        x = 2.0 * (e / 6.835e9 + 1.0 / 8.0) - 1.0
         assert x == pytest.approx(0.266105, rel=1e-5)
-        # frozen direct evaluation
-        assert breit_rabi_energy(RB87, UP, 649.0) == pytest.approx(3.757331269831382e9, rel=1e-9)
+        assert abs(e - _exact_levels(RB87, 649.0)[(2, 2)]) <= 1e-12 * 6.835e9
+        assert e == pytest.approx(3.4725396031647153e9, rel=1e-9)  # frozen
 
-    def test_standard_mode_offset(self):
-        # Standard offset for I=3/2 is -1/8; the difference is a constant
-        # (1/12 - 1/8) * splitting at g_i = 0.
-        paper = breit_rabi_energy(RB87, UP, 649.0, mode="paper")
-        std = breit_rabi_energy(RB87, UP, 649.0, mode="standard")
-        assert std - paper == pytest.approx((1.0 / 12.0 - 1.0 / 8.0) * 6.835e9, rel=1e-12)
-
-    def test_standard_mode_nuclear_term(self):
+    def test_nuclear_term(self):
         # |2,2> = |m_J = 1/2, m_I = 3/2>: g_I moves it by g_I mu_B B I, the
         # nuclear term g_I mu_B m B less the g_I share of x.
         species = AtomSpecies("Rb87n", 1.5, 6.835e9, 2.00233, g_i=-0.000995)
         base = AtomSpecies("Rb87z", 1.5, 6.835e9, 2.00233)
-        e = breit_rabi_energy(species, UP, 100.0, mode="standard")
-        diff = e - breit_rabi_energy(base, UP, 100.0, mode="standard")
+        e = breit_rabi_energy(species, UP, 100.0)
+        diff = e - breit_rabi_energy(base, UP, 100.0)
         assert diff == pytest.approx(-0.000995 * BOHR_MAGNETON_HZ_PER_G * 1.5 * 100.0, rel=1e-6)
-        assert abs(e - _exact_levels(species, 100.0, "standard")[(2, 2)]) <= 1e-12 * 6.835e9
+        assert abs(e - _exact_levels(species, 100.0)[(2, 2)]) <= 1e-12 * 6.835e9
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             breit_rabi_energy(RB87, HyperfineState(3, 0), 0.0)
         with pytest.raises(DomainError):
             breit_rabi_energy(RB87, UP, -1.0)
-        with pytest.raises(DomainError):
-            breit_rabi_energy(RB87, UP, 649.0, mode="bogus")
 
     def test_negative_radicand_is_hard_error(self):
         # |3,-3> of an I = 5/2 species at x = 1.5, where the radicand with m
         # in place of 4m/(2I+1), 1 - 3x + x^2, is negative: the stretched
-        # level is the line (1 - x)/2.
+        # level is the line (1 - x)/2 above the I = 5/2 offset -1/(2(2I+1)) = -1/12.
         b = 1.5 * 1.0e9 / (2.0 * BOHR_MAGNETON_HZ_PER_G)
         e = breit_rabi_energy(I52, HyperfineState(3, -3), b)
         assert e == pytest.approx(1.0e9 * (-1.0 / 12.0 - 0.25), rel=1e-12)
@@ -157,20 +146,51 @@ class TestBreitRabiEnergy:
 class TestExactLevels:
     """Every sublevel against the exact diagonalisation, past x = 1."""
 
-    @pytest.mark.parametrize("mode", ["paper", "standard"])
     @pytest.mark.parametrize("g_i", [0.0, -0.000995])
     @pytest.mark.parametrize("spin,splitting", [(1.5, 803.5e6), (1.5, 6.835e9),
                                                 (2.5, 3.0357324390e9), (3.5, 9.192631770e9)])
-    def test_every_sublevel(self, spin, splitting, g_i, mode):
+    def test_every_sublevel(self, spin, splitting, g_i):
         species = AtomSpecies("test", spin, splitting, 2.00233, g_i=g_i)
-        g_x = species.g_j - (g_i if mode == "standard" else 0.0)
-        b_x1 = splitting / (g_x * BOHR_MAGNETON_HZ_PER_G)
+        b_x1 = splitting / ((species.g_j - g_i) * BOHR_MAGNETON_HZ_PER_G)
         fields = np.concatenate([np.linspace(0.0, 1e4, 81), b_x1 * np.array([1 - 1e-9, 1, 1 + 1e-9])])
         for b in fields:
-            exact = _exact_levels(species, b, mode)
+            exact = _exact_levels(species, b)
             for state in all_states(species):
-                e = breit_rabi_energy(species, state, b, mode=mode)
+                e = breit_rabi_energy(species, state, b)
                 assert abs(e - exact[(state.f, state.m)]) <= 1e-12 * splitting, (state.label(), b)
+
+    @pytest.mark.parametrize("b", [0.0, 649.0, 5000.0])
+    @pytest.mark.parametrize("g_i", [0.0, -0.000995])
+    @pytest.mark.parametrize("spin,splitting", [(1.5, 6.835e9), (2.5, 3.0357324390e9),
+                                                (3.5, 9.192631770e9)])
+    def test_sublevels_sum_to_zero(self, spin, splitting, g_i, b):
+        # A I.J + mu_B B (g_J J_z + g_I I_z) is traceless: the levels are
+        # relative to the centroid at every field.
+        species = AtomSpecies("test", spin, splitting, 2.00233, g_i=g_i)
+        total = sum(breit_rabi_energy(species, state, b) for state in all_states(species))
+        assert abs(total) <= 1e-12 * splitting
+
+    def test_beyond_float_range_names_the_field(self):
+        # x^2 overflows at 1e300 G; the largest field is named before numpy warns.
+        for call in (lambda b: breit_rabi_energy(RB87, UP, b),
+                     lambda b: field_sensitivity(RB87, HyperfineState(2, -2), DOWN, b)):
+            with pytest.raises(DomainError, match=r"^magnetic field 1e\+300 G is beyond"):
+                call(1e300)
+            with pytest.raises(DomainError, match=r"^magnetic field 1e\+300 G is beyond"):
+                call(np.array([649.0, 1e300, 1e10]))
+            with pytest.raises(DomainError, match=r"^magnetic field nan G is beyond"):
+                call(np.array([649.0, math.nan]))
+
+    @pytest.mark.parametrize("state", [UP, HyperfineState(2, -2), HyperfineState(1, 0)],
+                             ids=lambda s: s.label())
+    def test_last_field_in_float_range_gives_finite_levels(self, state):
+        # Just inside the check, every element of a 0..b array is finite and numpy
+        # does not warn (warnings are errors in this suite).
+        x_limit = math.sqrt(np.finfo(float).max) / 2.0
+        b = x_limit * RB87.hyperfine_splitting_hz / (RB87.g_j * BOHR_MAGNETON_HZ_PER_G)
+        fields = np.linspace(0.0, b, 7)
+        assert np.isfinite(breit_rabi_energy(RB87, state, fields)).all()
+        assert np.isfinite(field_sensitivity(RB87, state, DOWN, fields)).all()
 
 
 class TestTransitionFrequency:
@@ -194,11 +214,6 @@ class TestTransitionFrequency:
         for b in (0.0, 10.0, 649.0, 1500.0):
             assert transition_frequency(RB87, UP, DOWN, b) == pytest.approx(
                 -transition_frequency(RB87, DOWN, UP, b), rel=1e-15)
-
-    def test_mode_independent_without_nuclear_term(self):
-        t_paper = transition_frequency(RB87, UP, DOWN, 649.0, mode="paper")
-        t_std = transition_frequency(RB87, UP, DOWN, 649.0, mode="standard")
-        assert t_paper == pytest.approx(t_std, rel=1e-12)
 
 
 class TestFieldSensitivity:
@@ -236,13 +251,11 @@ class TestFieldSensitivity:
         exact = _exact_slope(KINK, upper, 1.0) - _exact_slope(KINK, lower, 1.0)
         assert s == pytest.approx(exact, rel=1e-6)
 
-    @pytest.mark.parametrize("mode", ["paper", "standard"])
     @pytest.mark.parametrize("species", [KINK, RB85, LI7], ids=lambda sp: sp.name)
-    def test_matches_exact_finite_difference_through_x_1(self, species, mode):
+    def test_matches_exact_finite_difference_through_x_1(self, species):
         species = AtomSpecies(species.name, species.nuclear_spin, species.hyperfine_splitting_hz,
                               species.g_j, g_i=-0.000995)
-        g_x = species.g_j - (species.g_i if mode == "standard" else 0.0)
-        b_x1 = species.hyperfine_splitting_hz / (g_x * BOHR_MAGNETON_HZ_PER_G)
+        b_x1 = species.hyperfine_splitting_hz / ((species.g_j - species.g_i) * BOHR_MAGNETON_HZ_PER_G)
         fu, fl = species.f_upper, species.f_lower
         scale = species.g_j * BOHR_MAGNETON_HZ_PER_G
         for upper, lower in ((HyperfineState(fu, -fu), HyperfineState(fl, -fl)),
@@ -250,9 +263,8 @@ class TestFieldSensitivity:
                              (HyperfineState(fu, -fu), HyperfineState(fu, 1 - fu))):
             for b in b_x1 * np.array([0.5, 0.99, 1.0, 1.01, 2.0]):
                 h = 1e-3 * b_x1
-                analytic = field_sensitivity(species, upper, lower, b, mode=mode)
-                fd = (_exact_slope(species, upper, b, mode, h)
-                      - _exact_slope(species, lower, b, mode, h))
+                analytic = field_sensitivity(species, upper, lower, b)
+                fd = _exact_slope(species, upper, b, h) - _exact_slope(species, lower, b, h)
                 assert abs(analytic - fd) <= 1e-6 * scale, (upper.label(), lower.label(), b)
 
 
@@ -263,33 +275,32 @@ class TestFieldArrays:
     FIELDS = np.concatenate([np.linspace(0.0, 2500.0, 41), [649.0, 1e-3, 5e3, 1e4, 2e5]])
     RB87_NUCLEAR = AtomSpecies("Rb87n", 1.5, 6.835e9, 2.00233, g_i=-0.000995)
 
-    @pytest.mark.parametrize("mode", ["paper", "standard"])
     @pytest.mark.parametrize("species", [RB87, LI7, RB87_NUCLEAR, RB85], ids=lambda sp: sp.name)
-    def test_arrays_equal_scalar_calls(self, species, mode):
+    def test_arrays_equal_scalar_calls(self, species):
         b = self.FIELDS
         fu, fl = species.f_upper, species.f_lower
         pairs = ((HyperfineState(fu, fu), HyperfineState(fl, fl)),
                  (HyperfineState(fu, -1), HyperfineState(fl, 0)),
                  (HyperfineState(fu, -fu), HyperfineState(fl, -fl)))
         for upper, lower in pairs:
-            assert type(breit_rabi_energy(species, upper, 649.0, mode=mode)) is float
-            assert type(field_sensitivity(species, upper, lower, 649.0, mode=mode)) is float
+            assert type(breit_rabi_energy(species, upper, 649.0)) is float
+            assert type(field_sensitivity(species, upper, lower, 649.0)) is float
         for state in all_states(species):
-            energies = breit_rabi_energy(species, state, b, mode=mode)
-            assert np.array_equal(energies, [breit_rabi_energy(species, state, float(v), mode=mode)
+            energies = breit_rabi_energy(species, state, b)
+            assert np.array_equal(energies, [breit_rabi_energy(species, state, float(v))
                                              for v in b])
         for upper, lower in pairs:
             assert np.array_equal(
-                transition_frequency(species, upper, lower, b, mode=mode),
-                [transition_frequency(species, upper, lower, float(v), mode=mode) for v in b])
+                transition_frequency(species, upper, lower, b),
+                [transition_frequency(species, upper, lower, float(v)) for v in b])
             assert np.array_equal(
-                field_sensitivity(species, upper, lower, b, mode=mode),
-                [field_sensitivity(species, upper, lower, float(v), mode=mode) for v in b])
+                field_sensitivity(species, upper, lower, b),
+                [field_sensitivity(species, upper, lower, float(v)) for v in b])
 
     @pytest.mark.parametrize("call", [
-        lambda b: breit_rabi_energy(RB87, HyperfineState(2, -2), b, mode="standard"),
+        lambda b: breit_rabi_energy(RB87, HyperfineState(2, -2), b),
         lambda b: breit_rabi_energy(RB87, UP, b),
-        lambda b: transition_frequency(RB87, UP, DOWN, b, mode="standard"),
+        lambda b: transition_frequency(RB87, UP, DOWN, b),
         lambda b: field_sensitivity(RB87, UP, DOWN, b),
     ])
     def test_negative_field_anywhere_names_the_first(self, call):

@@ -45,7 +45,7 @@ BOUNDED_KEYS = [
     ("dipole", "fopa_enhancement", "0.5", "1.0"),
     ("gate", "omega_R_rad_s", "0.0", None),
     ("gate", "enabler_rotation_s", "0.0", None),
-    ("noise", "sigma_B_G", "-1e-4", "0.0"),
+    ("noise", "sigma_B_G", "0.0", None),
     ("noise", "gamma_inelastic_per_s", "-1.0", "0.0"),
     ("noise", "trap_frequency_Hz", "0.0", None),
     ("noise", "seed", "-1", "0"),
@@ -176,7 +176,7 @@ class TestValidation:
     @pytest.mark.parametrize("parameter, rejected, limit", [
         ("separation_r_m", "0.0", None),
         ("b_G", "-100.0", "0.0"),
-        ("sigma_B_G", "-1e-5", "0.0"),
+        ("sigma_B_G", "0.0", None),
         ("omega_R_rad_s", "0.0", None),
         ("mu_permanent_D", "0.0", None),
     ])
