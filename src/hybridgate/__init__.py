@@ -43,14 +43,12 @@ from .errors import (
 from .gate import (
     DipoleParams,
     GateSchedule,
-    TwoQubitUnitary,
     accumulated_phase_profile,
     build_gate_schedule,
-    build_phase_gate,
     dipole_dipole_rate,
-    gate_fidelity,
     induced_dipole,
     interaction_time_for_pi,
+    phase_gate_fidelity,
     schedule_total_duration,
     total_phase_closed_form,
 )

@@ -110,7 +110,7 @@ def _cmd_levels(scn, ctx):
 
 
 def _cmd_pulse(scn, ctx):
-    raman = raman_run(scn, 501)
+    raman = raman_run(scn)
     traj = raman.trajectory
     pops = traj.populations()
     p2 = raman.two_level_population

@@ -39,6 +39,7 @@ MAX_SUBSTEPS = 5000        # work bound on the derived substeps per interval (bu
 NORM_DRIFT_LIMIT = 1e-7    # max allowed |sum|c|^2 - 1| for unitary evolution
 GAUSSIAN_CUTOFF_SIGMAS = 4.0  # gaussian envelopes are zero beyond this many rms widths
 STIRAP_POINTS = 601        # output grid of a STIRAP trajectory
+RAMAN_POINTS = 501         # output grid of a Raman trajectory
 
 LAMBDA_LABELS = ("atoms", "excited", "molecule")
 
@@ -145,16 +146,13 @@ def two_level_population(params, t):
     """Transferred population |c_g(t)|^2 of a two-level drive started in the
     other state: (omega^2/W^2) sin^2(W t / 2), W = sqrt(omega^2 + delta^2).
 
-    Accepts scalar or array t >= 0; returns 0 when omega = delta = 0.
+    Accepts scalar or array t, finite and >= 0; returns 0 when omega = delta = 0.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("time must be >= 0")
+    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
+        raise DomainError("time must be finite and >= 0")
     w = params.generalized_rabi_rad_s
-    if w == 0.0:
-        out = np.zeros_like(t_arr)
-        return float(out) if np.isscalar(t) else out
-    amp = (params.omega_r_rad_s / w) ** 2
+    amp = (params.omega_r_rad_s / w) ** 2 if w else 0.0  # W = 0 only when omega = 0
     out = amp * np.sin(0.5 * w * t_arr) ** 2
     return float(out) if np.isscalar(t) else out
 
@@ -379,8 +377,9 @@ def lambda_matrix(omega_p, omega_s, delta_e, delta, gamma_e):
     return h.transpose(*range(2, h.ndim), 0, 1)
 
 
-def raman_trajectory(params, duration_s, n_points=241):
-    """Rectangular Raman pulse from the atom-pair state over [0, duration].
+def raman_trajectory(params, duration_s):
+    """Rectangular Raman pulse from the atom-pair state over [0, duration],
+    on RAMAN_POINTS equally spaced times.
 
     H is constant, so psi(t) = V exp(-i w t) V^-1 psi0 on every grid time at
     once, from the eigenvalues w and eigenvectors V of H (np.linalg.eig, as
@@ -392,7 +391,7 @@ def raman_trajectory(params, duration_s, n_points=241):
         raise DomainError(f"duration must be > 0, got {duration_s!r}")
     h = lambda_matrix(params.omega_p_rad_s, params.omega_s_rad_s, params.delta_e_rad_s,
                       compensated_bare_detuning(params), params.gamma_e_rad_s)
-    grid = np.linspace(0.0, duration_s, n_points)
+    grid = np.linspace(0.0, duration_s, RAMAN_POINTS)
     w, v = np.linalg.eig(h)
     if not math.isfinite(duration_s * float(np.abs(w).max())):
         raise DomainError(f"phase w*t of a {duration_s!r} s pulse leaves float range")
@@ -407,9 +406,16 @@ def stirap_trajectory(pump, stokes, delta_e_rad_s, delta_rad_s):
 
     Light-shift compensation does not apply here (the envelopes are resolved
     exactly, and delta_e may be zero); delta_rad_s is the bare detuning.
+    Raises DomainError when the spacing of the STIRAP_POINTS grid exceeds the
+    smaller rms width: the grid would not resolve that pulse.
     """
     t0 = min(pump.start_s, stokes.start_s)
     t1 = max(pump.end_s, stokes.end_s)
+    spacing = (t1 - t0) / (STIRAP_POINTS - 1)
+    width = min(pump.rms_width_s, stokes.rms_width_s)
+    if not spacing <= width:
+        raise DomainError(f"STIRAP grid spacing {spacing:.3g} s exceeds the rms width "
+                          f"{width!r} s; the pulses are not resolved")
 
     def hfunc(t):
         return lambda_matrix(pump.value(t), stokes.value(t), delta_e_rad_s, delta_rad_s, 0.0)

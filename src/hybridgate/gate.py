@@ -1,5 +1,5 @@
 """Dipole-dipole phase gate: interaction strength, accumulated phase,
-schedule assembly and the resulting two-qubit unitary.
+schedule assembly and the fidelity of the resulting phase gate.
 
 The canonical interaction quantity is the angular rate
 omega_dd = mu_ind^2 / (4*pi*eps0 * r^3 * hbar) [rad/s]; the interaction
@@ -16,8 +16,6 @@ import numpy as np
 from .constants import FOUR_PI_EPSILON0, HBAR_J_S, PLANCK_J_S, debye_to_si
 from .dynamics import TwoLevelParams, two_level_population
 from .errors import DomainError
-
-UNITARITY_TOL = 1e-10
 
 # Linear response is quantitatively reliable only well below full polarization.
 POLARIZATION_VALIDITY_LIMIT = 0.5
@@ -253,34 +251,15 @@ def total_phase_closed_form(omega_dd_rad_s, omega_r_rad_s, delta_rad_s, tau_int_
 
 
 # --------------------------------------------------------------------------
-# Two-qubit unitary
+# Gate fidelity
 
 
-@dataclass(frozen=True)
-class TwoQubitUnitary:
-    """4x4 unitary on the enabled-qubit basis (|0'0'>, |0'1'>, |1'0'>, |1'1'>)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (4, 4):
-            raise DomainError(f"unitary must be 4x4, got shape {m.shape}")
-        deviation = np.max(np.abs(m.conj().T @ m - np.eye(4)))
-        if deviation > UNITARITY_TOL:
-            raise DomainError(f"matrix not unitary: max|U^H U - I| = {deviation:.3e}")
-
-
-def build_phase_gate(phi_rad):
-    """diag(e^{i phi}, 1, 1, 1): only the doubly-converted |0'0'> component
-    acquires the interaction phase."""
+def phase_gate_fidelity(phi_rad):
+    """Fidelity of the phase gate U = diag(e^{i phi}, 1, 1, 1), in which only the
+    doubly converted |0'0'> acquires the interaction phase, against the ideal
+    V = diag(-1, 1, 1, 1): the global-phase-insensitive overlap
+    |Tr(U^H V) / 4|^2 = |3 - e^{-i phi}|^2 / 16 = (5 - 3 cos phi) / 8,
+    written as 1 - (3/4) sin^2((phi - pi)/2)."""
     if not math.isfinite(phi_rad):
         raise DomainError(f"phase must be finite, got {phi_rad!r}")
-    return TwoQubitUnitary(np.diag([np.exp(1j * phi_rad), 1.0, 1.0, 1.0]))
-
-
-def gate_fidelity(u, v):
-    """Global-phase-insensitive overlap |Tr(U^H V) / 4|^2 of two
-    TwoQubitUnitary gates."""
-    return float(np.abs(np.trace(u.matrix.conj().T @ v.matrix) / 4.0) ** 2)
+    return 1.0 - 0.75 * math.sin(0.5 * (phi_rad - math.pi)) ** 2

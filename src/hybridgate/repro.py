@@ -36,14 +36,11 @@ def _stirap_args(scn, peak_factor=1.0, reversed_order=False):
 
 def _fd_sensitivity_max_rel_err(scn):
     sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
-    worst = 0.0
-    for b in FD_CHECK_FIELDS_G:
-        analytic = hyperfine.field_sensitivity(sp, up, lo, b)
-        upper = hyperfine.transition_frequency(sp, up, lo, b + FD_STEP_G)
-        lower = hyperfine.transition_frequency(sp, up, lo, b - FD_STEP_G)
-        fd = (upper - lower) / (2.0 * FD_STEP_G)
-        worst = max(worst, abs(fd - analytic) / abs(analytic))
-    return worst
+    b = np.array(FD_CHECK_FIELDS_G)
+    analytic = hyperfine.field_sensitivity(sp, up, lo, b)
+    fd = (hyperfine.transition_frequency(sp, up, lo, b + FD_STEP_G)
+          - hyperfine.transition_frequency(sp, up, lo, b - FD_STEP_G)) / (2.0 * FD_STEP_G)
+    return float(np.max(np.abs(fd - analytic) / np.abs(analytic)))
 
 
 @dataclass(frozen=True)
@@ -82,12 +79,12 @@ class RamanRun:
     max_deviation: float
 
 
-def raman_run(scn, n_points):
+def raman_run(scn):
     params = scn.raman_effective()
     reduction = dynamics.effective_rabi(params)
     drive = dynamics.TwoLevelParams(abs(reduction.omega_r_rad_s), params.delta_rad_s)
     duration = dynamics.pi_pulse_duration(drive)
-    traj = dynamics.raman_trajectory(params, duration, n_points)
+    traj = dynamics.raman_trajectory(params, duration)
     p2 = dynamics.two_level_population(drive, traj.times)
     return RamanRun(params, reduction, drive, duration, traj, p2,
                     float(np.max(np.abs(traj.populations()[:, 2] - p2))))
@@ -143,9 +140,8 @@ def gate_run(scn):
     phi = float(profile[1][-1])
     tau = gate.interaction_time_for_pi(omega_dd, omega_r)
     phi_closed = gate.total_phase_closed_form(omega_dd, omega_r, omega_dd, tau)
-    fidelity = gate.gate_fidelity(gate.build_phase_gate(phi), gate.build_phase_gate(math.pi))
     return GateRun(ind, omega_dd, schedule, gate.schedule_total_duration(schedule), tau,
-                   profile, phi, phi_closed, fidelity)
+                   profile, phi, phi_closed, gate.phase_gate_fidelity(phi))
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,7 @@ def paper_repro(scn):
 
     # Far-detuned reduction quality at the configured ratio, and again with
     # delta_e scaled x10 at fixed omega_R.
-    raman = raman_run(scn, 241)
+    raman = raman_run(scn)
     p2 = float(raman.two_level_population[-1])
     scaled = replace(raman.params, omega_p_rad_s=raman.params.omega_p_rad_s * math.sqrt(10.0),
                      omega_s_rad_s=raman.params.omega_s_rad_s * math.sqrt(10.0),

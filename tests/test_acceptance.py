@@ -18,8 +18,8 @@ from hybridgate.dynamics import (LambdaParams, PulseEnvelope, TwoLevelParams,
                                  simulate_stirap, stirap_trajectory,
                                  two_level_population)
 from hybridgate.gate import (GateSchedule, Step, accumulated_phase_profile,
-                             build_gate_schedule, build_phase_gate, dipole_dipole_rate,
-                             gate_fidelity, interaction_time_for_pi,
+                             build_gate_schedule, dipole_dipole_rate,
+                             interaction_time_for_pi, phase_gate_fidelity,
                              schedule_total_duration, total_phase_closed_form)
 from hybridgate.hyperfine import (RB87, HyperfineState, field_sensitivity,
                                   open_decay_channels, resonance_site_count,
@@ -123,8 +123,7 @@ def test_criterion_07_gate_time_and_recorded_inconsistency():
 def test_criterion_08_noiseless_protocol_fidelity():
     schedule = build_gate_schedule(OMEGA_DD, OMEGA_R, ENABLER_ROTATION_S)
     phi = accumulated_phase_profile(OMEGA_DD, schedule)[1][-1]
-    fid = gate_fidelity(build_phase_gate(phi),
-                        build_phase_gate(math.pi))  # ideal diag(-1, 1, 1, 1)
+    fid = phase_gate_fidelity(phi)  # against the ideal diag(-1, 1, 1, 1)
     ok = fid >= 1.0 - 1e-6
     _report(8, "phase-gate fidelity >= 1 - 1e-6", ok, f"fidelity={fid:.12f}")
 

@@ -70,6 +70,8 @@ CONFIG_EXTREMES = [
     ("stirap", "stirap", "peak_rad_s", "1e300"),
     ("stirap", "stirap", "delta_e_rad_s", "1e300"),
     ("stirap", "stirap", "rms_width_s", "1e300"),
+    ("stirap", "stirap", "rms_width_s", "1e-300"),
+    ("paper-repro", "stirap", "rms_width_s", "1e-300"),
     ("levels", "levels", "b_max_G", "1e300"),
     ("levels", "field", "b_G", "1e300"),
     ("sweep", "dipole", "e_dc_V_per_m", "1e300"),
@@ -294,7 +296,7 @@ class TestStageRecords:
         assert all(e.shape == levels.grid_g.shape for e in levels.energies_hz.values())
 
     def test_raman_two_level_population_ends_on_the_pulse(self):
-        raman = repro.raman_run(self.SCN, 241)
+        raman = repro.raman_run(self.SCN)
         assert raman.two_level_population.shape == raman.trajectory.times.shape
         assert raman.two_level_population[-1] == dynamics.two_level_population(
             raman.drive, raman.duration_s)

@@ -6,6 +6,7 @@ import pytest
 from hybridgate.dynamics import (
     MAX_SUBSTEPS,
     STEP_PHASE_MAX,
+    STIRAP_POINTS,
     STEP_PHASE_TARGET,
     LambdaParams,
     PulseEnvelope,
@@ -65,7 +66,10 @@ class TestTwoLevelPopulation:
         assert two_level_population(p, t) == pytest.approx(0.98236, abs=1e-5)
 
     def test_zero_drive(self):
-        assert two_level_population(TwoLevelParams(0.0, 0.0), 1.0) == 0.0
+        with np.errstate(all="raise"):
+            assert two_level_population(TwoLevelParams(0.0, 0.0), 1.0) == 0.0
+            assert np.array_equal(two_level_population(TwoLevelParams(0.0, 0.0), [0.0, 1.0]),
+                                  [0.0, 0.0])
 
     def test_periodicity(self):
         p = TwoLevelParams(1e6, 2e5)
@@ -74,9 +78,13 @@ class TestTwoLevelPopulation:
         assert np.max(np.abs(two_level_population(p, ts + period)
                              - two_level_population(p, ts))) < 1e-12
 
-    def test_rejects_negative_time_and_rabi(self):
-        with pytest.raises(DomainError):
-            two_level_population(TwoLevelParams(1e6, 0.0), -1.0)
+    @pytest.mark.parametrize("omega", [0.0, 1e6])
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan, [0.0, math.inf]])
+    def test_rejects_negative_or_non_finite_time(self, omega, t):
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            two_level_population(TwoLevelParams(omega, 0.0), t)
+
+    def test_rejects_negative_rabi(self):
         with pytest.raises(DomainError):
             TwoLevelParams(-1e6, 0.0)
 
@@ -551,3 +559,20 @@ class TestStirap:
         # the transfer rides the dark state, which has no excited component,
         # so a moderate one-photon detuning barely degrades it
         assert simulate_stirap(*_stirap_setup(), 5e5, 0.0) > 0.99
+
+    def test_grid_spacing_must_resolve_the_narrower_pulse(self):
+        # The grid runs from the Stokes start (0) to the pump end (8 sigma +
+        # separation), so this separation puts its spacing at exactly sigma.
+        sigma = 1.0
+        at_sigma = (STIRAP_POINTS - 1 - 2 * 4) * sigma
+
+        def pulses(separation):
+            return (PulseEnvelope(1e-3, 4.0 * sigma + separation, sigma),
+                    PulseEnvelope(1e-3, 4.0 * sigma, sigma))
+
+        assert stirap_trajectory(*pulses(at_sigma), 0.0, 0.0).norm_drift < 1e-9
+        with pytest.raises(DomainError, match="spacing 1 s exceeds the rms width 0.5 s"):
+            stirap_trajectory(pulses(at_sigma)[0], PulseEnvelope(1e-3, 2.0, 0.5),
+                              0.0, 0.0)
+        with pytest.raises(DomainError, match="spacing"):
+            stirap_trajectory(*pulses(at_sigma + 1.0), 0.0, 0.0)

@@ -13,14 +13,12 @@ from hybridgate.gate import (
     STEP_KINDS,
     GateSchedule,
     Step,
-    TwoQubitUnitary,
     accumulated_phase_profile,
     build_gate_schedule,
-    build_phase_gate,
     dipole_dipole_rate,
-    gate_fidelity,
     induced_dipole,
     interaction_time_for_pi,
+    phase_gate_fidelity,
     schedule_total_duration,
     _step_phase_integral,
     total_phase_closed_form,
@@ -321,48 +319,28 @@ class TestStep:
             Step(kind, 1e-6, self.PULSE)
 
 
-class TestPhaseGateUnitary:
-    def test_pi_gate(self):
-        u = build_phase_gate(math.pi).matrix
-        assert np.max(np.abs(u - np.diag([-1.0, 1.0, 1.0, 1.0]))) < 1e-12
-
-    def test_zero_and_two_pi(self):
-        assert np.array_equal(build_phase_gate(0.0).matrix, np.eye(4))
-        assert np.max(np.abs(build_phase_gate(2.0 * math.pi).matrix - np.eye(4))) < 1e-12
-
-    def test_unitarity_invariant(self):
-        for phi in (0.0, 0.3, math.pi, 5.1):
-            u = build_phase_gate(phi).matrix
-            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
-
-    def test_phase_additivity(self):
-        a, b = 0.7, 2.2
-        product = build_phase_gate(a).matrix @ build_phase_gate(b).matrix
-        assert np.max(np.abs(product - build_phase_gate(a + b).matrix)) < 1e-12
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            build_phase_gate(math.inf)
+def _trace_overlap_fidelity(phi):
+    """|Tr(U^H V) / 4|^2 of U = diag(e^{i phi}, 1, 1, 1) and V = diag(-1, 1, 1, 1)."""
+    u = np.diag([np.exp(1j * phi), 1.0, 1.0, 1.0])
+    v = np.diag([-1.0, 1.0, 1.0, 1.0])
+    return abs(np.trace(u.conj().T @ v) / 4.0) ** 2
 
 
-class TestGateFidelity:
-    def test_self_fidelity(self):
-        u = build_phase_gate(1.1)
-        assert gate_fidelity(u, u) == pytest.approx(1.0, abs=1e-14)
+class TestPhaseGateFidelity:
+    @pytest.mark.parametrize("phi", np.linspace(-10.0, 10.0, 41).tolist() + [math.pi, 2.9, 5.1])
+    def test_matches_the_trace_overlap(self, phi):
+        assert abs(phase_gate_fidelity(phi) - _trace_overlap_fidelity(phi)) <= 1e-15
 
-    def test_pi_gate_vs_identity(self):
-        assert gate_fidelity(build_phase_gate(math.pi),
-                             build_phase_gate(0.0)) == pytest.approx(0.25, abs=1e-12)
+    def test_ideal_and_identity(self):
+        assert phase_gate_fidelity(math.pi) == 1.0
+        assert phase_gate_fidelity(0.0) == pytest.approx(0.25, abs=1e-15)
 
-    def test_global_phase_invariance(self):
-        u = build_phase_gate(0.9)
-        v = TwoQubitUnitary(np.exp(0.456j) * u.matrix)
-        assert gate_fidelity(u, v) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("phi", [0.0, 0.4, math.pi, 5.1])
+    def test_two_pi_periodic(self, phi):
+        assert phase_gate_fidelity(phi + 2.0 * math.pi) == pytest.approx(
+            phase_gate_fidelity(phi), abs=1e-15)
 
-    def test_symmetry(self):
-        u, v = build_phase_gate(0.4), build_phase_gate(2.9)
-        assert gate_fidelity(u, v) == pytest.approx(gate_fidelity(v, u), abs=1e-12)
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(DomainError):
-            gate_fidelity(TwoQubitUnitary(np.diag([0.5, 1.0, 1.0, 1.0])), build_phase_gate(0.0))
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, phi):
+        with pytest.raises(DomainError, match="finite"):
+            phase_gate_fidelity(phi)
