@@ -27,8 +27,6 @@ from .repro import (budget_run, gate_run, levels_run, paper_repro, raman_run, st
                     sweep_curves)
 from .scenario import load_scenario_text
 
-SUBCOMMANDS = ("levels", "pulse", "stirap", "gate", "budget", "sweep", "paper-repro")
-
 
 @dataclass(frozen=True)
 class RunContext:
@@ -78,7 +76,7 @@ def _build_parser():
     parser = _Parser(prog="hybridgate", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hybridgate {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:   # defined below; the parser is built at run time
         sub.add_parser(name, parents=[common])
     return parser
 
@@ -208,7 +206,7 @@ def run(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.subcommand is None:
-        raise ConfigError(f"a subcommand is required: one of {', '.join(SUBCOMMANDS)}")
+        raise ConfigError(f"a subcommand is required: one of {', '.join(_HANDLERS)}")
     config_bytes = _read_config_bytes(args.config)
     config_hash = hashlib.sha256(config_bytes).hexdigest()
     try:

@@ -73,8 +73,10 @@ class TwoLevelParams:
     delta_rad_s: float = 0.0
 
     def __post_init__(self):
-        if self.omega_r_rad_s < 0:
-            raise DomainError(f"omega_r must be >= 0, got {self.omega_r_rad_s!r}")
+        if not 0 <= self.omega_r_rad_s < math.inf:
+            raise DomainError(f"omega_r must be finite and >= 0, got {self.omega_r_rad_s!r}")
+        if not math.isfinite(self.delta_rad_s):
+            raise DomainError(f"delta must be finite, got {self.delta_rad_s!r}")
 
     @property
     def generalized_rabi_rad_s(self):
@@ -97,8 +99,8 @@ class LambdaParams:
     gamma_e_rad_s: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_e_rad_s < 0:
-            raise DomainError(f"gamma_e must be >= 0, got {self.gamma_e_rad_s!r}")
+        if not 0 <= self.gamma_e_rad_s < math.inf:
+            raise DomainError(f"gamma_e must be finite and >= 0, got {self.gamma_e_rad_s!r}")
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,12 @@ class PulseEnvelope:
     rms_width_s: float
 
     def __post_init__(self):
-        if self.peak_rad_s < 0:
-            raise DomainError(f"peak amplitude must be >= 0, got {self.peak_rad_s!r}")
-        if not self.rms_width_s > 0:
-            raise DomainError(f"rms width must be > 0, got {self.rms_width_s!r}")
+        if not 0 <= self.peak_rad_s < math.inf:
+            raise DomainError(f"peak amplitude must be finite and >= 0, got {self.peak_rad_s!r}")
+        if not math.isfinite(self.center_s):
+            raise DomainError(f"center must be finite, got {self.center_s!r}")
+        if not 0 < self.rms_width_s < math.inf:
+            raise DomainError(f"rms width must be finite and > 0, got {self.rms_width_s!r}")
 
     # Cached: value() reads both bounds on every Hamiltonian evaluation.
     @cached_property
@@ -227,8 +231,8 @@ def _norm_and_hermiticity(h_matrices, scratch=None):
     Both are computed on squares from the real and imaginary parts: h is
     Hermitian when Re h is symmetric and Im h antisymmetric, so |h - h^H|^2
     is (Re h - Re h^T)^2 + (Im h + Im h^T)^2, compared with
-    (1e-12 max(1, max|h|))^2. Past |h| ~ 1e154 the squares overflow: the
-    norm is then inf and the test runs on |h - h^H| and |h| themselves.
+    (1e-12 max(1, max|h|))^2. Past |h| ~ 1e154 the norm is inf, and the
+    integrator rejects such a stack before it reads the verdict.
     scratch is a float array of shape (3,) + h_matrices.shape, allocated
     when not given.
     """
@@ -237,7 +241,7 @@ def _norm_and_hermiticity(h_matrices, scratch=None):
     squared, asym, term = scratch
     re, im = h_matrices.real, h_matrices.imag
     rows = len(h_matrices) ** 2    # one row per matrix element, one column per matrix
-    with np.errstate(over="ignore"):    # an overflow makes norm_max inf, handled below
+    with np.errstate(over="ignore"):    # an overflow makes norm_max inf, rejected by the caller
         np.multiply(re, re, out=squared)
         squared += np.multiply(im, im, out=term)
         np.subtract(re, re.swapaxes(0, 1), out=asym)
@@ -246,11 +250,7 @@ def _norm_and_hermiticity(h_matrices, scratch=None):
         asym += np.multiply(term, term, out=term)
         squared, asym = squared.reshape(rows, -1), asym.reshape(rows, -1)
         norm_max = math.sqrt(squared.sum(axis=0).max())
-    if not math.isfinite(norm_max):
-        asym = np.abs(h_matrices - h_matrices.swapaxes(0, 1).conj()).reshape(rows, -1)
-        tolerance = 1e-12 * np.maximum(1.0, np.abs(h_matrices).reshape(rows, -1).max(axis=0))
-    else:
-        tolerance = 1e-24 * np.maximum(1.0, squared.max(axis=0))
+    tolerance = 1e-24 * np.maximum(1.0, squared.max(axis=0))
     return norm_max, bool((asym.max(axis=0) <= tolerance).all())
 
 
@@ -286,7 +286,7 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     Raises DomainError when H returns anything but an (n, d, d) stack for n
     times and a state of length d, StepSizeError when the derived substeps
     exceed MAX_SUBSTEPS (or are not finite) or when max||H||*h over every H
-    the stages use exceeds the hard limit, and NumericalFailure when a
+    the stages use exceeds the hard limit or is nan, and NumericalFailure when a
     Hermitian run drifts from unit norm by more than NORM_DRIFT_LIMIT.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -313,8 +313,8 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
             raise StepSizeError(f"the step phase target needs {needed:.3g} RK4 substeps per "
                                 f"interval, more than the work bound {MAX_SUBSTEPS}")
         substeps = max(1, math.ceil(needed))
-    if substeps < 1:
-        raise DomainError(f"substeps must be >= 1, got {substeps!r}")
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise DomainError(f"substeps must be an integer >= 1, got {substeps!r}")
     h = dt / substeps
     starts = t_grid[:-1]
     n, d = len(starts), len(psi)
@@ -326,10 +326,11 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
         h_matrices = _to_matrix_last(hamiltonian(times), n, d)
         norm_max, is_hermitian = _norm_and_hermiticity(h_matrices, scratch)
         phase = norm_max * h
-        if phase > STEP_PHASE_MAX:
+        if not phase <= STEP_PHASE_MAX:   # a nan in H makes the phase nan
             raise StepSizeError(
                 f"step size too coarse: max||H||*h = {phase:.3g} > {STEP_PHASE_MAX}; "
-                f"increase substeps or refine t_grid")
+                f"increase substeps or refine t_grid" if phase > STEP_PHASE_MAX else
+                "max||H||*h is nan, not finite: H holds a nan at a stage time")
         hermitian = hermitian and is_hermitian
         return h_matrices
 
@@ -384,8 +385,8 @@ def raman_trajectory(params, duration_s):
     H is constant, so psi(t) = V exp(-i w t) V^-1 psi0 on every grid time at
     once, from the eigenvalues w and eigenvectors V of H (np.linalg.eig, as
     gamma_e > 0 makes H non-Hermitian). Raises DomainError when a phase w*t
-    leaves float range and NumericalFailure when a Hermitian run drifts from
-    unit norm by more than NORM_DRIFT_LIMIT.
+    leaves float range and NumericalFailure when a lossless run (gamma_e = 0)
+    drifts from unit norm by more than NORM_DRIFT_LIMIT.
     """
     if not duration_s > 0:
         raise DomainError(f"duration must be > 0, got {duration_s!r}")
@@ -397,7 +398,7 @@ def raman_trajectory(params, duration_s):
         raise DomainError(f"phase w*t of a {duration_s!r} s pulse leaves float range")
     c = np.linalg.solve(v, np.array([1.0, 0.0, 0.0], dtype=complex))
     traj = Trajectory(times=grid, amplitudes=(np.exp(-1j * np.outer(grid, w)) * c) @ v.T)
-    return _unitary_checked(traj, _norm_and_hermiticity(h)[1])
+    return _unitary_checked(traj, params.gamma_e_rad_s == 0.0)
 
 
 def stirap_trajectory(pump, stokes, delta_e_rad_s, delta_rad_s):

@@ -35,8 +35,8 @@ class DipoleParams:
         for name in ("mu_permanent_debye", "rotational_const_hz", "e_dc_v_per_m", "separation_m"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if self.fopa_enhancement < 1.0:
-            raise DomainError(f"fopa_enhancement must be >= 1, got {self.fopa_enhancement!r}")
+        if not 1.0 <= self.fopa_enhancement < math.inf:
+            raise DomainError(f"fopa_enhancement must be finite and >= 1, got {self.fopa_enhancement!r}")
 
 
 @dataclass(frozen=True)

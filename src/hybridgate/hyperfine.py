@@ -42,7 +42,7 @@ class AtomSpecies:
 
     def __post_init__(self):
         two_i = 2.0 * self.nuclear_spin
-        if self.nuclear_spin <= 0 or abs(two_i - round(two_i)) > 1e-12:
+        if not 0 < self.nuclear_spin < math.inf or abs(two_i - round(two_i)) > 1e-12:
             raise DomainError(f"nuclear spin must be a positive half-integer, got {self.nuclear_spin!r}")
         if not self.hyperfine_splitting_hz > 0:
             raise DomainError(f"hyperfine splitting must be > 0 Hz, got {self.hyperfine_splitting_hz!r}")

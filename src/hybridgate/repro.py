@@ -25,7 +25,7 @@ def _stirap_args(scn, peak_factor=1.0, reversed_order=False):
     """(pump, stokes, delta_e, delta) of the configured STIRAP transfer."""
     peak = scn.stirap.peak_rad_s * peak_factor
     sigma = scn.stirap.rms_width_s
-    margin = 4.0 * sigma
+    margin = dynamics.GAUSSIAN_CUTOFF_SIGMAS * sigma
     stokes_center, pump_center = margin, margin + scn.stirap.separation_s
     if reversed_order:
         stokes_center, pump_center = pump_center, stokes_center
