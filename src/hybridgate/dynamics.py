@@ -6,7 +6,8 @@ The Lambda system is written in the rotating frame with the atom-pair state
 at zero energy, the excited molecular state at -delta_e and the target
 molecular state at -delta; couplings are real, omega_p/2 and omega_s/2.
 All frequencies are angular (rad/s) with hbar absorbed, so i dpsi/dt = H psi.
-States are normalized 1-d complex arrays ordered as LAMBDA_LABELS. Pulses are
+States are normalized complex arrays ordered as LAMBDA_LABELS: one (d,) state,
+or an (m, d) stack of m states that the integrator advances together. Pulses are
 a rectangular Raman pulse (constant H, propagated exactly through the
 eigendecomposition of H) or STIRAP under Gaussian PulseEnvelopes.
 
@@ -15,7 +16,9 @@ so that ||H||*h stays at STEP_PHASE_TARGET (hard limit STEP_PHASE_MAX,
 checked on every H the stages use). The propagators of all grid intervals
 start at the identity and advance together: each substep applies the four
 RK4 stages, from H at the substep's start, midpoint and end, to them in
-place, in buffers allocated once per call. Hamiltonian callables take a
+place, in buffers allocated once per call. The interval propagators then
+carry every initial state of a stack at once, as the columns of one (d, m)
+array, so m states cost little more than one. Hamiltonian callables take a
 1-d array of n times and return an (n, d, d) array.
 
 Internally a stack of n matrices is held matrix-last, as a contiguous
@@ -46,23 +49,25 @@ LAMBDA_LABELS = ("atoms", "excited", "molecule")
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Integrator output: states on the requested time grid."""
+    """Integrator output: states on the requested time grid. The methods
+    work on the last two axes, so a stack of m runs is one Trajectory."""
 
     times: np.ndarray
-    amplitudes: np.ndarray   # shape (n_times, dim)
+    amplitudes: np.ndarray   # shape (n_times, dim), or (m, n_times, dim) for m initial states
 
     def populations(self):
         return np.abs(self.amplitudes) ** 2
 
     def norms_squared(self):
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
+        return np.sum(np.abs(self.amplitudes) ** 2, axis=-1)
 
     @property
     def norm_drift(self):
+        """Largest |sum |c|^2 - 1| over every time and every state of a stack."""
         return float(np.max(np.abs(self.norms_squared() - 1.0)))
 
     def final_populations(self):
-        return np.abs(self.amplitudes[-1]) ** 2
+        return np.abs(self.amplitudes[..., -1, :]) ** 2
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,10 @@ class LambdaParams:
     gamma_e_rad_s: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega_p", "omega_s", "delta_e", "delta"):
+            value = getattr(self, f"{name}_rad_s")
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if not 0 <= self.gamma_e_rad_s < math.inf:
             raise DomainError(f"gamma_e must be finite and >= 0, got {self.gamma_e_rad_s!r}")
 
@@ -139,11 +148,17 @@ class PulseEnvelope:
         return self.start_s + 2.0 * GAUSSIAN_CUTOFF_SIGMAS * self.rms_width_s
 
     def value(self, t):
-        """Envelope at scalar or array time t (an array of the same shape)."""
+        """Envelope at scalar or array time t (an array of the same shape).
+
+        A time outside the window is moved to +inf, where the Gaussian is
+        exactly 0 and no square of it can overflow; inside the window each
+        value is peak * exp(-u*u/2), u = (t - center) / rms width."""
         t = np.asarray(t, dtype=float)
-        u = (t - self.center_s) / self.rms_width_s
-        inside = (t >= self.start_s) & (t < self.end_s)
-        return np.where(inside, self.peak_rad_s * np.exp(-0.5 * u * u), 0.0)
+        u = np.where((t >= self.start_s) & (t < self.end_s), t, np.inf)
+        u -= self.center_s
+        u /= self.rms_width_s
+        u *= -0.5 * u
+        return self.peak_rad_s * np.exp(u, out=u)
 
 
 def two_level_population(params, t):
@@ -278,16 +293,20 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     Parameters
     ----------
     hamiltonian : callable, 1-d array of n times -> (n, d, d) complex array
-    psi0 : normalized 1-d complex array
+    psi0 : normalized complex state of shape (d,), or an (m, d) stack of
+        such states; each is advanced by the same interval propagators, and
+        the trajectory's amplitudes are (n, d) or (m, n, d) for n grid times
     t_grid : increasing, uniform array of output times
     substeps : RK4 substeps per grid interval; derived from STEP_PHASE_TARGET and
         the max Frobenius norm of H on grid points and midpoints when omitted
 
-    Raises DomainError when H returns anything but an (n, d, d) stack for n
-    times and a state of length d, StepSizeError when the derived substeps
-    exceed MAX_SUBSTEPS (or are not finite) or when max||H||*h over every H
-    the stages use exceeds the hard limit or is nan, and NumericalFailure when a
-    Hermitian run drifts from unit norm by more than NORM_DRIFT_LIMIT.
+    Raises DomainError when psi0 is not one state or a stack of them, or a
+    state is not normalized, or when H returns anything but an (n, d, d)
+    stack for n times and states of length d; StepSizeError when the derived
+    substeps exceed MAX_SUBSTEPS, or when max||H||*h over every H the stages
+    use exceeds the hard limit, or when an H the probe or the stages use
+    holds a nan; and NumericalFailure when any state of a Hermitian run
+    drifts from unit norm by more than NORM_DRIFT_LIMIT.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -297,27 +316,31 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     if dt <= 0 or np.max(np.abs(dts - dt)) > 1e-9 * abs(dt):
         raise DomainError("t_grid must be uniform and increasing")
 
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if psi.ndim != 1:
-        raise DomainError(f"psi0 must be a 1-d array, got shape {psi.shape}")
-    norm_sq = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm_sq - 1.0) > 1e-9:
-        raise DomainError(f"psi0 not normalized: sum |c|^2 = {norm_sq!r}")
+    psi = np.asarray(psi0, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.size == 0:
+        raise DomainError(f"psi0 must be a (d,) state or an (m, d) stack of states, "
+                          f"got shape {psi.shape}")
+    norm_error = float(np.max(np.abs(np.sum(np.abs(psi) ** 2, axis=-1) - 1.0)))
+    if not norm_error <= 1e-9:   # a nan state fails too
+        raise DomainError(f"psi0 not normalized: sum |c|^2 is {norm_error!r} off 1")
+    d = psi.shape[-1]
 
     if substeps is None:
         probes = np.concatenate([t_grid, t_grid[:-1] + 0.5 * dt])
         norm_max, _ = _norm_and_hermiticity(
-            _to_matrix_last(hamiltonian(probes), len(probes), len(psi)))
+            _to_matrix_last(hamiltonian(probes), len(probes), d))
         needed = dt * norm_max / STEP_PHASE_TARGET
-        if not needed <= MAX_SUBSTEPS:
-            raise StepSizeError(f"the step phase target needs {needed:.3g} RK4 substeps per "
-                                f"interval, more than the work bound {MAX_SUBSTEPS}")
+        if not needed <= MAX_SUBSTEPS:   # a nan in H makes needed nan
+            raise StepSizeError(
+                f"the step phase target needs {needed:.3g} RK4 substeps per interval, "
+                f"more than the work bound {MAX_SUBSTEPS}" if needed > MAX_SUBSTEPS else
+                "max||H||*dt is nan, not finite: H holds a nan at a probe time")
         substeps = max(1, math.ceil(needed))
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise DomainError(f"substeps must be an integer >= 1, got {substeps!r}")
     h = dt / substeps
     starts = t_grid[:-1]
-    n, d = len(starts), len(psi)
+    n = len(starts)
     scratch = np.empty((3, d, d, n))
     hermitian = True
 
@@ -343,14 +366,14 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
         h_a, h_mid, h_b = h_b, evaluate(t + 0.5 * h), evaluate(t + h)
         _rk4_substep(propagator, h_a, h_mid, h_b, h, buffers)
 
-    out = np.empty((len(t_grid), len(psi)), dtype=complex)
-    out[0] = psi
+    # one (d,) state per time, or a (d, m) array with one state per column
+    out = np.empty((len(t_grid),) + psi.T.shape, dtype=complex)
+    out[0] = psi.T
     propagators = np.ascontiguousarray(np.moveaxis(propagator, -1, 0))
     for i, interval in enumerate(propagators, start=1):
-        psi = interval @ psi
-        out[i] = psi
-
-    return _unitary_checked(Trajectory(times=t_grid, amplitudes=out), hermitian)
+        np.matmul(interval, out[i - 1], out=out[i])
+    amplitudes = out.transpose(*range(2, out.ndim), 0, 1)   # (n + 1, d) or (m, n + 1, d)
+    return _unitary_checked(Trajectory(times=t_grid, amplitudes=amplitudes), hermitian)
 
 
 def compensated_bare_detuning(params):
@@ -401,9 +424,10 @@ def raman_trajectory(params, duration_s):
     return _unitary_checked(traj, params.gamma_e_rad_s == 0.0)
 
 
-def stirap_trajectory(pump, stokes, delta_e_rad_s, delta_rad_s):
-    """Integrate the Lambda system from the atom-pair state under Gaussian
-    pump and Stokes envelopes.
+def stirap_trajectory(pump, stokes, delta_e_rad_s, delta_rad_s, psi0=(1.0, 0.0, 0.0)):
+    """Integrate the Lambda system under Gaussian pump and Stokes envelopes,
+    from psi0: the atom-pair state by default, or any (3,) state or (m, 3)
+    stack that integrate_schrodinger takes.
 
     Light-shift compensation does not apply here (the envelopes are resolved
     exactly, and delta_e may be zero); delta_rad_s is the bare detuning.
@@ -422,7 +446,7 @@ def stirap_trajectory(pump, stokes, delta_e_rad_s, delta_rad_s):
         return lambda_matrix(pump.value(t), stokes.value(t), delta_e_rad_s, delta_rad_s, 0.0)
 
     grid = np.linspace(t0, t1, STIRAP_POINTS)
-    return integrate_schrodinger(hfunc, np.array([1.0, 0.0, 0.0]), grid)
+    return integrate_schrodinger(hfunc, psi0, grid)
 
 
 def simulate_stirap(pump, stokes, delta_e_rad_s, delta_rad_s):

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -271,6 +272,16 @@ class TestPaperRepro:
         assert stirap.efficiency == pytest.approx(0.9999807821803351, rel=1e-12)
         assert stirap.reversed_efficiency == pytest.approx(0.5894534225363848, rel=1e-12)
 
+    def test_reversed_efficiency_matches_the_direct_reversed_run(self):
+        # stirap_run reads the reversed order from its molecule row by time
+        # reversal; integrating the swapped pulses from the atoms agrees
+        scn = load_scenario_text(_bundled_text())
+        pump, stokes, delta_e, delta = repro._stirap_args(scn)
+        direct = dynamics.simulate_stirap(replace(pump, center_s=stokes.center_s),
+                                          replace(stokes, center_s=pump.center_s),
+                                          delta_e, delta)
+        assert repro.stirap_run(scn).reversed_efficiency == pytest.approx(direct, abs=1e-12)
+
     def test_seed_override_changes_contrast(self, tmp_path):
         cfg = _write_config(tmp_path, _bundled_text())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -349,9 +360,8 @@ class TestOtherSubcommands:
         _, mol = _read_csv(out / "stirap_molecule.csv")
         assert mol[-1][1] > 0.99
 
-    def test_stirap_integrates_each_transfer_once(self, tmp_path, monkeypatch):
-        # full drive, reversed order and the seven weaker drives of the area
-        # sweep; the sweep's last row is the full-drive run
+    @staticmethod
+    def _count_integrations(monkeypatch):
         calls = []
         integrate = dynamics.integrate_schrodinger
 
@@ -360,10 +370,18 @@ class TestOtherSubcommands:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "integrate_schrodinger", counted)
+        return calls
+
+    def test_stirap_integrates_each_transfer_once(self, tmp_path, monkeypatch):
+        # 9 transfers in 8 integrations: the full drive from the atoms and
+        # from the molecule in one run, whose molecule row gives the reversed
+        # order by time reversal, and the seven weaker drives of the area
+        # sweep; the sweep's last row is the full-drive run
+        calls = self._count_integrations(monkeypatch)
         cfg = _write_config(tmp_path, _bundled_text())
         out = tmp_path / "out"
         assert cli.main(["stirap", "--config", cfg, "--out", str(out)]) == 0
-        assert len(calls) == 9
+        assert len(calls) == 8
         _read_csv(out / "stirap_efficiency.csv")
         assert (out / "stirap_efficiency.csv").read_text().splitlines()[1:] == [
             "omega0_rms_area,efficiency",
@@ -376,6 +394,13 @@ class TestOtherSubcommands:
             "1.55384240377e+01,9.99063234657e-01",
             "3.00000000000e+01,9.99980782180e-01",
         ]
+
+    def test_paper_repro_integrates_once(self, tmp_path, monkeypatch):
+        # both STIRAP orders come from one run
+        calls = self._count_integrations(monkeypatch)
+        cfg = _write_config(tmp_path, _bundled_text())
+        assert cli.main(["paper-repro", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
 
 class TestExitCodes:

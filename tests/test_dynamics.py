@@ -12,6 +12,7 @@ from hybridgate.dynamics import (
     STEP_PHASE_TARGET,
     LambdaParams,
     PulseEnvelope,
+    Trajectory,
     TwoLevelParams,
     compensated_bare_detuning,
     effective_rabi,
@@ -262,11 +263,76 @@ class TestIntegrator:
                                   np.array([1.0, 0.0], dtype=complex),
                                   np.array([0.0, 1e-7, 5e-7]))
 
-    def test_rejects_two_dimensional_state(self):
-        with pytest.raises(DomainError, match="1-d"):
+    def test_rejects_three_dimensional_state(self):
+        with pytest.raises(DomainError, match=r"\(d,\) state or an \(m, d\) stack"):
             integrate_schrodinger(_constant(_two_level_h(1e6)),
-                                  np.array([[1.0, 0.0]], dtype=complex),
+                                  np.array([[[1.0, 0.0]]], dtype=complex),
                                   np.linspace(0.0, 1e-6, 5))
+
+    def test_a_nan_on_a_grid_point_is_named_by_the_probe(self):
+        # the derived substeps probe H on the grid points and midpoints: a nan
+        # there is a non-finite H, not a step phase beyond the work bound
+        grid = np.linspace(0.0, 1e-6, 5)
+
+        def hamiltonian(t):
+            h = np.tile(_two_level_h(1e5), (len(t), 1, 1))
+            h[t == grid[2]] = np.nan
+            return h
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError, match="nan") as err:
+                integrate_schrodinger(hamiltonian, np.array([1.0, 0.0], dtype=complex), grid)
+        assert "probe time" in str(err.value)
+        assert "work bound" not in str(err.value)
+
+
+class TestStateStack:
+    """An (m, d) psi0: every state is advanced by the same interval propagators."""
+
+    def test_each_row_matches_its_own_run(self):
+        rng = np.random.default_rng(3)
+        hamiltonian = _smooth_hamiltonian(rng, 3, 2e6)
+        states = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        grid = np.linspace(0.0, 2e-6, 41)
+        stack = integrate_schrodinger(hamiltonian, states, grid)
+        assert stack.amplitudes.shape == (4, 41, 3)
+        for state, row in zip(states, stack.amplitudes):
+            single = integrate_schrodinger(hamiltonian, state, grid)
+            assert single.amplitudes.shape == (41, 3)
+            assert np.max(np.abs(row - single.amplitudes)) <= 1e-14
+
+    @pytest.mark.parametrize("psi0", [[[1.0, 0.0], [1.0, 0.5]], [[1.0, 0.0], [math.nan, 0.0]],
+                                      [math.nan, 0.0]], ids=["row", "nan row", "nan state"])
+    def test_an_unnormalized_or_nan_state_is_rejected(self, psi0):
+        # a nan state used to pass the norm check and run to an all-nan trajectory
+        with pytest.raises(DomainError, match="not normalized"):
+            integrate_schrodinger(_constant(_two_level_h(1e6)), np.array(psi0, dtype=complex),
+                                  np.linspace(0.0, 1e-6, 5))
+
+    def test_a_drifting_row_fails_the_norm_check(self):
+        # H drives only the first two levels, so the third state never moves;
+        # the first, at the step-phase limit, drifts past the budget
+        h = np.zeros((3, 3), dtype=complex)
+        h[:2, :2] = _two_level_h(1e6)
+        step = 0.05 / float(np.linalg.norm(h))
+        grid = np.linspace(0.0, step * 20000, 101)
+        still, driven = np.eye(3, dtype=complex)[[2, 0]]
+        assert integrate_schrodinger(_constant(h), still[None], grid,
+                                     substeps=200).norm_drift == 0.0
+        with pytest.raises(NumericalFailure):
+            integrate_schrodinger(_constant(h), np.array([still, driven]), grid, substeps=200)
+
+    def test_trajectory_methods_work_on_the_last_axes(self):
+        amplitudes = np.zeros((2, 3, 2), dtype=complex)
+        amplitudes[0, :, 0] = 1.0
+        amplitudes[1, :, 1] = [1.0, 0.5j, 0.25]
+        traj = Trajectory(np.arange(3.0), amplitudes)
+        assert np.array_equal(traj.populations(), np.abs(amplitudes) ** 2)
+        assert np.array_equal(traj.norms_squared(), [[1.0, 1.0, 1.0], [1.0, 0.25, 0.0625]])
+        assert traj.norm_drift == 0.9375
+        assert np.array_equal(traj.final_populations(), [[1.0, 0.0], [0.0, 0.0625]])
 
 
 def _last(stack):
@@ -435,6 +501,19 @@ class TestPulseEnvelope:
         times = np.array([1.0, 2.0, 10.0, 12.0, 17.5, 18.0])
         assert np.array_equal(env.value(times), [env.value(t) for t in times])
 
+    def test_values_inside_the_window_are_the_gaussian(self):
+        env = PulseEnvelope(1e6, 165e-6, 30e-6)
+        t = np.linspace(env.start_s, env.end_s, 601)[:-1]
+        u = (t - env.center_s) / env.rms_width_s
+        assert np.array_equal(env.value(t), env.peak_rad_s * np.exp(-0.5 * u * u))
+
+    def test_a_narrow_window_does_not_overflow(self):
+        # (t - center) / width is 1e300 at t = 1, and its square is beyond
+        # float range; outside the window the envelope is 0 with no warning
+        env = PulseEnvelope(1.0, 0.0, 1e-300)
+        assert np.array_equal(env.value([0.0, 1.0, -1.0, math.inf, math.nan]),
+                              [1.0, 0.0, 0.0, 0.0, 0.0])
+
     def test_validation(self):
         with pytest.raises(DomainError):
             PulseEnvelope(1.0, 0.0, 0.0)
@@ -596,3 +675,44 @@ class TestStirap:
                               0.0, 0.0)
         with pytest.raises(DomainError, match="spacing"):
             stirap_trajectory(*pulses(at_sigma + 1.0), 0.0, 0.0)
+
+
+class TestStirapTimeReversal:
+    """H(t) of STIRAP is real symmetric and the reversed pulses mirror the
+    forward ones in time, so U_rev = U_fwd^T: the reversed-order transfer
+    from the atoms is the forward transfer from the molecule to the atoms."""
+
+    ATOMS_AND_MOLECULE = np.eye(3)[[0, 2]]
+
+    @pytest.mark.parametrize("delta_e, delta, tol", [(0.0, 0.0, 1e-12), (2e6, 3e4, 1e-10)],
+                             ids=["bundled", "detuned"])
+    def test_molecule_row_gives_the_reversed_order(self, delta_e, delta, tol):
+        direct = simulate_stirap(*_stirap_setup(reversed_order=True), delta_e, delta)
+        both = stirap_trajectory(*_stirap_setup(), delta_e, delta, psi0=self.ATOMS_AND_MOLECULE)
+        assert both.amplitudes.shape == (2, STIRAP_POINTS, 3)
+        assert both.final_populations()[1, 0] == pytest.approx(direct, abs=tol)
+        # the atoms row is the default run from the atoms
+        single = stirap_trajectory(*_stirap_setup(), delta_e, delta)
+        assert np.max(np.abs(both.amplitudes[0] - single.amplitudes)) <= 1e-14
+
+    def test_detuned_gap_is_the_integrator_error(self):
+        # With a two-photon detuning the cut-off jumps of the envelopes fall
+        # inside grid intervals, where RK4 converges at first order: the gap
+        # between the two routes halves as the substeps double.
+        forward = _stirap_setup(3.0, separation=120e-6)
+        reverse = _stirap_setup(3.0, reversed_order=True, separation=120e-6)
+        grid = np.linspace(forward[1].start_s, forward[0].end_s, STIRAP_POINTS)
+
+        def hamiltonian(pump, stokes):
+            return lambda t: lambda_matrix(pump.value(t), stokes.value(t), -1e6, -2e4, 0.0)
+
+        def gap(substeps):
+            direct = integrate_schrodinger(hamiltonian(*reverse), self.ATOMS_AND_MOLECULE[0],
+                                           grid, substeps)
+            both = integrate_schrodinger(hamiltonian(*forward), self.ATOMS_AND_MOLECULE, grid,
+                                         substeps)
+            return abs(direct.final_populations()[2] - both.final_populations()[1, 0])
+
+        derived = 141   # the substeps derived from STEP_PHASE_TARGET for these pulses
+        assert gap(derived) > 1e-7
+        assert gap(2 * derived) <= 0.6 * gap(derived)

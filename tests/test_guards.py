@@ -26,6 +26,10 @@ def _integrate(substeps):
     (lambda: TwoLevelParams(INF), "omega_r"),
     (lambda: TwoLevelParams(1e6, NAN), "delta"),
     (lambda: TwoLevelParams(1e6, INF), "delta"),
+    (lambda: LambdaParams(NAN, 2e7, 2e8), "omega_p"),
+    (lambda: LambdaParams(2e7, -INF, 2e8), "omega_s"),
+    (lambda: LambdaParams(2e7, 2e7, INF), "delta_e"),
+    (lambda: LambdaParams(2e7, 2e7, 2e8, delta_rad_s=NAN), "^delta must"),
     (lambda: LambdaParams(2e7, 2e7, 2e8, gamma_e_rad_s=NAN), "gamma_e"),
     (lambda: LambdaParams(2e7, 2e7, 2e8, gamma_e_rad_s=INF), "gamma_e"),
     (lambda: PulseEnvelope(NAN, 1e-4, 3e-5), "peak"),
