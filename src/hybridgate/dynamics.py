@@ -11,15 +11,18 @@ or an (m, d) stack of m states that the integrator advances together. Pulses are
 a rectangular Raman pulse (constant H, propagated exactly through the
 eigendecomposition of H) or STIRAP under Gaussian PulseEnvelopes.
 
-Integration is classical 4th-order Runge-Kutta with a fixed substep chosen
-so that ||H||*h stays at STEP_PHASE_TARGET (hard limit STEP_PHASE_MAX,
-checked on every H the stages use). The propagators of all grid intervals
-start at the identity and advance together: each substep applies the four
-RK4 stages, from H at the substep's start, midpoint and end, to them in
-place, in buffers allocated once per call. The interval propagators then
-carry every initial state of a stack at once, as the columns of one (d, m)
-array, so m states cost little more than one. Hamiltonian callables take a
-1-d array of n times and return an (n, d, d) array.
+Integration is classical 4th-order Runge-Kutta with a fixed substep. H is
+probed once per call, on the grid points and midpoints: the probe rejects a
+nan or inf, gives the Hermitian verdict that decides the norm check and,
+unless a substep count is given, sets it so that ||H||*h stays at
+STEP_PHASE_TARGET. The stages check only the step phase, against the hard
+limit STEP_PHASE_MAX, on every H they use. The propagators of all grid
+intervals start at the identity and advance together: each substep applies
+the four RK4 stages, from H at the substep's start, midpoint and end, to
+them in place, in buffers allocated once per call. The interval propagators
+then carry every initial state of a stack at once, as the columns of one
+(d, m) array, so m states cost little more than one. Hamiltonian callables
+take a 1-d array of n times and return an (n, d, d) array.
 
 Internally a stack of n matrices is held matrix-last, as a contiguous
 (d, d, n) array: a product of two stacks is then d broadcast multiply-adds
@@ -239,34 +242,29 @@ def _rk4_substep(propagator, h_a, h_mid, h_b, h, buffers):
     propagator += total
 
 
-def _norm_and_hermiticity(h_matrices, scratch=None):
-    """Largest Frobenius norm of matrices whose axes lead, and whether each
-    is Hermitian to 1e-12 of max(1, its largest |element|).
-
-    Both are computed on squares from the real and imaginary parts: h is
-    Hermitian when Re h is symmetric and Im h antisymmetric, so |h - h^H|^2
-    is (Re h - Re h^T)^2 + (Im h + Im h^T)^2, compared with
-    (1e-12 max(1, max|h|))^2. Past |h| ~ 1e154 the norm is inf, and the
-    integrator rejects such a stack before it reads the verdict.
-    scratch is a float array of shape (3,) + h_matrices.shape, allocated
-    when not given.
+def _norm_max(h_matrices, scratch=None):
+    """Largest Frobenius norm of the matrices of a matrix-last (d, d, n)
+    stack, from the squares of the real and imaginary parts: nan when h holds
+    a nan, inf when it holds an inf or an element past |h| ~ 1e154. scratch
+    is a float array of shape (2,) + h_matrices.shape, allocated when not given.
     """
     if scratch is None:
-        scratch = np.empty((3,) + h_matrices.shape)
-    squared, asym, term = scratch
+        scratch = np.empty((2,) + h_matrices.shape)
+    squared, term = scratch
     re, im = h_matrices.real, h_matrices.imag
-    rows = len(h_matrices) ** 2    # one row per matrix element, one column per matrix
-    with np.errstate(over="ignore"):    # an overflow makes norm_max inf, rejected by the caller
+    with np.errstate(over="ignore"):    # an overflow makes the norm inf, rejected by the caller
         np.multiply(re, re, out=squared)
         squared += np.multiply(im, im, out=term)
-        np.subtract(re, re.swapaxes(0, 1), out=asym)
-        asym *= asym
-        np.add(im, im.swapaxes(0, 1), out=term)
-        asym += np.multiply(term, term, out=term)
-        squared, asym = squared.reshape(rows, -1), asym.reshape(rows, -1)
-        norm_max = math.sqrt(squared.sum(axis=0).max())
-    tolerance = 1e-24 * np.maximum(1.0, squared.max(axis=0))
-    return norm_max, bool((asym.max(axis=0) <= tolerance).all())
+        return math.sqrt(squared.reshape(len(h_matrices) ** 2, -1).sum(axis=0).max())
+
+
+def _is_hermitian(h_matrices):
+    """Whether each matrix of a finite matrix-last (d, d, n) stack is
+    Hermitian to 1e-12 of max(1, its largest |element|)."""
+    with np.errstate(over="ignore"):    # a difference past float range is inf: not Hermitian
+        asym = np.abs(h_matrices - h_matrices.swapaxes(0, 1).conj()).max(axis=(0, 1))
+        scale = np.maximum(1.0, np.abs(h_matrices).max(axis=(0, 1)))
+    return bool((asym <= 1e-12 * scale).all())
 
 
 def _to_matrix_last(h_matrices, n, d):
@@ -296,21 +294,23 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     psi0 : normalized complex state of shape (d,), or an (m, d) stack of
         such states; each is advanced by the same interval propagators, and
         the trajectory's amplitudes are (n, d) or (m, n, d) for n grid times
-    t_grid : increasing, uniform array of output times
-    substeps : RK4 substeps per grid interval; derived from STEP_PHASE_TARGET and
-        the max Frobenius norm of H on grid points and midpoints when omitted
+    t_grid : increasing, uniform array of finite output times
+    substeps : RK4 substeps per grid interval; derived when omitted from
+        STEP_PHASE_TARGET and the max Frobenius norm of H at the probe, the
+        one call of hamiltonian on the grid points and midpoints
 
-    Raises DomainError when psi0 is not one state or a stack of them, or a
-    state is not normalized, or when H returns anything but an (n, d, d)
-    stack for n times and states of length d; StepSizeError when the derived
-    substeps exceed MAX_SUBSTEPS, or when max||H||*h over every H the stages
-    use exceeds the hard limit, or when an H the probe or the stages use
-    holds a nan; and NumericalFailure when any state of a Hermitian run
-    drifts from unit norm by more than NORM_DRIFT_LIMIT.
+    Raises DomainError when t_grid is not finite, uniform and increasing,
+    when psi0 is not one state or a stack of them, or a state is not
+    normalized, or when H returns anything but an (n, d, d) stack for n
+    times and states of length d; StepSizeError when the probe meets a nan
+    or inf in H, when the derived substeps exceed MAX_SUBSTEPS, or when
+    max||H||*h over every H the stages use exceeds the hard limit or is not
+    finite; and NumericalFailure when any state of a run the probe finds
+    Hermitian drifts from unit norm by more than NORM_DRIFT_LIMIT.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2:
-        raise DomainError("t_grid must be a 1-d array with at least two times")
+    if t_grid.ndim != 1 or len(t_grid) < 2 or not np.isfinite(t_grid).all():
+        raise DomainError("t_grid must be a 1-d array of at least two finite times")
     dts = np.diff(t_grid)
     dt = float(dts[0])
     if dt <= 0 or np.max(np.abs(dts - dt)) > 1e-9 * abs(dt):
@@ -324,37 +324,34 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     if not norm_error <= 1e-9:   # a nan state fails too
         raise DomainError(f"psi0 not normalized: sum |c|^2 is {norm_error!r} off 1")
     d = psi.shape[-1]
-
-    if substeps is None:
-        probes = np.concatenate([t_grid, t_grid[:-1] + 0.5 * dt])
-        norm_max, _ = _norm_and_hermiticity(
-            _to_matrix_last(hamiltonian(probes), len(probes), d))
-        needed = dt * norm_max / STEP_PHASE_TARGET
-        if not needed <= MAX_SUBSTEPS:   # a nan in H makes needed nan
-            raise StepSizeError(
-                f"the step phase target needs {needed:.3g} RK4 substeps per interval, "
-                f"more than the work bound {MAX_SUBSTEPS}" if needed > MAX_SUBSTEPS else
-                "max||H||*dt is nan, not finite: H holds a nan at a probe time")
-        substeps = max(1, math.ceil(needed))
-    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+    if substeps is not None and not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
         raise DomainError(f"substeps must be an integer >= 1, got {substeps!r}")
+
+    probes = np.concatenate([t_grid, t_grid[:-1] + 0.5 * dt])
+    h_probe = _to_matrix_last(hamiltonian(probes), len(probes), d)
+    if not np.isfinite(h_probe).all():
+        raise StepSizeError("H holds a nan or inf at a probe time; it must be finite")
+    hermitian = _is_hermitian(h_probe)
+    if substeps is None:
+        needed = dt * _norm_max(h_probe) / STEP_PHASE_TARGET
+        if needed > MAX_SUBSTEPS:
+            raise StepSizeError(f"the step phase target needs {needed:.3g} RK4 substeps per "
+                                f"interval, more than the work bound {MAX_SUBSTEPS}")
+        substeps = max(1, math.ceil(needed))
     h = dt / substeps
     starts = t_grid[:-1]
     n = len(starts)
-    scratch = np.empty((3, d, d, n))
-    hermitian = True
+    scratch = np.empty((2, d, d, n))
 
     def evaluate(times):
-        nonlocal hermitian
         h_matrices = _to_matrix_last(hamiltonian(times), n, d)
-        norm_max, is_hermitian = _norm_and_hermiticity(h_matrices, scratch)
-        phase = norm_max * h
-        if not phase <= STEP_PHASE_MAX:   # a nan in H makes the phase nan
+        phase = _norm_max(h_matrices, scratch) * h
+        if not phase <= STEP_PHASE_MAX:
             raise StepSizeError(
                 f"step size too coarse: max||H||*h = {phase:.3g} > {STEP_PHASE_MAX}; "
-                f"increase substeps or refine t_grid" if phase > STEP_PHASE_MAX else
-                "max||H||*h is nan, not finite: H holds a nan at a stage time")
-        hermitian = hermitian and is_hermitian
+                f"increase substeps or refine t_grid" if math.isfinite(phase) else
+                f"max||H||*h is {phase}, not finite: H holds a nan or inf at a stage time, "
+                f"or its squared norm is past float range")
         return h_matrices
 
     propagator = np.zeros((d, d, n), dtype=complex)
@@ -411,8 +408,8 @@ def raman_trajectory(params, duration_s):
     leaves float range and NumericalFailure when a lossless run (gamma_e = 0)
     drifts from unit norm by more than NORM_DRIFT_LIMIT.
     """
-    if not duration_s > 0:
-        raise DomainError(f"duration must be > 0, got {duration_s!r}")
+    if not 0 < duration_s < math.inf:
+        raise DomainError(f"duration must be finite and > 0, got {duration_s!r}")
     h = lambda_matrix(params.omega_p_rad_s, params.omega_s_rad_s, params.delta_e_rad_s,
                       compensated_bare_detuning(params), params.gamma_e_rad_s)
     grid = np.linspace(0.0, duration_s, RAMAN_POINTS)

@@ -24,7 +24,8 @@ from hybridgate.dynamics import (
     stirap_trajectory,
     two_level_population,
 )
-from hybridgate.dynamics import _matmul_last, _norm_and_hermiticity, _rk4_substep, _to_matrix_last
+from hybridgate.dynamics import (_is_hermitian, _matmul_last, _norm_max, _rk4_substep,
+                                 _to_matrix_last)
 from hybridgate.errors import DomainError, NumericalFailure, StepSizeError
 
 
@@ -224,24 +225,6 @@ class TestIntegrator:
                 integrate_schrodinger(_constant(stack), np.array([1.0, 0.0, 0.0], dtype=complex),
                                       np.linspace(0.0, 1e-6, 5), substeps=substeps)
 
-    @pytest.mark.parametrize("substeps", [None, 3], ids=["derived", "given"])
-    def test_a_nan_at_a_stage_time_raises(self, substeps):
-        # H is nan everywhere but on the grid points and midpoints, where the
-        # derived substeps are probed: only the RK4 stages meet the nan
-        grid = np.linspace(0.0, 1e-6, 3)
-        probes = np.concatenate([grid, grid[:-1] + 0.25e-6])
-
-        def hamiltonian(t):
-            h = np.tile(_two_level_h(1e5), (len(t), 1, 1))
-            h[np.min(np.abs(t[:, None] - probes), axis=1) > 1e-15] = np.nan
-            return h
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(StepSizeError, match="nan"):
-                integrate_schrodinger(hamiltonian, np.array([1.0, 0.0], dtype=complex), grid,
-                                      substeps=substeps)
-
     def test_norm_drift_raises_numerical_failure(self):
         # run at the precondition limit long enough to exceed the drift budget
         h = _two_level_h(1e6)
@@ -269,22 +252,85 @@ class TestIntegrator:
                                   np.array([[[1.0, 0.0]]], dtype=complex),
                                   np.linspace(0.0, 1e-6, 5))
 
-    def test_a_nan_on_a_grid_point_is_named_by_the_probe(self):
-        # the derived substeps probe H on the grid points and midpoints: a nan
-        # there is a non-finite H, not a step phase beyond the work bound
+    @pytest.mark.parametrize("substeps", [None, 2], ids=["derived", "given"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, complex(0.0, math.inf), math.nan],
+                             ids=["inf", "-inf", "imaginary inf", "nan"])
+    def test_a_non_finite_h_at_a_probe_time_is_named_by_the_probe(self, value, substeps):
+        # one non-finite element at the midpoint of the last interval: the
+        # probe, which runs before any stage whether substeps is given or
+        # derived, names a non-finite H, not a step phase beyond the work bound
         grid = np.linspace(0.0, 1e-6, 5)
 
         def hamiltonian(t):
             h = np.tile(_two_level_h(1e5), (len(t), 1, 1))
-            h[t == grid[2]] = np.nan
+            h[t == 0.5 * (grid[-2] + grid[-1]), 0, 1] = value
             return h
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(StepSizeError, match="nan") as err:
-                integrate_schrodinger(hamiltonian, np.array([1.0, 0.0], dtype=complex), grid)
-        assert "probe time" in str(err.value)
+            with pytest.raises(StepSizeError, match="nan or inf at a probe time") as err:
+                integrate_schrodinger(hamiltonian, np.array([1.0, 0.0], dtype=complex), grid,
+                                      substeps=substeps)
         assert "work bound" not in str(err.value)
+
+    @pytest.mark.parametrize("substeps", [None, 3], ids=["derived", "given"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e160],
+                             ids=["nan", "inf", "squares overflow"])
+    def test_a_non_finite_h_at_a_stage_time_raises(self, value, substeps):
+        # H is finite and small on the grid points and midpoints, where it is
+        # probed; elsewhere it holds a nan or an inf, or elements whose squares
+        # leave float range: only the RK4 stages meet it, and no substep
+        # count would help
+        grid = np.linspace(0.0, 1e-6, 3)
+        probes = np.concatenate([grid, grid[:-1] + 0.25e-6])
+
+        def hamiltonian(t):
+            h = np.tile(_two_level_h(1e5), (len(t), 1, 1))
+            h[np.min(np.abs(t[:, None] - probes), axis=1) > 1e-15] = value
+            return h
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError, match=r"is (nan|inf), not finite") as err:
+                integrate_schrodinger(hamiltonian, np.array([1.0, 0.0], dtype=complex), grid,
+                                      substeps=substeps)
+        assert "stage time" in str(err.value) and "past float range" in str(err.value)
+        assert "increase substeps" not in str(err.value)
+
+    @pytest.mark.parametrize("substeps, used", [(None, 2), (1, 1), (3, 3)],
+                             ids=["derived", "given 1", "given 3"])
+    def test_the_probe_calls_h_once_on_grid_points_and_midpoints(self, substeps, used):
+        grid = np.linspace(0.0, 1e-6, 5)
+        assert math.ceil(0.25e-6 * np.linalg.norm(_two_level_h(1e5)) / STEP_PHASE_TARGET) == 2
+        calls = []
+
+        def hamiltonian(t):
+            calls.append(np.array(t))
+            return np.tile(_two_level_h(1e5), (len(t), 1, 1))
+
+        traj = integrate_schrodinger(hamiltonian, np.array([1.0, 0.0], dtype=complex), grid,
+                                     substeps=substeps)
+        probes = np.concatenate([grid, grid[:-1] + 0.125e-6])
+        assert np.array_equal(calls[0], probes)
+        assert [len(t) for t in calls[1:]] == [4] * (len(calls) - 1)
+        # the probe, the first stage start, then a midpoint and an end per substep
+        assert len(calls) == 2 + 2 * used
+        assert traj.norm_drift < 1e-12
+
+    @pytest.mark.parametrize("grid", [[0.0, 1e-6, math.nan], [0.0, math.nan, 2e-6],
+                                      [0.0, math.inf], [-math.inf, 0.0]],
+                             ids=["nan last", "nan inside", "inf", "-inf"])
+    def test_rejects_a_non_finite_grid_before_calling_h(self, grid):
+        # every comparison with a nan is false, so a nan last time would
+        # pass the uniformity test
+        def hamiltonian(t):
+            raise AssertionError("H is called for a non-finite grid")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite times"):
+                integrate_schrodinger(hamiltonian, np.array([1.0, 0.0], dtype=complex),
+                                      np.array(grid))
 
 
 class TestStateStack:
@@ -436,12 +482,11 @@ class TestMatrixLastKernel:
     def test_one_non_hermitian_matrix_is_flagged(self):
         stack = _random_hermitian(np.random.default_rng(5), (600,), 3)
         assert _reference_is_hermitian(stack)
-        assert _norm_and_hermiticity(_last(stack))[1] is True
+        assert _is_hermitian(_last(stack)) is True
         stack[300, 0, 2] += 1e-9
         assert not _reference_is_hermitian(stack)
-        assert _norm_and_hermiticity(_last(stack))[1] is False
-        norm_max, _ = _norm_and_hermiticity(_last(stack))
-        assert norm_max == pytest.approx(_reference_max_frobenius(stack), rel=1e-15)
+        assert _is_hermitian(_last(stack)) is False
+        assert _norm_max(_last(stack)) == pytest.approx(_reference_max_frobenius(stack), rel=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("size", [1e-3, 1e6], ids=["below 1", "above 1"])
@@ -458,15 +503,17 @@ class TestMatrixLastKernel:
         stack[300] *= phase_ratio * size / np.linalg.norm(stack[300])
         h = STEP_PHASE_MAX / size
         stack[450, 0, d - 1] += asym_ratio * 1e-12 * max(1.0, np.max(np.abs(stack[450])))
-        norm_max, is_hermitian = _norm_and_hermiticity(_last(stack))
+        norm_max, is_hermitian = _norm_max(_last(stack)), _is_hermitian(_last(stack))
         assert _reference_is_hermitian(stack) == (asym_ratio < 1) == is_hermitian
         assert (_reference_max_frobenius(stack) * h > STEP_PHASE_MAX) == (phase_ratio > 1)
         assert (norm_max * h > STEP_PHASE_MAX) == (phase_ratio > 1)
 
     @pytest.mark.parametrize("phase_ratio, raises", [(0.99, False), (1.01, True)])
     def test_one_over_limit_matrix_raises(self, phase_ratio, raises):
-        # 600 intervals, one substep: every H call is one 600-matrix stack, and
-        # only matrix 300 reaches phase_ratio times the step-phase limit
+        # 600 intervals, one substep: every stage H call is one 600-matrix
+        # stack, and only matrix 300 reaches phase_ratio times the step-phase
+        # limit; the probe's 1201 times, which it checks for finiteness and
+        # Hermiticity only, get the grid stack and its last matrix again
         base = _random_hermitian(np.random.default_rng(6), (600,), 3)
         base /= np.max(np.linalg.norm(base, axis=(-2, -1)))
         grid = np.linspace(0.0, 6e-6, 601)
@@ -477,8 +524,8 @@ class TestMatrixLastKernel:
         assert np.argmax(np.linalg.norm(stack, axis=(-2, -1))) == 300
 
         def hamiltonian(t):
-            assert len(t) == 600
-            return stack
+            assert len(t) in (600, 1201)
+            return stack if len(t) == 600 else np.concatenate([stack, stack[-1:], stack])
 
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         if raises:
@@ -606,6 +653,14 @@ class TestRamanPiPulse:
                 raman_trajectory(p, math.pi / 1e6)
         else:   # the same drift passes: a lossy run is not checked
             assert raman_trajectory(p, math.pi / 1e6).norm_drift > NORM_DRIFT_LIMIT
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, 0.0, -1e-6])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        # rejected before np.linspace builds the grid, which warns for an inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="duration must be finite and > 0"):
+                raman_trajectory(LambdaParams(2e7, 2e7, 2e8), duration)
 
     def test_loss_matrix_form(self):
         h = lambda_matrix(2e7, 2e7, 2e8, 0.0, 1e6)
