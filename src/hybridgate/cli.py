@@ -53,8 +53,7 @@ class RunContext:
             row, col = np.argwhere(~np.isfinite(data))[0]
             raise DomainError(f"{name}: {columns[col]} = {float(data[row, col])} in row {row + 1} "
                               f"is not finite")
-        rows = data.tolist()   # Python floats format faster than numpy's
-        write_csv(os.path.join(self.out_dir, name), columns, rows, self.meta)
+        write_csv(os.path.join(self.out_dir, name), columns, data, self.meta)
 
 
 class _Parser(argparse.ArgumentParser):

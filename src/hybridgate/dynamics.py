@@ -41,7 +41,7 @@ from .errors import DomainError, NumericalFailure, StepSizeError
 
 STEP_PHASE_TARGET = 0.01   # default ||H||_F * h per RK4 substep
 STEP_PHASE_MAX = 0.05      # hard precondition on ||H||_F * h
-MAX_SUBSTEPS = 5000        # work bound on the derived substeps per interval (bundled STIRAP: 37)
+MAX_SUBSTEPS = 5000        # work bound on given or derived substeps per interval (bundled STIRAP: 37)
 NORM_DRIFT_LIMIT = 1e-7    # max allowed |sum|c|^2 - 1| for unitary evolution
 GAUSSIAN_CUTOFF_SIGMAS = 4.0  # gaussian envelopes are zero beyond this many rms widths
 STIRAP_POINTS = 601        # output grid of a STIRAP trajectory
@@ -302,7 +302,8 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     Raises DomainError when t_grid is not finite, uniform and increasing,
     when psi0 is not one state or a stack of them, or a state is not
     normalized, or when H returns anything but an (n, d, d) stack for n
-    times and states of length d; StepSizeError when the probe meets a nan
+    times and states of length d; StepSizeError when the given substeps
+    exceed MAX_SUBSTEPS (before H is called), when the probe meets a nan
     or inf in H, when the derived substeps exceed MAX_SUBSTEPS, or when
     max||H||*h over every H the stages use exceeds the hard limit or is not
     finite; and NumericalFailure when any state of a run the probe finds
@@ -324,8 +325,12 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     if not norm_error <= 1e-9:   # a nan state fails too
         raise DomainError(f"psi0 not normalized: sum |c|^2 is {norm_error!r} off 1")
     d = psi.shape[-1]
-    if substeps is not None and not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
+    if substeps is not None and (isinstance(substeps, bool)
+                                 or not isinstance(substeps, (int, np.integer)) or substeps < 1):
         raise DomainError(f"substeps must be an integer >= 1, got {substeps!r}")
+    if substeps is not None and substeps > MAX_SUBSTEPS:
+        raise StepSizeError(f"{substeps} RK4 substeps per interval are more than the work "
+                            f"bound {MAX_SUBSTEPS}")
 
     probes = np.concatenate([t_grid, t_grid[:-1] + 0.5 * dt])
     h_probe = _to_matrix_last(hamiltonian(probes), len(probes), d)

@@ -199,6 +199,24 @@ class TestIntegrator:
             integrate_schrodinger(_constant(_two_level_h(omega)),
                                   np.array([1.0, 0.0], dtype=complex), grid)
 
+    def test_given_substeps_have_the_same_work_bound_before_h_is_called(self):
+        calls = []
+
+        def hamiltonian(t):
+            calls.append(t)
+            return np.tile(_two_level_h(1.0), (len(t), 1, 1))
+
+        with pytest.raises(StepSizeError, match="work bound"):
+            integrate_schrodinger(hamiltonian, np.array([1.0, 0.0], dtype=complex),
+                                  np.linspace(0.0, 1e-6, 5), substeps=MAX_SUBSTEPS + 1)
+        assert calls == []
+
+    def test_given_substeps_at_the_work_bound_run(self):
+        traj = integrate_schrodinger(_constant(_two_level_h(1e5)),
+                                     np.array([1.0, 0.0], dtype=complex),
+                                     np.linspace(0.0, 1e-6, 2), substeps=MAX_SUBSTEPS)
+        assert traj.amplitudes.shape == (2, 2) and traj.norm_drift < 1e-12
+
     def test_step_size_check_sees_the_stencil(self):
         # H is large only around 0.25 us, the midpoint of the first of two
         # substeps, which the grid points and grid midpoint never sample

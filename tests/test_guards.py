@@ -43,6 +43,8 @@ def _integrate(substeps):
     (lambda: AtomSpecies("Rb87", INF, 6.8e9, 2.0), "nuclear spin"),
     (lambda: _integrate(2.5), "substeps"),
     (lambda: _integrate(0), "substeps"),
+    (lambda: _integrate(True), "substeps"),
+    (lambda: _integrate(False), "substeps"),
 ])
 def test_non_finite_or_non_integer_input_is_a_domain_error(build, field):
     with pytest.raises(DomainError, match=field):

@@ -1,10 +1,15 @@
 import json
 import math
+from importlib import resources
 
+import numpy as np
 import pytest
 
+from hybridgate import cli, repro
+from hybridgate.dynamics import LAMBDA_LABELS
 from hybridgate.errors import DomainError
 from hybridgate.output import write_csv, write_json
+from hybridgate.scenario import load_scenario_text
 
 META = "# hybridgate test config=sha256:0 seed=0"
 VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2.2250738585072014e-308, -1.5, 3.0,
@@ -32,6 +37,94 @@ def test_no_rows_writes_the_two_header_lines(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(str(path), ("a", "b"), [], META)
     assert path.read_bytes() == f"{META}\na,b\n".encode("utf-8")
+
+
+def _special_values():
+    """Values at every edge of the numpy formatting pass, both signs."""
+    tiny = np.float64(5e-324)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ties = np.arange(10 ** 11, 10 ** 12, 300_000_007, dtype=float) + 0.5   # n + 0.5, exact
+    ties = np.concatenate([ties * 10.0 ** e for e in range(4)])   # still exact
+    round_up = np.array([float(f"9.9999999999995e{k}") for k in range(-320, 308)])
+    edges = np.array([1e-11, 1e12, 1e11, 1e11 + 1, 1e12 - 1, 999999999999.5, 99999999999.5])
+    near = np.concatenate([powers, ties, round_up, edges])
+    down, up = np.nextafter(near, 0.0), np.nextafter(near, math.inf)
+    values = np.concatenate([
+        [0.0, math.inf, math.nan, tiny, 2.2250738585072014e-308, 1.7976931348623157e308],
+        tiny * np.arange(1, 2000), near, down, up, np.nextafter(down, 0.0),
+        np.nextafter(up, math.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_bytes_match_per_value_formatting_on_a_million_values(tmp_path):
+    rng = np.random.default_rng(20261019)
+
+    def scaled(n, low, high):   # random mantissas and signs over 10**low .. 10**high
+        return (rng.choice([-1.0, 1.0], n) * (1.0 + 9.0 * rng.random(n))
+                * 10.0 ** rng.integers(low, high + 1, n))
+
+    # the doubles nearest to decimal ties (d + 0.5) * 10**(e - 11): most scale onto a tie
+    ties = np.array([float(f"{d}5e{e - 12}") for d, e in
+                     zip(rng.integers(10 ** 11, 10 ** 12, 20_000).tolist(),
+                         rng.integers(-11, 12, 20_000).tolist())])
+    ties = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, math.inf)])
+    bits = rng.integers(0, 2 ** 64, 50_000, dtype=np.uint64).view(np.float64)   # nan and inf too
+    values = np.concatenate([_special_values(), ties, -ties, scaled(800_000, -13, 13),
+                             scaled(100_000, -320, 307), bits])
+    values = values[: len(values) // 4 * 4].reshape(-1, 4)
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ("a", "b", "c", "d"), values, META)
+    lines = path.read_text().splitlines()[2:]
+    expected = [",".join(f"{v:.11e}" for v in row) for row in values.tolist()]
+    assert len(lines) == len(expected)
+    wrong = [(got, want) for got, want in zip(lines, expected) if got != want]
+    assert wrong == []
+
+
+def test_a_table_whose_every_value_falls_back_is_exact(tmp_path):
+    # out of the fast range, not finite, or an exact tie at the 12th digit
+    rows = [[1e12, -1e-12, 5e-324], [1.5e300, -math.inf, math.nan],
+            [123456789012.5, -999999999999.5, 2.5e-320]]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ("a", "b", "c"), rows, META)
+    assert path.read_bytes() == _per_value_csv(("a", "b", "c"), rows).encode("utf-8")
+
+
+def _bundled_tables():
+    """Each CSV the table subcommands write on the bundled config, as the
+    series of floats its columns hold, computed by the library."""
+    text = resources.files("hybridgate").joinpath("data/paper.cfg").read_text()
+    scn = load_scenario_text(text)
+    levels = repro.levels_run(scn)
+    tables = {f"levels_energy_f{s.f}_m{s.m}.csv": (levels.grid_g, e)
+              for s, e in levels.energies_hz.items()}
+    tables["levels_table.csv"] = (levels.grid_g, levels.transition_hz, levels.sensitivity_hz_per_g)
+    raman = repro.raman_run(scn)
+    pops = raman.trajectory.populations()
+    tables["pulse_molecule_3level.csv"] = (raman.trajectory.times, pops[:, 2])
+    tables["pulse_molecule_2level.csv"] = (raman.trajectory.times, raman.two_level_population)
+    tables["pulse_excited_3level.csv"] = (raman.trajectory.times, pops[:, 1])
+    tables["gate_phase_rad.csv"] = tuple(repro.gate_run(scn).phase_profile)
+    values = np.linspace(scn.sweep.minimum, scn.sweep.maximum, scn.sweep.count).tolist()
+    for name, series in repro.sweep_curves(scn, values).items():
+        tables[f"sweep_{name}.csv"] = (values, series)
+    stirap = repro.stirap_run(scn, area_sweep=True)
+    pops = stirap.trajectory.populations()
+    for idx, name in enumerate(LAMBDA_LABELS):
+        tables[f"stirap_{name}.csv"] = (stirap.trajectory.times, pops[:, idx])
+    tables["stirap_efficiency.csv"] = (stirap.sweep_areas, stirap.sweep_efficiencies)
+    return tables
+
+
+def test_bundled_tables_are_the_per_value_rendering_of_the_library_arrays(tmp_path, capsys):
+    for cmd in ("levels", "pulse", "gate", "sweep", "stirap"):
+        assert cli.main([cmd, "--out", str(tmp_path)]) == 0
+    tables = _bundled_tables()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(tables)
+    for name, series in tables.items():
+        rows = np.column_stack(series).tolist()
+        lines = (tmp_path / name).read_text().splitlines()[2:]
+        assert lines == [",".join(f"{v:.11e}" for v in row) for row in rows], name
 
 
 def test_report_bytes_are_indented_json(tmp_path):
