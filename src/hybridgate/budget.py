@@ -10,13 +10,13 @@ when it spans at least ADIABATIC_MIN_PERIODS trap oscillation periods.
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import TWO_PI
 from .errors import DomainError
 from .gate import ENABLER_KINDS, schedule_total_duration
+from .record import Record
 
 # Monte Carlo samples are drawn in chunks of MC_CHUNK, chunk c from a Philox
 # stream keyed by (seed, c). The chunks are spread over worker threads, one
@@ -27,8 +27,7 @@ MC_CHUNK = 65536
 ADIABATIC_MIN_PERIODS = 3.0
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Record):
     """Noise and trap inputs for the budget."""
 
     sigma_b_gauss: float
@@ -43,18 +42,17 @@ class NoiseModel:
             raise DomainError(f"inelastic rate must be >= 0, got {self.gamma_inelastic_per_s!r}")
         if not self.trap_frequency_hz > 0:
             raise DomainError(f"trap frequency must be > 0 Hz, got {self.trap_frequency_hz!r}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise DomainError(f"seed must fit in 64 bits, got {self.seed!r}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or not 0 <= int(self.seed) < 2 ** 64):
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class AdiabaticityResult:
+class AdiabaticityResult(Record):
     ok: bool
     margin: float  # trap periods elapsed during the pulse
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(Record):
     dephasing_time_s: float
     gate_time_s: float
     operations_count: int

@@ -14,7 +14,6 @@ import functools
 import hashlib
 import os
 import sys
-from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -23,13 +22,13 @@ from . import __version__
 from .dynamics import LAMBDA_LABELS
 from .errors import ConfigError, DomainError, NumericalFailure
 from .output import ensure_out_dir, format_float, metadata_line, write_csv, write_json
+from .record import Record, fields
 from .repro import (budget_run, gate_run, levels_run, paper_repro, raman_run, stirap_run,
                     sweep_curves)
 from .scenario import load_scenario_text
 
 
-@dataclass(frozen=True)
-class RunContext:
+class RunContext(Record):
     out_dir: str
     seed: int
     config_hash: str
@@ -156,7 +155,7 @@ def _cmd_budget(scn, ctx):
     report = budget.report
     write_json(os.path.join(ctx.out_dir, "budget_report.json"),
                {**ctx.header, "sensitivity_hz_per_g": budget.sensitivity_hz_per_g,
-                **asdict(report), "ramsey_contrast_at_t_phi": budget.contrast})
+                **fields(report), "ramsey_contrast_at_t_phi": budget.contrast})
     print(f"budget: T_phi = {format_float(report.dephasing_time_s)} s, "
           f"gate time = {format_float(report.gate_time_s)} s, "
           f"operations = {report.operations_count}")

@@ -32,12 +32,12 @@ without a copy; only the interval propagators are turned back to (n, d, d).
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, NumericalFailure, StepSizeError
+from .record import Record, fields
 
 STEP_PHASE_TARGET = 0.01   # default ||H||_F * h per RK4 substep
 STEP_PHASE_MAX = 0.05      # hard precondition on ||H||_F * h
@@ -50,8 +50,7 @@ RAMAN_POINTS = 501         # output grid of a Raman trajectory
 LAMBDA_LABELS = ("atoms", "excited", "molecule")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Integrator output: states on the requested time grid. The methods
     work on the last two axes, so a stack of m runs is one Trajectory."""
 
@@ -73,8 +72,7 @@ class Trajectory:
         return np.abs(self.amplitudes[..., -1, :]) ** 2
 
 
-@dataclass(frozen=True)
-class TwoLevelParams:
+class TwoLevelParams(Record):
     """Effective two-level drive: Rabi frequency and two-photon detuning."""
 
     omega_r_rad_s: float
@@ -91,8 +89,7 @@ class TwoLevelParams:
         return math.hypot(self.omega_r_rad_s, self.delta_rad_s)
 
 
-@dataclass(frozen=True)
-class LambdaParams:
+class LambdaParams(Record):
     """Pump/Stokes drive of the three-level system.
 
     gamma_e adds a loss term -i*gamma_e/2 on the excited diagonal.
@@ -115,8 +112,7 @@ class LambdaParams:
             raise DomainError(f"gamma_e must be finite and >= 0, got {self.gamma_e_rad_s!r}")
 
 
-@dataclass(frozen=True)
-class EffectiveTwoLevel:
+class EffectiveTwoLevel(Record):
     """Far-detuned reduction of the Lambda system."""
 
     omega_r_rad_s: float
@@ -124,8 +120,7 @@ class EffectiveTwoLevel:
     light_shift_stokes_rad_s: float  # shift of the molecular level
 
 
-@dataclass(frozen=True)
-class PulseEnvelope:
+class PulseEnvelope(Record):
     """Gaussian time envelope of one laser pulse, zero outside
     [start_s, end_s) = center -/+ GAUSSIAN_CUTOFF_SIGMAS rms widths."""
 
@@ -193,7 +188,7 @@ def effective_rabi(params):
         reduction = EffectiveTwoLevel(p * s / (2.0 * de), p ** 2 / (4.0 * de), s ** 2 / (4.0 * de))
     except OverflowError:   # a square beyond float range
         reduction = None
-    if reduction is None or not all(map(math.isfinite, vars(reduction).values())):
+    if reduction is None or not all(map(math.isfinite, fields(reduction).values())):
         raise DomainError(f"effective Rabi rate or light shift overflows for {params!r}")
     return reduction
 

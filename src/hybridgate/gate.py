@@ -9,20 +9,19 @@ Built schedules always include both enabler rotations (enabler_rotation_s).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import FOUR_PI_EPSILON0, HBAR_J_S, PLANCK_J_S, debye_to_si
 from .dynamics import TwoLevelParams, two_level_population
 from .errors import DomainError
+from .record import Record
 
 # Linear response is quantitatively reliable only well below full polarization.
 POLARIZATION_VALIDITY_LIMIT = 0.5
 
 
-@dataclass(frozen=True)
-class DipoleParams:
+class DipoleParams(Record):
     """Molecular dipole configuration for the interacting pair."""
 
     mu_permanent_debye: float
@@ -39,8 +38,7 @@ class DipoleParams:
             raise DomainError(f"fopa_enhancement must be finite and >= 1, got {self.fopa_enhancement!r}")
 
 
-@dataclass(frozen=True)
-class InducedDipole:
+class InducedDipole(Record):
     """Linear-response induced dipole with its validity flag."""
 
     mu_induced_debye: float
@@ -96,8 +94,7 @@ RAMAN_KINDS = ("raman_down", "raman_up")   # atom pair -> molecule, and back
 ENABLER_KINDS = ("enabler_rotation", "enabler_return")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     """One protocol step of a STEP_KINDS kind; Raman steps carry their pulse."""
 
     kind: str
@@ -114,8 +111,7 @@ class Step:
                               f"step with pulse={self.pulse!r}")
 
 
-@dataclass(frozen=True)
-class GateSchedule:
+class GateSchedule(Record):
     """Ordered protocol steps, a tuple of Step."""
 
     steps: tuple
@@ -128,8 +124,7 @@ class GateSchedule:
             raise DomainError("schedule must order raman_down < wait < raman_up")
 
 
-@dataclass(frozen=True)
-class ScheduleDuration:
+class ScheduleDuration(Record):
     """Total duration with the per-kind breakdown.
 
     gate_s excludes the enabler rotations, matching the convention that the

@@ -17,16 +17,15 @@ fields are in Gauss.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import BOHR_MAGNETON_HZ_PER_G
 from .errors import DomainError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class AtomSpecies:
+class AtomSpecies(Record):
     """Ground-state alkali atom: nuclear spin, splitting and g-factors.
 
     hyperfine_splitting_hz is the zero-field f = I-1/2 <-> I+1/2 interval
@@ -56,8 +55,7 @@ class AtomSpecies:
         return int(round(self.nuclear_spin + 0.5))
 
 
-@dataclass(frozen=True)
-class HyperfineState:
+class HyperfineState(Record):
     """One |f, m> sublevel."""
 
     f: int
@@ -71,8 +69,7 @@ class HyperfineState:
         return f"|{self.f},{self.m}>"
 
 
-@dataclass(frozen=True)
-class HyperfineChannel:
+class HyperfineChannel(Record):
     """Two-atom collision channel / computational basis state.
 
     The total projection m_tot = m_a + m_b is conserved in collisions and
@@ -221,8 +218,9 @@ def open_decay_channels(channel, b_gauss):
     """
     e_in = channel.internal_energy_hz(b_gauss)
     found = []
+    states_b = all_states(channel.species_b)
     for sa in all_states(channel.species_a):
-        for sb in all_states(channel.species_b):
+        for sb in states_b:
             if sa.m + sb.m != channel.m_tot:
                 continue
             if sa == channel.state_a and sb == channel.state_b:

@@ -1,0 +1,109 @@
+"""Frozen records: immutable value types declared by class annotations.
+
+A subclass of ``Record`` declares its fields as annotations, optionally with
+class-level defaults, in the order its constructor takes them, and is not
+subclassed itself. The fields are read once, when the class is created; every
+record class then shares the same generic methods, so no per-class source is
+generated or compiled:
+
+- ``__init__`` takes each field positionally or by keyword, applies the
+  defaults, raises TypeError for a missing, unknown or repeated argument and
+  then calls ``__post_init__`` if the class has one (which may normalise a
+  field with ``object.__setattr__``);
+- assigning or deleting an attribute raises FrozenRecordError;
+- two records are equal when they are of the same class and their field
+  values are equal, and equal records hash equal;
+- ``repr`` is ``Name(field=value!r, ...)``.
+
+Only the declared fields take part in these and in ``fields`` and
+``replace``: a ``functools.cached_property``, which stores its value in the
+instance ``__dict__``, is none of them.
+"""
+
+from operator import attrgetter
+
+
+class FrozenRecordError(AttributeError):
+    """An attribute of a record was assigned or deleted."""
+
+
+class Record:
+    _fields = {}     # field name -> annotation, in declaration order
+    _defaults = {}   # field name -> default value
+    _key = None      # record -> its field values (the value itself for one field)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            raise TypeError(f"record class {cls.__mro__[1].__qualname__} cannot be subclassed")
+        cls._fields = dict(cls.__annotations__)
+        if not cls._fields:
+            raise TypeError(f"record class {cls.__qualname__} declares no fields")
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        required = [name for name in cls._fields if name not in cls._defaults]
+        if list(cls._fields)[:len(required)] != required:
+            raise TypeError(f"record class {cls.__qualname__}: a field without a default "
+                            f"follows one with a default")
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if not kwargs and len(args) == len(cls._fields):   # every field given by position
+            self.__dict__.update(zip(cls._fields, args))
+        elif not args and kwargs.keys() == cls._fields.keys():   # or by keyword
+            self.__dict__.update(kwargs)
+        else:
+            self.__dict__.update(_bind(cls, args, kwargs))
+        if hasattr(cls, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        state = self.__dict__
+        return (f"{type(self).__qualname__}("
+                f"{', '.join([f'{name}={state[name]!r}' for name in self._fields])})")
+
+
+def _bind(cls, args, kwargs):
+    """The field values of ``cls(*args, **kwargs)`` by name, or TypeError for a
+    missing, unknown, repeated or surplus argument."""
+    name = cls.__qualname__
+    if len(args) > len(cls._fields):
+        raise TypeError(f"{name}() takes {len(cls._fields)} arguments, got {len(args)}")
+    values = dict(zip(cls._fields, args))
+    for key in kwargs:
+        if key in values:
+            raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        if key not in cls._fields:
+            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+    values = {**cls._defaults, **values, **kwargs}
+    missing = [field for field in cls._fields if field not in values]
+    if missing:
+        raise TypeError(f"{name}() missing required argument(s): {', '.join(map(repr, missing))}")
+    return values
+
+
+def fields(record):
+    """The record's field values by name, in declaration order."""
+    state = record.__dict__
+    return {name: state[name] for name in record._fields}
+
+
+def replace(record, **changes):
+    """A new record of the same class with ``changes`` applied, validated as any
+    new record is."""
+    return type(record)(**{**fields(record), **changes})

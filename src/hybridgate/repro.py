@@ -6,7 +6,6 @@ and ``budget`` subcommands use, then checks each against the paper's figure.
 """
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -14,6 +13,7 @@ import numpy as np
 # module attribute (as a span tracer does) also covers the calls made here.
 from . import budget, dynamics, gate, hyperfine
 from .errors import ConfigError
+from .record import Record, replace
 
 FD_STEP_G = 0.01
 FD_CHECK_FIELDS_G = (1.0, 10.0, 100.0, 649.0, 1000.0, 2000.0)
@@ -41,8 +41,7 @@ def _fd_sensitivity_max_rel_err(scn):
     return float(np.max(np.abs(fd - analytic) / np.abs(analytic)))
 
 
-@dataclass(frozen=True)
-class LevelsRun:
+class LevelsRun(Record):
     """On the [levels] field grid, each sublevel's energy keyed by HyperfineState in
     all_states order, the qubit transition and its sensitivity; the transition at b_G."""
 
@@ -63,8 +62,7 @@ def levels_run(scn):
                      hyperfine.transition_frequency(sp, up, lo, scn.field.b_gauss))
 
 
-@dataclass(frozen=True)
-class RamanRun:
+class RamanRun(Record):
     """Raman pi pulse: Lambda drive, two-level reduction and drive, pi duration, trajectory,
     two-level molecule population on its times and the 3-level population's largest deviation."""
 
@@ -88,8 +86,7 @@ def raman_run(scn):
                     float(np.max(np.abs(traj.populations()[:, 2] - p2))))
 
 
-@dataclass(frozen=True)
-class StirapRun:
+class StirapRun(Record):
     """STIRAP trajectory from the atoms and efficiency, the efficiency in
     reversed order and, when asked for, the efficiency at each pulse area of
     the sweep."""
@@ -134,8 +131,7 @@ def stirap_run(scn, area_sweep=False):
     return StirapRun(traj, efficiency, reversed_efficiency, tuple(areas), tuple(sweep))
 
 
-@dataclass(frozen=True)
-class GateRun:
+class GateRun(Record):
     """Induced dipole, omega_dd, schedule and its durations, pi-phase wait, phase profile
     (times, phi), its last point and closed form, and fidelity against the ideal gate."""
 
@@ -163,8 +159,7 @@ def gate_run(scn):
                    profile, phi, phi_closed, gate.phase_gate_fidelity(phi))
 
 
-@dataclass(frozen=True)
-class BudgetRun:
+class BudgetRun(Record):
     """Qubit field sensitivity, budget report and the Monte Carlo Ramsey
     contrast at T_phi."""
 

@@ -10,7 +10,6 @@ section. One table, ``_KEYS``, declares each key's kind, default and bound.
 
 import math
 import operator
-from dataclasses import dataclass, replace
 from functools import partial
 
 from .budget import NoiseModel
@@ -18,6 +17,7 @@ from .dynamics import LambdaParams
 from .errors import ConfigError, DomainError
 from .gate import DipoleParams
 from .hyperfine import SPECIES_PRESETS, AtomSpecies, HyperfineChannel, HyperfineState
+from .record import Record, replace
 
 _REQUIRED = object()
 
@@ -26,30 +26,26 @@ SWEEP_PARAMETERS = {"separation_r_m": "dipole", "b_G": "field", "sigma_B_G": "no
                     "omega_R_rad_s": "gate", "mu_permanent_D": "dipole"}
 
 
-@dataclass(frozen=True)
-class FieldConfig:
+class FieldConfig(Record):
     b_gauss: float
     gradient_g_per_cm: float
     site_spacing_m: float
     resonance_width_g: float
 
 
-@dataclass(frozen=True)
-class QubitConfig:
+class QubitConfig(Record):
     species: AtomSpecies
     upper: HyperfineState
     lower: HyperfineState
 
 
-@dataclass(frozen=True)
-class EnablerConfig:
+class EnablerConfig(Record):
     species: AtomSpecies
     storage: HyperfineState
     enabled: HyperfineState
 
 
-@dataclass(frozen=True)
-class StirapConfig:
+class StirapConfig(Record):
     peak_rad_s: float
     rms_width_s: float
     separation_s: float
@@ -57,35 +53,30 @@ class StirapConfig:
     delta_rad_s: float
 
 
-@dataclass(frozen=True)
-class GateConfig:
+class GateConfig(Record):
     omega_r_rad_s: float
     enabler_rotation_s: float
 
 
-@dataclass(frozen=True)
-class ReadoutConfig:
+class ReadoutConfig(Record):
     splitting_hz: float
     selectivity_factor: float
 
 
-@dataclass(frozen=True)
-class LevelsConfig:
+class LevelsConfig(Record):
     b_min_gauss: float
     b_max_gauss: float
     count: int
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     parameter: str
     minimum: float
     maximum: float
     count: int
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     field: FieldConfig
     qubit: QubitConfig
     enabler: EnablerConfig

@@ -3,7 +3,6 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -15,6 +14,7 @@ from hybridgate.constants import BOHR_MAGNETON_HZ_PER_G
 from hybridgate.errors import DomainError, NumericalFailure
 from hybridgate.gate import interaction_time_for_pi
 from hybridgate.hyperfine import all_states, field_sensitivity
+from hybridgate.record import replace
 from hybridgate.scenario import load_scenario_text
 
 
@@ -344,7 +344,7 @@ class TestOtherSubcommands:
         assert cli.main(["budget", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "budget_report.json").read_text())
         assert list(report) == ["tool_version", "config_sha256", "seed",
-                                "sensitivity_hz_per_g", *BudgetReport.__dataclass_fields__,
+                                "sensitivity_hz_per_g", *BudgetReport._fields,
                                 "ramsey_contrast_at_t_phi"]
         assert 180e-6 <= report["dephasing_time_s"] <= 250e-6
         assert report["adiabaticity_ok"] is True

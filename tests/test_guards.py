@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hybridgate.budget import NoiseModel
 from hybridgate.dynamics import LambdaParams, PulseEnvelope, TwoLevelParams, integrate_schrodinger
 from hybridgate.errors import DomainError
 from hybridgate.gate import DipoleParams
@@ -45,7 +46,14 @@ def _integrate(substeps):
     (lambda: _integrate(0), "substeps"),
     (lambda: _integrate(True), "substeps"),
     (lambda: _integrate(False), "substeps"),
+    *((lambda seed=seed: NoiseModel(1e-4, 0.0, 1e5, seed=seed), "seed")
+      for seed in (1.5, -0.5, True, False, "7", NAN, INF, 7.0, -1, 2 ** 64, None)),
 ])
 def test_non_finite_or_non_integer_input_is_a_domain_error(build, field):
     with pytest.raises(DomainError, match=field):
         build()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int32(7)])
+def test_noise_model_takes_an_integer_seed_in_64_bits(seed):
+    assert NoiseModel(1e-4, 0.0, 1e5, seed=seed).seed is seed

@@ -442,3 +442,18 @@ class TestOpenDecayChannels:
         labels = [c.label() for c in open_decay_channels(ENABLED_1, 0.0)]
         assert "|1,1>Rb87+|2,2>Li7" in labels
         assert open_decay_channels(STORAGE_1, 0.0) == []
+
+    @pytest.mark.parametrize("b", [0.0, 649.0, 1000.0])
+    def test_bundled_channels_at_paper_repro_fields(self, b):
+        # the storage and enabled qubit channels that paper_repro classifies
+        got = [[c.label() for c in open_decay_channels(chan, b)]
+               for chan in (STORAGE_0, STORAGE_1, ENABLED_0, ENABLED_1)]
+        assert got == [[], [], [], ["|1,1>Rb87+|2,2>Li7"]]
+
+    @pytest.mark.parametrize("b", [0.0, 649.0, 1000.0])
+    def test_order_is_energy_then_state_a(self, b):
+        for sa in all_states(RB87):
+            for sb in all_states(LI7):
+                found = open_decay_channels(HyperfineChannel(RB87, sa, LI7, sb), b)
+                keys = [(c.internal_energy_hz(b), c.state_a.f, c.state_a.m) for c in found]
+                assert keys == sorted(keys)

@@ -1,0 +1,177 @@
+"""Every record class of the package behaves as a frozen value type: fixed fields,
+validation on construction and on replace, value equality and hashing, and the
+``Name(field=value!r, ...)`` repr."""
+
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+import hybridgate
+from hybridgate import budget, cli, dynamics, gate, hyperfine, repro, scenario
+from hybridgate.errors import DomainError
+from hybridgate.hyperfine import HyperfineState
+from hybridgate.record import FrozenRecordError, Record, fields, replace
+
+_SCN = scenario.load_scenario_text(
+    resources.files("hybridgate").joinpath("data/paper.cfg").read_text(encoding="utf-8"))
+
+
+def _examples():
+    """One instance of every record class, each from the bundled scenario's runs."""
+    raman, gate_run = repro.raman_run(_SCN), repro.gate_run(_SCN)
+    budget_run = repro.budget_run(_SCN, gate_run.schedule)
+    records = [_SCN, *fields(_SCN).values(), _SCN.qubit.species, _SCN.qubit.upper,
+               _SCN.qubit_channel_storage()[0], repro.levels_run(_SCN), raman, raman.reduction,
+               raman.drive, raman.trajectory, repro.stirap_run(_SCN), repro._stirap_args(_SCN)[0],
+               gate_run, gate_run.induced, gate_run.schedule, gate_run.durations,
+               gate_run.schedule.steps[0], budget_run, budget_run.report,
+               budget.adiabaticity_check(1e-5, 1e6), cli.RunContext("out", 0, "0")]
+    return {type(record): record for record in records if isinstance(record, Record)}
+
+
+EXAMPLES = _examples()
+
+# A value out of range for one field of each class that validates its fields.
+OUT_OF_RANGE = {
+    budget.NoiseModel: ("sigma_b_gauss", 0.0),
+    dynamics.TwoLevelParams: ("omega_r_rad_s", -1.0),
+    dynamics.LambdaParams: ("gamma_e_rad_s", -1.0),
+    dynamics.PulseEnvelope: ("rms_width_s", 0.0),
+    gate.DipoleParams: ("separation_m", 0.0),
+    gate.Step: ("duration_s", 0.0),
+    gate.GateSchedule: ("steps", tuple(reversed(EXAMPLES[gate.GateSchedule].steps))),
+    hyperfine.AtomSpecies: ("nuclear_spin", 0.7),
+    hyperfine.HyperfineState: ("m", 5),
+    hyperfine.HyperfineChannel: ("state_a", HyperfineState(3, 0)),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_examples_cover_every_record_class_of_the_package():
+    package = {cls for cls in _subclasses(Record) if cls.__module__.startswith("hybridgate.")}
+    assert set(EXAMPLES) == package
+    assert len(package) == 31
+    assert set(OUT_OF_RANGE) <= package
+
+
+@pytest.mark.parametrize("cls", sorted(EXAMPLES, key=lambda c: (c.__module__, c.__qualname__)),
+                         ids=lambda c: c.__qualname__)
+def test_record_class(cls):
+    record = EXAMPLES[cls]
+    names = list(cls.__annotations__)
+    values = [getattr(record, name) for name in names]
+    assert list(fields(record)) == names
+    assert list(fields(record).values()) == values
+
+    # frozen: no field, and no other attribute, can be assigned or deleted
+    for name in names:
+        with pytest.raises(FrozenRecordError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, values[0])
+        with pytest.raises(FrozenRecordError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    with pytest.raises(FrozenRecordError):
+        record.extra = 1
+    assert issubclass(FrozenRecordError, AttributeError)
+
+    # positional and keyword construction, and replace, give equal records
+    same = cls(*values)
+    assert same == record and not same != record
+    assert cls(**dict(zip(names, values))) == record
+    assert replace(record) == record
+    assert (record == tuple(values)) is False
+    assert record.__eq__(tuple(values)) is NotImplemented
+    try:
+        hash(tuple(values))
+    except TypeError:   # a dict or array field: unhashable, as a frozen dataclass is
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(same) == hash(record)
+
+    # repr in the dataclass format, field by field
+    pairs = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__qualname__}({pairs})"
+
+    # a missing, unknown, repeated or surplus argument
+    with pytest.raises(TypeError, match=f"missing required argument.*'{names[0]}'"):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_field'"):
+        cls(*values, not_a_field=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError, match=f"takes {len(names)} arguments"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_field'"):
+        replace(record, not_a_field=1)
+
+    # defaults apply to the fields that have one, and only to them
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    built = cls(*values[:len(names) - len(defaults)])
+    assert {name: getattr(built, name) for name in defaults} == defaults
+
+    # replace re-runs validation: an out-of-range value fails as in the constructor
+    if cls in OUT_OF_RANGE:
+        name, bad = OUT_OF_RANGE[cls]
+        with pytest.raises(DomainError) as by_constructor:
+            cls(**{**dict(zip(names, values)), name: bad})
+        with pytest.raises(DomainError) as by_replace:
+            replace(record, **{name: bad})
+        assert str(by_replace.value) == str(by_constructor.value)
+        assert getattr(record, name) is not bad
+
+
+def test_replace_changes_only_the_given_fields():
+    state = HyperfineState(2, 1)
+    moved = replace(state, m=-1)
+    assert (state.f, state.m, moved.f, moved.m) == (2, 1, 2, -1)
+
+
+def test_hyperfine_state_is_a_dict_key():
+    table = {state: state.label() for state in hyperfine.all_states(hyperfine.RB87)}
+    assert table[HyperfineState(2, -1)] == "|2,-1>"
+    assert len(table) == 8 and HyperfineState(1, 1) in table
+
+
+def test_pulse_envelope_cached_bounds_are_no_fields():
+    center, width = 1e-4, 3e-5
+    cached = dynamics.PulseEnvelope(2e6, center, width)
+    start = center - dynamics.GAUSSIAN_CUTOFF_SIGMAS * width
+    assert cached.start_s == start
+    assert cached.end_s == start + 2.0 * dynamics.GAUSSIAN_CUTOFF_SIGMAS * width
+    fresh = dynamics.PulseEnvelope(2e6, center, width)
+    assert "start_s" in vars(cached) and "start_s" not in vars(fresh)
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert list(fields(cached)) == ["peak_rad_s", "center_s", "rms_width_s"]
+    assert repr(cached) == repr(fresh) == "PulseEnvelope(peak_rad_s=2000000.0, center_s=0.0001, " \
+                                          "rms_width_s=3e-05)"
+    moved = replace(cached, center_s=2e-4)
+    assert moved.start_s == 2e-4 - dynamics.GAUSSIAN_CUTOFF_SIGMAS * width
+
+
+def test_a_record_class_needs_fields_in_default_order():
+    with pytest.raises(TypeError, match="declares no fields"):
+        type("Empty", (Record,), {})
+    with pytest.raises(TypeError, match="without a default follows"):
+        type("Unordered", (Record,), {"__annotations__": {"a": int, "b": int}, "a": 0})
+
+
+def test_a_record_class_is_not_subclassed():
+    with pytest.raises(TypeError, match="HyperfineState cannot be subclassed"):
+        type("Sub", (HyperfineState,), {"__annotations__": {"extra": int}})
+
+
+def test_importing_the_cli_imports_no_dataclasses():
+    src = str(Path(hybridgate.__file__).resolve().parents[1])
+    code = "import sys, hybridgate.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
