@@ -49,7 +49,6 @@ from .gate import (
     induced_dipole,
     interaction_time_for_pi,
     phase_gate_fidelity,
-    schedule_total_duration,
     total_phase_closed_form,
 )
 from .hyperfine import (

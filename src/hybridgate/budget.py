@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .errors import DomainError
-from .gate import ENABLER_KINDS, schedule_total_duration
+from .gate import ENABLER_KINDS
 from .record import Record
 
 # Monte Carlo samples are drawn in chunks of MC_CHUNK, chunk c from a Philox
@@ -23,8 +23,14 @@ from .record import Record
 # per CPU in the affinity mask, and their sums are added in chunk order, so
 # the result does not depend on the number of workers.
 MC_CHUNK = 65536
+MC_MIN_SAMPLES = 1000   # fewer give no meaningful contrast
 
 ADIABATIC_MIN_PERIODS = 3.0
+
+
+def _is_integer(value):
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class NoiseModel(Record):
@@ -34,6 +40,7 @@ class NoiseModel(Record):
     gamma_inelastic_per_s: float
     trap_frequency_hz: float
     seed: int = 0
+    mc_samples: int = 100000   # Monte Carlo samples of the Ramsey contrast
 
     def __post_init__(self):
         if not self.sigma_b_gauss > 0:
@@ -42,9 +49,11 @@ class NoiseModel(Record):
             raise DomainError(f"inelastic rate must be >= 0, got {self.gamma_inelastic_per_s!r}")
         if not self.trap_frequency_hz > 0:
             raise DomainError(f"trap frequency must be > 0 Hz, got {self.trap_frequency_hz!r}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or not 0 <= int(self.seed) < 2 ** 64):
+        if not _is_integer(self.seed) or not 0 <= int(self.seed) < 2 ** 64:
             raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if not _is_integer(self.mc_samples) or self.mc_samples < MC_MIN_SAMPLES:
+            raise DomainError(f"mc_samples must be an integer >= {MC_MIN_SAMPLES}, "
+                              f"got {self.mc_samples!r}")
 
 
 class AdiabaticityResult(Record):
@@ -100,8 +109,9 @@ def ramsey_contrast_mc(sensitivity_hz_per_g, sigma_b_gauss, t_s, n_samples, seed
     raises the first worker's exception, if any, or adds the rows in index
     order.
     """
-    if n_samples < 1000:
-        raise DomainError(f"need n_samples >= 1000 for a meaningful contrast, got {n_samples!r}")
+    if not _is_integer(n_samples) or n_samples < MC_MIN_SAMPLES:
+        raise DomainError(f"need an integer n_samples >= {MC_MIN_SAMPLES} for a meaningful "
+                          f"contrast, got {n_samples!r}")
     if not (sigma_b_gauss >= 0 and math.isfinite(sigma_b_gauss)):
         raise DomainError(f"sigma_B must be finite and >= 0 G, got {sigma_b_gauss!r}")
     if not math.isfinite(sensitivity_hz_per_g):
@@ -114,10 +124,12 @@ def ramsey_contrast_mc(sensitivity_hz_per_g, sigma_b_gauss, t_s, n_samples, seed
     n_chunks = -(-n_samples // MC_CHUNK)
     workers = min(n_chunks, _available_cpus())
     seed64 = int(seed) & 0xFFFFFFFFFFFFFFFF
-    # Generators and buffers are allocated here, not in the workers: a thread
-    # that calls malloc gets a glibc arena of its own, which raises peak RSS.
-    rngs = [np.random.Generator(np.random.Philox(key=np.array([seed64, c], dtype=np.uint64)))
-            for c in range(n_chunks)]
+    # One generator per worker, set for chunk c to the state of a new
+    # Philox(key=(seed, c)), so memory does not grow with n_samples. Generators
+    # and buffers are allocated here, not in the workers: a thread that calls
+    # malloc gets a glibc arena of its own, which raises peak RSS.
+    rngs = [np.random.Generator(np.random.Philox(key=0)) for _ in range(workers)]
+    starts = [rng.bit_generator.state for rng in rngs]   # counter 0, empty buffer
     buffers = np.empty((workers, 2, min(MC_CHUNK, n_samples)))  # t and 1/(1+t^2) per worker
     sums = np.empty((n_chunks, 2))
     errors = [None] * workers
@@ -127,7 +139,9 @@ def ramsey_contrast_mc(sensitivity_hz_per_g, sigma_b_gauss, t_s, n_samples, seed
             for c in range(w, n_chunks, workers):
                 take = min(MC_CHUNK, n_samples - c * MC_CHUNK)
                 t, inv = buffers[w, :, :take]
-                rngs[c].standard_normal(out=t)
+                starts[w]["state"]["key"] = (seed64, c)
+                rngs[w].bit_generator.state = starts[w]
+                rngs[w].standard_normal(out=t)
                 t *= half_phase_per_normal
                 np.tan(t, out=t)
                 np.multiply(t, t, out=inv)
@@ -207,8 +221,7 @@ def assemble_budget(noise, sensitivity_hz_per_g, schedule, readout_splitting_hz,
     without rotation steps passes vacuously.
     """
     t_phi = dephasing_time(sensitivity_hz_per_g, noise.sigma_b_gauss)
-    durations = schedule_total_duration(schedule)
-    gate_time = durations.gate_s
+    gate_time = schedule.gate_s
     if not gate_time > 0:
         raise DomainError("schedule has no gate steps; gate time must be > 0")
     ops = operations_budget(t_phi, gate_time)

@@ -140,10 +140,10 @@ def _cmd_gate(scn, ctx):
     flag = "" if gate.induced.linear_response_valid else " (beyond linear response)"
     print(f"gate: induced dipole = {format_float(gate.induced.mu_induced_debye)} D{flag}, "
           f"omega_dd = {format_float(gate.omega_dd_rad_s)} rad/s")
-    for kind, dur in gate.durations.by_kind.items():
+    for kind, dur in gate.schedule.by_kind.items():
         print(f"gate:   {kind:<16s} {format_float(dur)} s")
-    print(f"gate: gate time = {format_float(gate.durations.gate_s)} s "
-          f"(total with rotations {format_float(gate.durations.total_s)} s)")
+    print(f"gate: gate time = {format_float(gate.schedule.gate_s)} s "
+          f"(total with rotations {format_float(gate.schedule.total_s)} s)")
     print(f"gate: accumulated phase = {format_float(gate.phase_rad)} rad (closed form "
           f"{format_float(gate.closed_form_phase_rad)}), "
           f"fidelity vs ideal = {format_float(gate.fidelity)}")

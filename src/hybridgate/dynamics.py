@@ -32,7 +32,6 @@ without a copy; only the interval propagators are turned back to (n, d, d).
 """
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -136,12 +135,11 @@ class PulseEnvelope(Record):
         if not 0 < self.rms_width_s < math.inf:
             raise DomainError(f"rms width must be finite and > 0, got {self.rms_width_s!r}")
 
-    # Cached: value() reads both bounds on every Hamiltonian evaluation.
-    @cached_property
+    @property
     def start_s(self):
         return self.center_s - GAUSSIAN_CUTOFF_SIGMAS * self.rms_width_s
 
-    @cached_property
+    @property
     def end_s(self):
         return self.start_s + 2.0 * GAUSSIAN_CUTOFF_SIGMAS * self.rms_width_s
 

@@ -112,7 +112,8 @@ class Step(Record):
 
 
 class GateSchedule(Record):
-    """Ordered protocol steps, a tuple of Step."""
+    """Ordered protocol steps, a tuple of Step, and their durations. gate_s counts
+    only the conversion pulses and the wait, without the enabler rotations."""
 
     steps: tuple
 
@@ -123,26 +124,20 @@ class GateSchedule(Record):
                 kinds.index("raman_down") < kinds.index("wait") < kinds.index("raman_up")):
             raise DomainError("schedule must order raman_down < wait < raman_up")
 
+    @property
+    def by_kind(self):
+        """Summed duration of each step kind present, in STEP_KINDS order."""
+        present = {s.kind for s in self.steps}
+        return {kind: sum(s.duration_s for s in self.steps if s.kind == kind)
+                for kind in STEP_KINDS if kind in present}
 
-class ScheduleDuration(Record):
-    """Total duration with the per-kind breakdown.
+    @property
+    def total_s(self):
+        return sum(self.by_kind.values())
 
-    gate_s excludes the enabler rotations, matching the convention that the
-    two-qubit gate time counts only the conversion pulses and the wait.
-    """
-
-    total_s: float
-    gate_s: float
-    by_kind: dict
-
-
-def schedule_total_duration(schedule):
-    present = {s.kind for s in schedule.steps}
-    by_kind = {kind: sum(s.duration_s for s in schedule.steps if s.kind == kind)
-               for kind in STEP_KINDS if kind in present}
-    total = sum(by_kind.values())
-    gate = total - sum(by_kind.get(k, 0.0) for k in ENABLER_KINDS)
-    return ScheduleDuration(total_s=total, gate_s=gate, by_kind=by_kind)
+    @property
+    def gate_s(self):
+        return self.total_s - sum(self.by_kind.get(k, 0.0) for k in ENABLER_KINDS)
 
 
 def interaction_time_for_pi(omega_dd_rad_s, omega_r_rad_s):

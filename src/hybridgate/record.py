@@ -16,8 +16,7 @@ generated or compiled:
 - ``repr`` is ``Name(field=value!r, ...)``.
 
 Only the declared fields take part in these and in ``fields`` and
-``replace``: a ``functools.cached_property``, which stores its value in the
-instance ``__dict__``, is none of them.
+``replace``.
 """
 
 from operator import attrgetter

@@ -132,13 +132,12 @@ def stirap_run(scn, area_sweep=False):
 
 
 class GateRun(Record):
-    """Induced dipole, omega_dd, schedule and its durations, pi-phase wait, phase profile
+    """Induced dipole, omega_dd, schedule, pi-phase wait, phase profile
     (times, phi), its last point and closed form, and fidelity against the ideal gate."""
 
     induced: gate.InducedDipole
     omega_dd_rad_s: float
     schedule: gate.GateSchedule
-    durations: gate.ScheduleDuration
     interaction_time_s: float
     phase_profile: tuple
     phase_rad: float
@@ -155,8 +154,8 @@ def gate_run(scn):
     phi = float(profile[1][-1])
     tau = gate.interaction_time_for_pi(omega_dd, omega_r)
     phi_closed = gate.total_phase_closed_form(omega_dd, omega_r, omega_dd, tau)
-    return GateRun(ind, omega_dd, schedule, gate.schedule_total_duration(schedule), tau,
-                   profile, phi, phi_closed, gate.phase_gate_fidelity(phi))
+    return GateRun(ind, omega_dd, schedule, tau, profile, phi, phi_closed,
+                   gate.phase_gate_fidelity(phi))
 
 
 class BudgetRun(Record):
@@ -174,7 +173,7 @@ def budget_run(scn, schedule):
     report = budget.assemble_budget(scn.noise, sens, schedule, scn.readout.splitting_hz,
                                     selectivity_factor=scn.readout.selectivity_factor)
     contrast = budget.ramsey_contrast_mc(sens, scn.noise.sigma_b_gauss, report.dephasing_time_s,
-                                         scn.mc_samples, scn.noise.seed)
+                                         scn.noise.mc_samples, scn.noise.seed)
     return BudgetRun(sens, report, contrast)
 
 
@@ -247,7 +246,7 @@ def paper_repro(scn):
 
     stirap = stirap_run(scn)
 
-    channels = (scn.qubit_channel_storage()[1], *scn.qubit_channel_enabled())
+    channels = (scn.qubit_channels("storage")[1], *scn.qubit_channels("enabled"))
     open_storage_1, open_enabled_0, open_enabled_1 = [
         hyperfine.open_decay_channels(channel, b) for channel in channels]
 
@@ -265,8 +264,8 @@ def paper_repro(scn):
         "omega_dd_rad_s": omega_dd,
         "pi_pulse_duration_s": dynamics.pi_pulse_duration(dynamics.TwoLevelParams(omega_r, 0.0)),
         "interaction_time_s": gr.interaction_time_s,
-        "gate_time_s": gr.durations.gate_s,
-        "protocol_time_s": gr.durations.total_s,
+        "gate_time_s": gr.schedule.gate_s,
+        "protocol_time_s": gr.schedule.total_s,
         "single_pulse_phase_rad": phi_single,
         "accumulated_phase_rad": gr.phase_rad,
         "closed_form_phase_rad": gr.closed_form_phase_rad,

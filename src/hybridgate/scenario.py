@@ -88,21 +88,16 @@ class Scenario(Record):
     readout: ReadoutConfig
     levels: LevelsConfig
     sweep: SweepConfig
-    mc_samples: int
 
-    def qubit_channel_storage(self):
-        """(qubit state, enabler storage) channels for |0> and |1>."""
-        return (HyperfineChannel(self.qubit.species, self.qubit.lower,
-                                 self.enabler.species, self.enabler.storage),
-                HyperfineChannel(self.qubit.species, self.qubit.upper,
-                                 self.enabler.species, self.enabler.storage))
+    @property
+    def mc_samples(self):   # read by the benchmark's tests; the count lives on the noise model
+        return self.noise.mc_samples
 
-    def qubit_channel_enabled(self):
-        """(qubit state, enabler enabled) channels for |0'> and |1'>."""
-        return (HyperfineChannel(self.qubit.species, self.qubit.lower,
-                                 self.enabler.species, self.enabler.enabled),
-                HyperfineChannel(self.qubit.species, self.qubit.upper,
-                                 self.enabler.species, self.enabler.enabled))
+    def qubit_channels(self, enabler_state):
+        """The |0> and |1> channels with the enabler in its "storage" or "enabled" state."""
+        enabler = getattr(self.enabler, enabler_state)
+        return tuple(HyperfineChannel(self.qubit.species, state, self.enabler.species, enabler)
+                     for state in (self.qubit.lower, self.qubit.upper))
 
     def raman_effective(self):
         """Raman drive with the Feshbach enhancement applied to the pump."""
@@ -139,11 +134,6 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: repeated key", key=f"[{name}] {key}")
         current[key] = value
     return sections
-
-
-def _noise(mc_samples, **noise):
-    """The [noise] section holds the noise model and the Monte Carlo sample count."""
-    return NoiseModel(**noise), mc_samples
 
 
 def _atom_rows(*prefixes):
@@ -189,7 +179,7 @@ _KEYS = {
     "gate": (GateConfig, (
         ("omega_r_rad_s", "omega_R_rad_s", float, _REQUIRED, "> 0"),
         ("enabler_rotation_s", "enabler_rotation_s", float, _REQUIRED, "> 0"))),
-    "noise": (_noise, (
+    "noise": (NoiseModel, (
         ("sigma_b_gauss", "sigma_B_G", float, _REQUIRED, "> 0"),
         ("gamma_inelastic_per_s", "gamma_inelastic_per_s", float, _REQUIRED, ">= 0"),
         ("trap_frequency_hz", "trap_frequency_Hz", float, _REQUIRED, "> 0"),
@@ -276,7 +266,7 @@ def load_scenario_text(text, seed_override=None):
     enabler = _atom_config(sections, "enabler", catalog, EnablerConfig, ("storage", "enabled"))
     records = {name: _record(sections, name) for name in
                ("field", "raman", "stirap", "dipole", "gate", "readout", "levels", "sweep")}
-    noise, mc_samples = _record(sections, "noise", seed=seed_override)
+    noise = _record(sections, "noise", seed=seed_override)
     levels, sweep = records["levels"], records["sweep"]
     if levels.count > 1 and not levels.b_max_gauss > levels.b_min_gauss:
         raise ConfigError("b_max_G must exceed b_min_G for a multi-point grid",
@@ -297,4 +287,4 @@ def load_scenario_text(text, seed_override=None):
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
 
-    return Scenario(qubit=qubit, enabler=enabler, noise=noise, mc_samples=mc_samples, **records)
+    return Scenario(qubit=qubit, enabler=enabler, noise=noise, **records)

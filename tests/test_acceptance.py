@@ -20,7 +20,7 @@ from hybridgate.dynamics import (LambdaParams, PulseEnvelope, TwoLevelParams,
 from hybridgate.gate import (GateSchedule, Step, accumulated_phase_profile,
                              build_gate_schedule, dipole_dipole_rate,
                              interaction_time_for_pi, phase_gate_fidelity,
-                             schedule_total_duration, total_phase_closed_form)
+                             total_phase_closed_form)
 from hybridgate.hyperfine import (RB87, HyperfineState, field_sensitivity,
                                   open_decay_channels, resonance_site_count,
                                   site_frequency_resolution, transition_frequency)
@@ -109,7 +109,7 @@ def test_criterion_06_phase_consistency():
 
 def test_criterion_07_gate_time_and_recorded_inconsistency():
     schedule = build_gate_schedule(OMEGA_DD, OMEGA_R, ENABLER_ROTATION_S)
-    gate_time = schedule_total_duration(schedule).gate_s
+    gate_time = schedule.gate_s
     tau = interaction_time_for_pi(OMEGA_DD, OMEGA_R)
     # The ~14 us wait figure quoted for these parameters is inconsistent
     # with the wait-time formula (21-31 us); assert the mismatch is present
@@ -163,7 +163,7 @@ def test_criterion_11_decoherence_budget():
     t_phi = dephasing_time(sens, 3e-4)
     contrast = ramsey_contrast_mc(sens, 3e-4, t_phi, 100000, seed=20260808)
     loss = inelastic_loss_probability(1e5, 20e-6)
-    gate_time = schedule_total_duration(build_gate_schedule(OMEGA_DD, OMEGA_R, ENABLER_ROTATION_S)).gate_s
+    gate_time = build_gate_schedule(OMEGA_DD, OMEGA_R, ENABLER_ROTATION_S).gate_s
     ops = operations_budget(t_phi, gate_time)
     ok = (180e-6 <= t_phi <= 250e-6
           and abs(contrast - 0.6065) <= 0.01
@@ -175,8 +175,8 @@ def test_criterion_11_decoherence_budget():
 
 def test_criterion_12_channel_stability():
     scn = load_scenario_text(resources.files("hybridgate").joinpath("data/paper.cfg").read_text())
-    _, storage_1 = scn.qubit_channel_storage()
-    enabled_0, enabled_1 = scn.qubit_channel_enabled()
+    _, storage_1 = scn.qubit_channels("storage")
+    enabled_0, enabled_1 = scn.qubit_channels("enabled")
     stable_storage = open_decay_channels(storage_1, 649.0)
     stable_enabled = open_decay_channels(enabled_0, 649.0)
     unstable = open_decay_channels(enabled_1, 649.0)

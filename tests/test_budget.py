@@ -147,6 +147,11 @@ class TestRamseyContrast:
         with pytest.raises(DomainError):
             ramsey_contrast_mc(SENS, SIGMA, 1e-4, 999, 0)
 
+    @pytest.mark.parametrize("n", [2000.5, 100000.0, True, "100000", math.nan])
+    def test_non_integer_sample_count_rejected(self, n):
+        with pytest.raises(DomainError, match="integer n_samples"):
+            ramsey_contrast_mc(SENS, SIGMA, 1e-4, n, 0)
+
     def test_nan_time_rejected(self):
         with pytest.raises(DomainError):
             ramsey_contrast_mc(SENS, SIGMA, math.nan, 1000, 0)
@@ -215,21 +220,40 @@ class TestParallelChunks:
         real_generator = np.random.Generator
         ran_in = []
 
-        class FailingGenerator:
-            def standard_normal(self, out):
-                ran_in.append(threading.current_thread())
-                raise FloatingPointError(f"chunk {failing_chunk} failed")
+        class FailingGenerator:   # fails when its draw is keyed to the failing chunk
+            def __init__(self, bit_generator):
+                self.bit_generator = bit_generator
+                self.rng = real_generator(bit_generator)
 
-        def generator(bit_generator):
-            if int(bit_generator.state["state"]["key"][1]) == failing_chunk:
-                return FailingGenerator()
-            return real_generator(bit_generator)
+            def standard_normal(self, out):
+                if int(self.bit_generator.state["state"]["key"][1]) == failing_chunk:
+                    ran_in.append(threading.current_thread())
+                    raise FloatingPointError(f"chunk {failing_chunk} failed")
+                return self.rng.standard_normal(out=out)
 
         _workers(monkeypatch, 2)
-        monkeypatch.setattr(np.random, "Generator", generator)
+        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
         with pytest.raises(FloatingPointError, match=f"chunk {failing_chunk} failed"):
             ramsey_contrast_mc(SENS, SIGMA, 1e-4, 4 * MC_CHUNK, 9)
         assert (ran_in[0] is threading.main_thread()) == (failing_chunk == 0)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_generator_per_worker_for_any_number_of_chunks(self, monkeypatch, cpus):
+        # A generator costs about 1 kB: one per chunk would make memory grow
+        # with n_samples.
+        real_generator = np.random.Generator
+        built = []
+
+        def generator(bit_generator):
+            built.append(bit_generator)
+            return real_generator(bit_generator)
+
+        n = 8 * MC_CHUNK + 5   # 9 chunks
+        _workers(monkeypatch, cpus)
+        expected = ramsey_contrast_mc(SENS, SIGMA, 1e-4, n, 3)
+        monkeypatch.setattr(np.random, "Generator", generator)
+        assert ramsey_contrast_mc(SENS, SIGMA, 1e-4, n, 3) == expected
+        assert len(built) == cpus
 
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -317,7 +317,7 @@ class TestStageRecords:
     def test_gate_phase_is_the_last_profile_point(self):
         gr = repro.gate_run(self.SCN)
         assert gr.phase_rad == gr.phase_profile[1][-1]
-        assert gr.phase_profile[0][-1] == pytest.approx(gr.durations.total_s, rel=1e-15)
+        assert gr.phase_profile[0][-1] == pytest.approx(gr.schedule.total_s, rel=1e-15)
 
 
 class TestOtherSubcommands:

@@ -19,7 +19,6 @@ from hybridgate.gate import (
     induced_dipole,
     interaction_time_for_pi,
     phase_gate_fidelity,
-    schedule_total_duration,
     _step_phase_integral,
     total_phase_closed_form,
 )
@@ -257,15 +256,14 @@ class TestClosedForm:
 
 class TestSchedule:
     def test_durations_and_breakdown(self):
-        schedule = build_gate_schedule(OMEGA_DD, 1e6, 30e-6)
-        durations = schedule_total_duration(schedule)
+        durations = build_gate_schedule(OMEGA_DD, 1e6, 30e-6)
         assert durations.gate_s == pytest.approx(2.7403726660431922e-5, rel=1e-9)
         assert 15e-6 <= durations.gate_s <= 35e-6
         assert durations.total_s == pytest.approx(durations.gate_s + 60e-6, rel=1e-12)
         assert durations.by_kind["wait"] == pytest.approx(2.1120541353252334e-5, rel=1e-9)
 
     def test_empty_schedule(self):
-        durations = schedule_total_duration(GateSchedule(()))
+        durations = GateSchedule(())
         assert durations.total_s == 0.0
         assert durations.gate_s == 0.0
 
@@ -273,9 +271,8 @@ class TestSchedule:
         pulse = TwoLevelParams(1e6, 0.0)
         a = (Step("raman_down", 1e-6, pulse), Step("wait", 2e-6))
         b = (Step("raman_up", 3e-6, pulse),)
-        total_ab = schedule_total_duration(GateSchedule(a + b)).total_s
-        total_sep = (schedule_total_duration(GateSchedule(a)).total_s
-                     + schedule_total_duration(GateSchedule(b)).total_s)
+        total_ab = GateSchedule(a + b).total_s
+        total_sep = GateSchedule(a).total_s + GateSchedule(b).total_s
         assert total_ab == pytest.approx(total_sep, rel=1e-12)
 
     def test_ordering_enforced(self):

@@ -48,6 +48,8 @@ def _integrate(substeps):
     (lambda: _integrate(False), "substeps"),
     *((lambda seed=seed: NoiseModel(1e-4, 0.0, 1e5, seed=seed), "seed")
       for seed in (1.5, -0.5, True, False, "7", NAN, INF, 7.0, -1, 2 ** 64, None)),
+    *((lambda n=n: NoiseModel(1e-4, 0.0, 1e5, mc_samples=n), "mc_samples")
+      for n in (999, 0, -1, 2000.5, 100000.0, True, "100000", NAN, INF, None, np.int64(999))),
 ])
 def test_non_finite_or_non_integer_input_is_a_domain_error(build, field):
     with pytest.raises(DomainError, match=field):
@@ -57,3 +59,9 @@ def test_non_finite_or_non_integer_input_is_a_domain_error(build, field):
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int32(7)])
 def test_noise_model_takes_an_integer_seed_in_64_bits(seed):
     assert NoiseModel(1e-4, 0.0, 1e5, seed=seed).seed is seed
+
+
+@pytest.mark.parametrize("n", [1000, 10 ** 12, np.int64(1000), np.uint32(100000)])
+def test_noise_model_takes_an_integer_sample_count_of_at_least_1000(n):
+    assert NoiseModel(1e-4, 0.0, 1e5, mc_samples=n).mc_samples is n
+    assert NoiseModel(1e-4, 0.0, 1e5).mc_samples == 100000

@@ -28,8 +28,8 @@ DOWN = HyperfineState(1, 1)
 # The bundled scenario's channels: Rb carries the qubit, Li enables the gate
 # when moved from |2,2> (storage) to |1,1> (enabled).
 _BUNDLED = load_scenario_text(resources.files("hybridgate").joinpath("data/paper.cfg").read_text())
-STORAGE_0, STORAGE_1 = _BUNDLED.qubit_channel_storage()
-ENABLED_0, ENABLED_1 = _BUNDLED.qubit_channel_enabled()
+STORAGE_0, STORAGE_1 = _BUNDLED.qubit_channels("storage")
+ENABLED_0, ENABLED_1 = _BUNDLED.qubit_channels("enabled")
 
 
 # --- independent oracle: exact diagonalisation of the ground-state Hamiltonian

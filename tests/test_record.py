@@ -8,6 +8,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hybridgate
@@ -25,10 +26,9 @@ def _examples():
     raman, gate_run = repro.raman_run(_SCN), repro.gate_run(_SCN)
     budget_run = repro.budget_run(_SCN, gate_run.schedule)
     records = [_SCN, *fields(_SCN).values(), _SCN.qubit.species, _SCN.qubit.upper,
-               _SCN.qubit_channel_storage()[0], repro.levels_run(_SCN), raman, raman.reduction,
+               _SCN.qubit_channels("storage")[0], repro.levels_run(_SCN), raman, raman.reduction,
                raman.drive, raman.trajectory, repro.stirap_run(_SCN), repro._stirap_args(_SCN)[0],
-               gate_run, gate_run.induced, gate_run.schedule, gate_run.durations,
-               gate_run.schedule.steps[0], budget_run, budget_run.report,
+               gate_run, gate_run.induced, gate_run.schedule, gate_run.schedule.steps[0], budget_run, budget_run.report,
                budget.adiabaticity_check(1e-5, 1e6), cli.RunContext("out", 0, "0")]
     return {type(record): record for record in records if isinstance(record, Record)}
 
@@ -59,7 +59,7 @@ def _subclasses(cls):
 def test_examples_cover_every_record_class_of_the_package():
     package = {cls for cls in _subclasses(Record) if cls.__module__.startswith("hybridgate.")}
     assert set(EXAMPLES) == package
-    assert len(package) == 31
+    assert len(package) == 30
     assert set(OUT_OF_RANGE) <= package
 
 
@@ -141,20 +141,26 @@ def test_hyperfine_state_is_a_dict_key():
     assert len(table) == 8 and HyperfineState(1, 1) in table
 
 
-def test_pulse_envelope_cached_bounds_are_no_fields():
+def test_pulse_envelope_bounds_are_no_fields():
     center, width = 1e-4, 3e-5
-    cached = dynamics.PulseEnvelope(2e6, center, width)
+    read = dynamics.PulseEnvelope(2e6, center, width)
     start = center - dynamics.GAUSSIAN_CUTOFF_SIGMAS * width
-    assert cached.start_s == start
-    assert cached.end_s == start + 2.0 * dynamics.GAUSSIAN_CUTOFF_SIGMAS * width
+    assert read.start_s == start
+    assert read.end_s == start + 2.0 * dynamics.GAUSSIAN_CUTOFF_SIGMAS * width
     fresh = dynamics.PulseEnvelope(2e6, center, width)
-    assert "start_s" in vars(cached) and "start_s" not in vars(fresh)
-    assert cached == fresh and hash(cached) == hash(fresh)
-    assert list(fields(cached)) == ["peak_rad_s", "center_s", "rms_width_s"]
-    assert repr(cached) == repr(fresh) == "PulseEnvelope(peak_rad_s=2000000.0, center_s=0.0001, " \
-                                          "rms_width_s=3e-05)"
-    moved = replace(cached, center_s=2e-4)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert list(fields(read)) == ["peak_rad_s", "center_s", "rms_width_s"]
+    assert repr(read) == repr(fresh) == "PulseEnvelope(peak_rad_s=2000000.0, center_s=0.0001, " \
+                                        "rms_width_s=3e-05)"
+    moved = replace(read, center_s=2e-4)
     assert moved.start_s == 2e-4 - dynamics.GAUSSIAN_CUTOFF_SIGMAS * width
+
+
+def test_pulse_envelope_holds_only_its_fields_after_evaluation():
+    envelope = dynamics.PulseEnvelope(2e6, 1e-4, 3e-5)
+    envelope.value(np.linspace(0.0, 2e-4, 5))
+    envelope.value(1e-4)
+    assert list(vars(envelope)) == list(fields(envelope))
 
 
 def test_a_record_class_needs_fields_in_default_order():

@@ -92,7 +92,7 @@ class TestBundledScenario:
         assert scn.gate.omega_r_rad_s == 1e6
         assert scn.noise.sigma_b_gauss == 3e-4
         assert scn.noise.seed == 20260808
-        assert scn.mc_samples == 100000
+        assert scn.noise.mc_samples == 100000
         assert scn.sweep.parameter == "separation_r_m"
 
     def test_seed_override(self):
@@ -101,7 +101,7 @@ class TestBundledScenario:
 
     def test_channels(self):
         scn = load_scenario_text(_bundled_text())
-        zero, one = scn.qubit_channel_enabled()
+        zero, one = scn.qubit_channels("enabled")
         assert zero.label() == "|1,1>Rb87+|1,1>Li7"
         assert one.label() == "|2,2>Rb87+|1,1>Li7"
 
