@@ -5,8 +5,9 @@
 Subcommands: levels, pulse, stirap, gate, budget, sweep, paper-repro.
 Output tables are CSV with a metadata comment line; identical config and
 seed produce byte-identical files. Exit codes: 0 success, 1 configuration
-error or invalid value (a nan or inf in an output table or report is one;
-that file is not written), 2 numerical failure.
+error (an output file that cannot be written is one) or invalid value (a nan
+or inf in an output table or report is one; that file is not written), 2
+numerical failure.
 """
 
 import argparse
@@ -33,15 +34,6 @@ class RunContext(Record):
     seed: int
     config_hash: str
 
-    @property
-    def meta(self):
-        return metadata_line(self.config_hash, self.seed)
-
-    @property
-    def header(self):   # leading keys of every JSON report
-        return {"tool_version": __version__, "config_sha256": self.config_hash,
-                "seed": self.seed}
-
     def table(self, name, columns, *series):
         """Write a CSV table of float columns, one per series, to the output directory.
 
@@ -52,7 +44,20 @@ class RunContext(Record):
             row, col = np.argwhere(~np.isfinite(data))[0]
             raise DomainError(f"{name}: {columns[col]} = {float(data[row, col])} in row {row + 1} "
                               f"is not finite")
-        write_csv(os.path.join(self.out_dir, name), columns, data, self.meta)
+        self._write(write_csv, name, columns, data, metadata_line(self.config_hash, self.seed))
+
+    def report(self, name, payload):
+        """Write a JSON report to the output directory, led by the tool version,
+        config hash and seed."""
+        self._write(write_json, name, {"tool_version": __version__,
+                                       "config_sha256": self.config_hash, "seed": self.seed,
+                                       **payload})
+
+    def _write(self, writer, name, *args):
+        try:
+            writer(os.path.join(self.out_dir, name), *args)
+        except OSError as exc:   # its message names the file
+            raise ConfigError(f"cannot write output file: {exc}", key="--out") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,9 +158,9 @@ def _cmd_gate(scn, ctx):
 def _cmd_budget(scn, ctx):
     budget = budget_run(scn, gate_run(scn).schedule)
     report = budget.report
-    write_json(os.path.join(ctx.out_dir, "budget_report.json"),
-               {**ctx.header, "sensitivity_hz_per_g": budget.sensitivity_hz_per_g,
-                **fields(report), "ramsey_contrast_at_t_phi": budget.contrast})
+    ctx.report("budget_report.json", {"sensitivity_hz_per_g": budget.sensitivity_hz_per_g,
+                                      **fields(report),
+                                      "ramsey_contrast_at_t_phi": budget.contrast})
     print(f"budget: T_phi = {format_float(report.dephasing_time_s)} s, "
           f"gate time = {format_float(report.gate_time_s)} s, "
           f"operations = {report.operations_count}")
@@ -177,7 +182,7 @@ def _cmd_sweep(scn, ctx):
 
 def _cmd_paper_repro(scn, ctx):
     report = paper_repro(scn)
-    write_json(os.path.join(ctx.out_dir, "paper_repro.json"), {**ctx.header, **report})
+    ctx.report("paper_repro.json", report)
     checks = report["checks"]
     for check in checks:
         status = "PASS" if check["pass"] else "FAIL"

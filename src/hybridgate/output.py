@@ -6,6 +6,15 @@ line (tool version, config hash, seed), so identical inputs produce
 byte-identical files. Reports are strict JSON: a nan or inf in one is an
 error, not a null.
 
+Both writers rewrite an existing file in place: they open it without
+truncating, write the new bytes over the old and then cut the file to their
+length. Truncating a non-empty file first makes ext4 start writeback when it
+is closed (its auto_da_alloc heuristic): rewriting a 5.6 KB table took 7 us
+in place against 60 us with a truncate (ext4 mounted with discard, 2 shared
+x86_64 vCPUs, median of 200).
+Neither way is atomic: an interrupted write leaves the new head on the old
+tail, where a truncating write would leave a short file.
+
 A table's numbers are formatted in one numpy pass, without a Python call
 per value. For 1e-11 <= |x| < 1e12, k = 11 - floor(log10|x|) is in [0, 22],
 so 10**k is exact and y = |x| * 10**k is the exact value Y rounded once.
@@ -88,8 +97,7 @@ def write_csv(path, columns, rows, meta):
     docstring); the rest go through ``"%.11e"`` in one batch."""
     values = np.asarray(rows, dtype=float)
     body = _csv_body(values.reshape(len(values), len(columns)))
-    with open(path, "wb") as fh:
-        fh.write(f"{meta}\n{','.join(columns)}\n".encode("utf-8") + body)
+    _write_bytes(path, f"{meta}\n{','.join(columns)}\n".encode("utf-8") + body)
 
 
 def _first_non_finite(value, key=""):
@@ -113,8 +121,20 @@ def write_json(path, payload):
     except ValueError as exc:
         raise DomainError(f"{os.path.basename(path)}: {_first_non_finite(payload)} "
                           f"is not finite") from exc
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write_bytes(path, (text + "\n").encode("utf-8"))
+
+
+def _write_bytes(path, data):
+    """Write ``data`` over ``path`` in place (see the module docstring); a new
+    file gets the mode ``open(path, "wb")`` would give it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:   # os.write may write less than it is given
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def ensure_out_dir(path):

@@ -314,6 +314,13 @@ class TestStageRecords:
         assert raman.max_deviation == np.max(np.abs(
             raman.trajectory.populations()[:, 2] - raman.two_level_population))
 
+    def test_stage_trajectories_cannot_be_edited(self):
+        for traj in (repro.raman_run(self.SCN).trajectory, repro.stirap_run(self.SCN).trajectory):
+            with pytest.raises(ValueError):
+                traj.times[0] = 5.0
+            with pytest.raises(ValueError):
+                traj.amplitudes[0, 0] = 5.0
+
     def test_gate_phase_is_the_last_profile_point(self):
         gr = repro.gate_run(self.SCN)
         assert gr.phase_rad == gr.phase_profile[1][-1]
@@ -498,6 +505,15 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "configuration error: --out" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_unwritable_output_file_exits_1_naming_it(self, tmp_path, capsys):
+        # a directory where the report goes: not writable even by root
+        (tmp_path / "o" / "budget_report.json").mkdir(parents=True)
+        assert cli.main(["budget", "--out", str(tmp_path / "o")]) == 1
+        path = tmp_path / "o" / "budget_report.json"
+        assert capsys.readouterr().err == (
+            f"hybridgate: configuration error: --out: cannot write output file: "
+            f"[Errno 21] Is a directory: '{path}'\n")
 
     def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         def boom(scn, ctx):

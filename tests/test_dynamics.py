@@ -398,6 +398,15 @@ class TestStateStack:
         assert traj.norm_drift == 0.9375
         assert np.array_equal(traj.final_populations(), [[1.0, 0.0], [0.0, 0.0625]])
 
+    def test_trajectory_arrays_are_read_only_views_of_writable_inputs(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        psi0 = np.array([0.6, 0.8j], dtype=complex)
+        traj = integrate_schrodinger(_constant(np.zeros((2, 2), dtype=complex)), psi0, grid)
+        for array in (traj.times, traj.amplitudes):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+        assert grid.flags.writeable and psi0.flags.writeable   # the caller's arrays
+
 
 def _last(stack):
     """An (n, d, d) stack as the integrator holds it, (d, d, n)."""

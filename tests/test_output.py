@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 from importlib import resources
 
 import numpy as np
@@ -146,3 +148,46 @@ def test_non_finite_report_value_is_named_and_not_written(tmp_path, report, name
         write_json(str(tmp_path / "r.json"), report)
     assert str(err.value) == f"r.json: {named} is not finite"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_a_shorter_rewrite_leaves_no_stale_tail(tmp_path):
+    path, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+    write_csv(str(path), ("a", "b"), np.arange(200.0).reshape(100, 2), META)
+    write_csv(str(path), ("a", "b"), [[1.0, 2.0]], META)
+    write_csv(str(fresh), ("a", "b"), [[1.0, 2.0]], META)
+    assert path.read_bytes() == fresh.read_bytes()
+    path, fresh = tmp_path / "r.json", tmp_path / "fresh.json"
+    write_json(str(path), {"a": list(range(50)), "b": "x" * 100})
+    write_json(str(path), {"a": 1})
+    write_json(str(fresh), {"a": 1})
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_a_refused_table_or_report_leaves_the_old_file_untouched(tmp_path):
+    ctx = cli.RunContext(out_dir=str(tmp_path), seed=0, config_hash="0")
+    ctx.table("t.csv", ("x", "y"), [1.0, 2.0], [3.0, 4.0])
+    before = (tmp_path / "t.csv").read_bytes()
+    with pytest.raises(DomainError):
+        ctx.table("t.csv", ("x", "y"), [1.0], [math.nan])
+    assert (tmp_path / "t.csv").read_bytes() == before
+    write_json(str(tmp_path / "r.json"), {"a": 1.0})
+    before = (tmp_path / "r.json").read_bytes()
+    with pytest.raises(DomainError):
+        write_json(str(tmp_path / "r.json"), {"a": math.inf})
+    assert (tmp_path / "r.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_a_new_file_gets_the_mode_of_open_wb(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_csv(str(tmp_path / "t.csv"), ("a",), [[1.0]], META)
+        write_json(str(tmp_path / "r.json"), {"a": 1.0})
+        with open(tmp_path / "reference", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert mode == 0o666 & ~umask
+    for name in ("t.csv", "r.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
