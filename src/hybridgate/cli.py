@@ -101,7 +101,7 @@ def _read_config_bytes(path):
 def _cmd_levels(scn, ctx):
     levels = levels_run(scn)
     grid = levels.grid_g
-    for state, energy in levels.energies_hz.items():
+    for state, energy in zip(levels.states, levels.energies_hz):
         ctx.table(f"levels_energy_f{state.f}_m{state.m}.csv", ("b_g", "energy_hz"), grid, energy)
     ctx.table("levels_table.csv", ("b_g", "transition_hz", "sensitivity_hz_per_g"), grid,
               levels.transition_hz, levels.sensitivity_hz_per_g)

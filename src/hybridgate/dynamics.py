@@ -56,17 +56,6 @@ class Trajectory(Record):
     times: np.ndarray
     amplitudes: np.ndarray   # shape (n_times, dim), or (m, n_times, dim) for m initial states
 
-    def __post_init__(self):
-        # a writable array is held as a read-only view of it, so the record
-        # cannot be edited and the caller's array (integrate_schrodinger's
-        # t_grid may be one) stays writable; a read-only one is held as given
-        for name in ("times", "amplitudes"):
-            array = self.__dict__[name]
-            if array.flags.writeable:
-                array = array.view()
-                array.flags.writeable = False
-                object.__setattr__(self, name, array)
-
     def populations(self):
         return np.abs(self.amplitudes) ** 2
 

@@ -118,7 +118,6 @@ class GateSchedule(Record):
     steps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
         kinds = [step.kind for step in self.steps]
         if {"raman_down", "wait", "raman_up"} <= set(kinds) and not (
                 kinds.index("raman_down") < kinds.index("wait") < kinds.index("raman_up")):

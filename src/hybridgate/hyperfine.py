@@ -82,8 +82,8 @@ class HyperfineChannel(Record):
     state_b: HyperfineState
 
     def __post_init__(self):
-        _require_valid_state(self.species_a, self.state_a)
-        _require_valid_state(self.species_b, self.state_b)
+        require_valid_state(self.species_a, self.state_a)
+        require_valid_state(self.species_b, self.state_b)
 
     @property
     def m_tot(self):
@@ -100,7 +100,7 @@ class HyperfineChannel(Record):
                 + breit_rabi_energy(self.species_b, self.state_b, b_gauss))
 
 
-def _require_valid_state(species, state):
+def require_valid_state(species, state):
     if state.f not in (species.f_lower, species.f_upper):
         raise DomainError(
             f"state {state.label()} invalid for {species.name}: "
@@ -126,7 +126,7 @@ def all_states(species):
 def _breit_rabi(species, state, b_gauss, slope=False):
     """Level energy [Hz] of |f, m> at field B [G] relative to the centroid
     or, with ``slope``, its derivative dE/dB [Hz/G] (module docstring form)."""
-    _require_valid_state(species, state)
+    require_valid_state(species, state)
     bad = np.less(b_gauss, 0)
     if bad.any():
         first = float(np.asarray(b_gauss)[bad][0])

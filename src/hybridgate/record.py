@@ -7,19 +7,22 @@ record class then shares the same generic methods, so no per-class source is
 generated or compiled:
 
 - ``__init__`` takes each field positionally or by keyword, applies the
-  defaults, raises TypeError for a missing, unknown or repeated argument and
-  then calls ``__post_init__`` if the class has one (which may normalise a
-  field with ``object.__setattr__``);
+  defaults, raises TypeError for a missing, unknown or repeated argument,
+  holds each value and calls ``__post_init__`` if the class has one. It holds
+  a writable array as a read-only view, so the caller's array stays writable,
+  a read-only array as given, and a tuple or list as a tuple held alike;
 - assigning or deleting an attribute raises FrozenRecordError;
-- two records are equal when they are of the same class and their field
-  values are equal, and equal records hash equal;
+- records of one class are equal when each pair of field values is the same
+  object, equal arrays (``np.array_equal``), equal tuples item by item, or
+  ``==``, so equality never raises. A record holding an array is unhashable;
 - ``repr`` is ``Name(field=value!r, ...)``.
 
-Only the declared fields take part in these and in ``fields`` and
-``replace``.
+Only the declared fields take part in these and in ``fields`` and ``replace``.
 """
 
 from operator import attrgetter
+
+import numpy as np
 
 
 class FrozenRecordError(AttributeError):
@@ -48,11 +51,12 @@ class Record:
     def __init__(self, *args, **kwargs):
         cls = type(self)
         if not kwargs and len(args) == len(cls._fields):   # every field given by position
-            self.__dict__.update(zip(cls._fields, args))
+            names, values = cls._fields, args
         elif not args and kwargs.keys() == cls._fields.keys():   # or by keyword
-            self.__dict__.update(kwargs)
+            names, values = kwargs, kwargs.values()
         else:
-            self.__dict__.update(_bind(cls, args, kwargs))
+            names, values = cls._fields, _bind(cls, args, kwargs)
+        self.__dict__.update(zip(names, map(_held, values)))
         if hasattr(cls, "__post_init__"):
             self.__post_init__()
 
@@ -66,7 +70,7 @@ class Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         key = self._key
-        return key(self) == key(other)
+        return _equal(key(self), key(other))
 
     def __hash__(self):
         return hash(self._key(self))
@@ -77,9 +81,26 @@ class Record:
                 f"{', '.join([f'{name}={state[name]!r}' for name in self._fields])})")
 
 
+def _held(value):
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_held, value))
+    if isinstance(value, np.ndarray) and value.flags.writeable:
+        value = value.view()
+        value.flags.writeable = False
+    return value
+
+
+def _equal(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is b or np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    return a is b or a == b
+
+
 def _bind(cls, args, kwargs):
-    """The field values of ``cls(*args, **kwargs)`` by name, or TypeError for a
-    missing, unknown, repeated or surplus argument."""
+    """The field values of ``cls(*args, **kwargs)`` in declaration order, or
+    TypeError for a missing, unknown, repeated or surplus argument."""
     name = cls.__qualname__
     if len(args) > len(cls._fields):
         raise TypeError(f"{name}() takes {len(cls._fields)} arguments, got {len(args)}")
@@ -93,7 +114,7 @@ def _bind(cls, args, kwargs):
     missing = [field for field in cls._fields if field not in values]
     if missing:
         raise TypeError(f"{name}() missing required argument(s): {', '.join(map(repr, missing))}")
-    return values
+    return [values[field] for field in cls._fields]
 
 
 def fields(record):

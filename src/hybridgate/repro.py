@@ -42,11 +42,12 @@ def _fd_sensitivity_max_rel_err(scn):
 
 
 class LevelsRun(Record):
-    """On the [levels] field grid, each sublevel's energy keyed by HyperfineState in
-    all_states order, the qubit transition and its sensitivity; the transition at b_G."""
+    """On the [levels] field grid, the sublevels in all_states order and one row of
+    energies_hz per sublevel, the qubit transition and its sensitivity; the transition at b_G."""
 
     grid_g: np.ndarray
-    energies_hz: dict
+    states: tuple
+    energies_hz: np.ndarray   # shape (len(states), len(grid_g))
     transition_hz: np.ndarray
     sensitivity_hz_per_g: np.ndarray
     transition_at_b_hz: float
@@ -55,9 +56,9 @@ class LevelsRun(Record):
 def levels_run(scn):
     grid = np.linspace(scn.levels.b_min_gauss, scn.levels.b_max_gauss, scn.levels.count)
     sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
-    energies = {state: hyperfine.breit_rabi_energy(sp, state, grid)
-                for state in hyperfine.all_states(sp)}
-    return LevelsRun(grid, energies, hyperfine.transition_frequency(sp, up, lo, grid),
+    states = hyperfine.all_states(sp)
+    energies = np.array([hyperfine.breit_rabi_energy(sp, state, grid) for state in states])
+    return LevelsRun(grid, states, energies, hyperfine.transition_frequency(sp, up, lo, grid),
                      hyperfine.field_sensitivity(sp, up, lo, grid),
                      hyperfine.transition_frequency(sp, up, lo, scn.field.b_gauss))
 
@@ -128,7 +129,7 @@ def stirap_run(scn, area_sweep=False):
     sweep = [dynamics.simulate_stirap(*_stirap_args(scn, peak_factor=float(factor)))
              for factor in STIRAP_SWEEP_FACTORS[:-1]] + [efficiency]
     areas = STIRAP_SWEEP_FACTORS * scn.stirap.peak_rad_s * scn.stirap.rms_width_s
-    return StirapRun(traj, efficiency, reversed_efficiency, tuple(areas), tuple(sweep))
+    return StirapRun(traj, efficiency, reversed_efficiency, tuple(areas), sweep)
 
 
 class GateRun(Record):

@@ -16,7 +16,7 @@ from .budget import NoiseModel
 from .dynamics import LambdaParams
 from .errors import ConfigError, DomainError
 from .gate import DipoleParams
-from .hyperfine import SPECIES_PRESETS, AtomSpecies, HyperfineChannel, HyperfineState
+from .hyperfine import SPECIES_PRESETS, AtomSpecies, HyperfineChannel, HyperfineState, require_valid_state
 from .record import Record, replace
 
 _REQUIRED = object()
@@ -246,9 +246,7 @@ def _atom_config(sections, section, catalog, record, state_prefixes):
     for prefix in state_prefixes:
         try:
             states.append(HyperfineState(values[f"{prefix}_f"], values[f"{prefix}_m"]))
-            if states[-1].f not in (species.f_lower, species.f_upper):
-                raise DomainError(f"f must be {species.f_lower} or {species.f_upper} "
-                                  f"for {species.name}")
+            require_valid_state(species, states[-1])
         except DomainError as exc:
             raise ConfigError(str(exc), key=f"[{section}] {prefix}_f/{prefix}_m") from exc
     return record(species, *states)

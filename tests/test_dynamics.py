@@ -408,6 +408,36 @@ class TestStateStack:
         assert grid.flags.writeable and psi0.flags.writeable   # the caller's arrays
 
 
+class TestDetuningMirror:
+    """Flipping both detunings, (delta_e, delta) -> (-delta_e, -delta), maps a
+    lossless H to -D H D with D = diag(1, -1, 1). H is real, so the propagator
+    maps to D conj(U) D: each amplitude to D conj(psi) from the same psi0, and
+    each population to itself. With a loss gamma_e the mirror would turn it into
+    a gain, so these runs keep gamma_e = 0."""
+
+    D = np.array([1.0, -1.0, 1.0])
+
+    @pytest.mark.parametrize("delta_e, delta", [(2e6, 3e4), (-1e6, -2e4), (5e5, 0.0)])
+    def test_stirap_is_mirrored_bit_for_bit(self, delta_e, delta):
+        # every RK4 operation commutes with the map exactly
+        atoms_and_molecule = np.eye(3)[[0, 2]]
+        run = stirap_trajectory(*_stirap_setup(), delta_e, delta, psi0=atoms_and_molecule)
+        flipped = stirap_trajectory(*_stirap_setup(), -delta_e, -delta, psi0=atoms_and_molecule)
+        assert np.array_equal(flipped.amplitudes, self.D * np.conj(run.amplitudes))
+        assert np.array_equal(flipped.populations(), run.populations())
+
+    @pytest.mark.parametrize("delta_e, delta", [(2e8, 3e5), (-4e8, -1e5), (2e8, 0.0)])
+    def test_raman_is_mirrored_within_ulps(self, delta_e, delta):
+        # np.linalg.eig promises no exact symmetry, so this allows a few ulps;
+        # unequal couplings make the light-shift compensation flip too
+        params = LambdaParams(2e7, 3e7, delta_e, delta)
+        flipped = LambdaParams(2e7, 3e7, -delta_e, -delta)
+        run, mirrored = raman_trajectory(params, 3e-6), raman_trajectory(flipped, 3e-6)
+        ulps = 4 * np.finfo(float).eps
+        assert np.max(np.abs(mirrored.amplitudes - self.D * np.conj(run.amplitudes))) <= ulps
+        assert np.max(np.abs(mirrored.populations() - run.populations())) <= ulps
+
+
 def _last(stack):
     """An (n, d, d) stack as the integrator holds it, (d, d, n)."""
     return _to_matrix_last(stack, *stack.shape[:2])

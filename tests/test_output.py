@@ -99,7 +99,7 @@ def _bundled_tables():
     scn = load_scenario_text(text)
     levels = repro.levels_run(scn)
     tables = {f"levels_energy_f{s.f}_m{s.m}.csv": (levels.grid_g, e)
-              for s, e in levels.energies_hz.items()}
+              for s, e in zip(levels.states, levels.energies_hz)}
     tables["levels_table.csv"] = (levels.grid_g, levels.transition_hz, levels.sensitivity_hz_per_g)
     raman = repro.raman_run(scn)
     pops = raman.trajectory.populations()

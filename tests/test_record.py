@@ -1,5 +1,7 @@
 """Every record class of the package behaves as a frozen value type: fixed fields,
-validation on construction and on replace, value equality and hashing, and the
+validation on construction and on replace, arrays held read-only and tuples for
+lists, an equality that never raises (arrays by ``np.array_equal``), hashing for
+records without arrays (a record holding one is unhashable), and the
 ``Name(field=value!r, ...)`` repr."""
 
 import os
@@ -91,7 +93,7 @@ def test_record_class(cls):
     assert record.__eq__(tuple(values)) is NotImplemented
     try:
         hash(tuple(values))
-    except TypeError:   # a dict or array field: unhashable, as a frozen dataclass is
+    except TypeError:   # an array field: unhashable, as a frozen dataclass is
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -181,3 +183,91 @@ def test_importing_the_cli_imports_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+SUBCOMMANDS = ("levels", "pulse", "stirap", "gate", "budget", "sweep", "paper-repro")
+
+
+def _arrays(value):
+    """Every array reachable from ``value`` through record fields and tuple items."""
+    if isinstance(value, Record):
+        for item in fields(value).values():
+            yield from _arrays(item)
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, np.ndarray):
+        yield value
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_array_a_subcommand_holds_refuses_a_write(command, tmp_path, monkeypatch):
+    built, init = [], Record.__init__
+
+    def init_and_keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Record, "__init__", init_and_keep)
+    assert cli.main([command, "--out", str(tmp_path)]) == 0
+    arrays = [array for record in built for array in _arrays(record)]
+    assert bool(arrays) == (command != "sweep")   # sweep's records hold no array
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def _bumped(array):
+    """A writable copy of ``array`` with its last element changed."""
+    out = np.array(array)
+    out.flat[-1] += 1.0
+    return out
+
+
+# Each stage run, and a change of one array reachable from its record.
+STAGE_RUNS = {
+    "levels": (repro.levels_run, lambda run: replace(run, energies_hz=_bumped(run.energies_hz))),
+    "raman": (repro.raman_run,
+              lambda run: replace(run, two_level_population=_bumped(run.two_level_population))),
+    "stirap": (repro.stirap_run, lambda run: replace(run, trajectory=replace(
+        run.trajectory, amplitudes=_bumped(run.trajectory.amplitudes)))),
+    "gate": (repro.gate_run, lambda run: replace(
+        run, phase_profile=(run.phase_profile[0], _bumped(run.phase_profile[1])))),
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_RUNS)
+def test_two_runs_of_a_stage_compare_equal_and_a_changed_array_unequal(stage):
+    run_stage, change_one_array = STAGE_RUNS[stage]
+    first, second = run_stage(_SCN), run_stage(_SCN)
+    assert (first == second) is True and (first != second) is False
+    changed = change_one_array(first)
+    assert (changed == first) is False and (first == changed) is False
+    assert (changed != second) is True
+
+
+def test_a_record_holds_arrays_read_only_and_lists_as_tuples():
+    t_grid = np.linspace(0.0, 1.0, 11)
+    traj = dynamics.integrate_schrodinger(
+        lambda t: np.zeros(np.shape(t) + (2, 2), dtype=complex), np.array([1.0, 0.0j]), t_grid)
+    assert t_grid.flags.writeable and not traj.times.flags.writeable
+    times = np.arange(3.0)
+    held = dynamics.Trajectory(times, np.ones((3, 1)))
+    assert held.times.base is times and not held.times.flags.writeable and times.flags.writeable
+    assert dynamics.Trajectory(held.times, held.amplitudes).times is held.times   # as given
+    run = repro.StirapRun(traj, 1.0, 1.0, [np.ones(2)], [0.5])
+    assert run.sweep_areas.__class__ is tuple and not run.sweep_areas[0].flags.writeable
+    assert run.sweep_efficiencies == (0.5,)
+    assert gate.GateSchedule(list(EXAMPLES[gate.GateSchedule].steps)) == EXAMPLES[gate.GateSchedule]
+
+
+def test_equality_of_records_holding_arrays_never_raises():
+    nan = dynamics.Trajectory(np.array([0.0, np.nan]), np.ones((2, 1)))
+    assert nan == nan and nan == replace(nan)     # the same arrays
+    assert nan != dynamics.Trajectory(np.array([0.0, np.nan]), np.ones((2, 1)))   # nan != nan
+    longer = dynamics.Trajectory(np.arange(3.0), np.ones((3, 1)))
+    assert longer != replace(longer, times=np.arange(2.0))     # shapes differ
+    assert longer != replace(longer, times=0.0)                # an array against a float
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(longer)
