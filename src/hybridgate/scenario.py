@@ -5,7 +5,8 @@ Config files are plain text: ``[section]`` headers followed by
 Keys carry their unit as a suffix (``sigma_B_G``, ``separation_r_m``).
 Every parse or validation problem raises ConfigError naming the offending
 ``[section] key``; so do a key that no setting reads and a repeated key or
-section. One table, ``_KEYS``, declares each key's kind, default and bound.
+section. One table, ``_KEYS``, names each key's record field and bound; the
+record class declares the field's kind (its annotation) and default.
 """
 
 import math
@@ -17,9 +18,7 @@ from .dynamics import LambdaParams
 from .errors import ConfigError, DomainError
 from .gate import DipoleParams
 from .hyperfine import SPECIES_PRESETS, AtomSpecies, HyperfineChannel, HyperfineState, require_valid_state
-from .record import Record, replace
-
-_REQUIRED = object()
+from .record import Record, fields, replace
 
 # Each sweep axis and the section that holds the config key of that name.
 SWEEP_PARAMETERS = {"separation_r_m": "dipole", "b_G": "field", "sigma_B_G": "noise",
@@ -49,8 +48,8 @@ class StirapConfig(Record):
     peak_rad_s: float
     rms_width_s: float
     separation_s: float
-    delta_e_rad_s: float
-    delta_rad_s: float
+    delta_e_rad_s: float = 0.0
+    delta_rad_s: float = 0.0
 
 
 class GateConfig(Record):
@@ -60,13 +59,13 @@ class GateConfig(Record):
 
 class ReadoutConfig(Record):
     splitting_hz: float
-    selectivity_factor: float
+    selectivity_factor: float = 1.0
 
 
 class LevelsConfig(Record):
-    b_min_gauss: float
-    b_max_gauss: float
-    count: int
+    b_min_gauss: float = 0.0
+    b_max_gauss: float = 1000.0
+    count: int = 101
 
 
 class SweepConfig(Record):
@@ -136,67 +135,79 @@ def parse_config_text(text):
     return sections
 
 
-def _atom_rows(*prefixes):
-    """The species name, then f and m of each state."""
-    return (("species", "species", str, _REQUIRED, None),
-            *((f"{p}_{q}", f"{p}_{q}", int, _REQUIRED, None) for p in prefixes for q in "fm"))
+class _AtomKeys(Record):
+    """The keys of [qubit] or [enabler]: the species name, then f and m of two states."""
+
+    species: str
+    f0: int
+    m0: int
+    f1: int
+    m1: int
 
 
-# One row per config key: (record field, key, kind, default, bound), grouped by the
-# section whose record they build (None: a dict; "species": each [species <name>]).
-# A number read must be finite and meet its bound, "> x" or ">= x", if it has one.
+def _atom_rows(record):
+    """The rows of ``record``'s section: species, then f and m of each state field."""
+    _, *states = record._fields
+    return (("species", "species", None),
+            *((f"{q}{i}", f"{state}_{q}", None) for i, state in enumerate(states) for q in "fm"))
+
+
+# One row per config key: (record field, key, bound), grouped by the section whose
+# record they build ("species": each [species <name>]). The record class declares each
+# field's kind, float, int or str, as its annotation, and its default, if the key has
+# one. A number read must be finite and meet its bound, "> x" or ">= x", if it has one.
 _KEYS = {
     "species": (AtomSpecies, (
-        ("nuclear_spin", "nuclear_spin", float, _REQUIRED, None),
-        ("hyperfine_splitting_hz", "hyperfine_splitting_Hz", float, _REQUIRED, "> 0"),
-        ("g_j", "g_J", float, _REQUIRED, None),
-        ("g_i", "g_I", float, 0.0, None))),
-    "qubit": (None, _atom_rows("upper", "lower")),
-    "enabler": (None, _atom_rows("storage", "enabled")),
+        ("nuclear_spin", "nuclear_spin", None),
+        ("hyperfine_splitting_hz", "hyperfine_splitting_Hz", "> 0"),
+        ("g_j", "g_J", None),
+        ("g_i", "g_I", None))),
+    "qubit": (_AtomKeys, _atom_rows(QubitConfig)),
+    "enabler": (_AtomKeys, _atom_rows(EnablerConfig)),
     "field": (FieldConfig, (
-        ("b_gauss", "b_G", float, _REQUIRED, ">= 0"),
-        ("gradient_g_per_cm", "gradient_G_per_cm", float, _REQUIRED, "> 0"),
-        ("site_spacing_m", "site_spacing_m", float, _REQUIRED, "> 0"),
-        ("resonance_width_g", "resonance_width_G", float, _REQUIRED, ">= 0"))),
+        ("b_gauss", "b_G", ">= 0"),
+        ("gradient_g_per_cm", "gradient_G_per_cm", "> 0"),
+        ("site_spacing_m", "site_spacing_m", "> 0"),
+        ("resonance_width_g", "resonance_width_G", ">= 0"))),
     "raman": (LambdaParams, (
-        ("omega_p_rad_s", "omega_p_rad_s", float, _REQUIRED, ">= 0"),
-        ("omega_s_rad_s", "omega_s_rad_s", float, _REQUIRED, ">= 0"),
-        ("delta_e_rad_s", "delta_e_rad_s", float, _REQUIRED, None),
-        ("delta_rad_s", "delta_rad_s", float, 0.0, None),
-        ("gamma_e_rad_s", "gamma_e_rad_s", float, 0.0, ">= 0"))),
+        ("omega_p_rad_s", "omega_p_rad_s", ">= 0"),
+        ("omega_s_rad_s", "omega_s_rad_s", ">= 0"),
+        ("delta_e_rad_s", "delta_e_rad_s", None),
+        ("delta_rad_s", "delta_rad_s", None),
+        ("gamma_e_rad_s", "gamma_e_rad_s", ">= 0"))),
     "stirap": (StirapConfig, (
-        ("peak_rad_s", "peak_rad_s", float, _REQUIRED, "> 0"),
-        ("rms_width_s", "rms_width_s", float, _REQUIRED, "> 0"),
-        ("separation_s", "separation_s", float, _REQUIRED, "> 0"),
-        ("delta_e_rad_s", "delta_e_rad_s", float, 0.0, None),
-        ("delta_rad_s", "delta_rad_s", float, 0.0, None))),
+        ("peak_rad_s", "peak_rad_s", "> 0"),
+        ("rms_width_s", "rms_width_s", "> 0"),
+        ("separation_s", "separation_s", "> 0"),
+        ("delta_e_rad_s", "delta_e_rad_s", None),
+        ("delta_rad_s", "delta_rad_s", None))),
     "dipole": (DipoleParams, (
-        ("mu_permanent_debye", "mu_permanent_D", float, _REQUIRED, "> 0"),
-        ("rotational_const_hz", "rotational_const_Hz", float, _REQUIRED, "> 0"),
-        ("e_dc_v_per_m", "e_dc_V_per_m", float, _REQUIRED, "> 0"),
-        ("separation_m", "separation_r_m", float, _REQUIRED, "> 0"),
-        ("fopa_enhancement", "fopa_enhancement", float, 1.0, ">= 1"))),
+        ("mu_permanent_debye", "mu_permanent_D", "> 0"),
+        ("rotational_const_hz", "rotational_const_Hz", "> 0"),
+        ("e_dc_v_per_m", "e_dc_V_per_m", "> 0"),
+        ("separation_m", "separation_r_m", "> 0"),
+        ("fopa_enhancement", "fopa_enhancement", ">= 1"))),
     "gate": (GateConfig, (
-        ("omega_r_rad_s", "omega_R_rad_s", float, _REQUIRED, "> 0"),
-        ("enabler_rotation_s", "enabler_rotation_s", float, _REQUIRED, "> 0"))),
+        ("omega_r_rad_s", "omega_R_rad_s", "> 0"),
+        ("enabler_rotation_s", "enabler_rotation_s", "> 0"))),
     "noise": (NoiseModel, (
-        ("sigma_b_gauss", "sigma_B_G", float, _REQUIRED, "> 0"),
-        ("gamma_inelastic_per_s", "gamma_inelastic_per_s", float, _REQUIRED, ">= 0"),
-        ("trap_frequency_hz", "trap_frequency_Hz", float, _REQUIRED, "> 0"),
-        ("seed", "seed", int, 0, ">= 0"),
-        ("mc_samples", "mc_samples", int, 100000, ">= 1000"))),
+        ("sigma_b_gauss", "sigma_B_G", "> 0"),
+        ("gamma_inelastic_per_s", "gamma_inelastic_per_s", ">= 0"),
+        ("trap_frequency_hz", "trap_frequency_Hz", "> 0"),
+        ("seed", "seed", ">= 0"),
+        ("mc_samples", "mc_samples", ">= 1000"))),
     "readout": (ReadoutConfig, (
-        ("splitting_hz", "splitting_Hz", float, _REQUIRED, "> 0"),
-        ("selectivity_factor", "selectivity_factor", float, 1.0, "> 0"))),
+        ("splitting_hz", "splitting_Hz", "> 0"),
+        ("selectivity_factor", "selectivity_factor", "> 0"))),
     "levels": (LevelsConfig, (
-        ("b_min_gauss", "b_min_G", float, 0.0, ">= 0"),
-        ("b_max_gauss", "b_max_G", float, 1000.0, ">= 0"),
-        ("count", "count", int, 101, ">= 1"))),
+        ("b_min_gauss", "b_min_G", ">= 0"),
+        ("b_max_gauss", "b_max_G", ">= 0"),
+        ("count", "count", ">= 1"))),
     "sweep": (SweepConfig, (
-        ("parameter", "parameter", str, _REQUIRED, None),
-        ("minimum", "min", float, _REQUIRED, None),
-        ("maximum", "max", float, _REQUIRED, None),
-        ("count", "count", int, _REQUIRED, ">= 2"))),
+        ("parameter", "parameter", None),
+        ("minimum", "min", None),
+        ("maximum", "max", None),
+        ("count", "count", ">= 2"))),
 }
 
 # Each bound text as a test of the value ("> x" is x < value), parsed once here.
@@ -207,14 +218,15 @@ _BOUNDS = {bound: partial({">": operator.lt, ">=": operator.le}[bound.split()[0]
 
 def _record(sections, section, **fixed):
     """Build ``section``'s record from its table rows, removing each key read so that
-    unread keys are left over. A ``fixed`` field that is not None replaces the value read."""
+    unread keys are left over. An omitted key takes its field's default. A ``fixed``
+    field that is not None replaces the value read."""
     record, rows = _KEYS[section.partition(" ")[0]]
     given = sections.get(section) or {}
     values = {}
-    for field, key, kind, default, bound in rows:
-        value = given.pop(key, default)
-        if value is _REQUIRED:
+    for field, key, bound in rows:
+        if key not in given and field not in record._defaults:
             raise ConfigError("missing required key", key=f"[{section}] {key}")
+        kind, value = record._fields[field], given.pop(key, record._defaults.get(field))
         if kind is not str and isinstance(value, str):
             try:
                 value = kind(value)
@@ -228,24 +240,21 @@ def _record(sections, section, **fixed):
                 raise ConfigError(f"must be {bound}, got {value!r}", key=f"[{section}] {key}")
         values[field] = value
     values.update({field: value for field, value in fixed.items() if value is not None})
-    if record is None:
-        return values
     try:
         return record(**values)
     except DomainError as exc:
         raise ConfigError(str(exc), key=f"[{section}]") from exc
 
 
-def _atom_config(sections, section, catalog, record, state_prefixes):
-    values = _record(sections, section)
-    name = values["species"]
+def _atom_config(sections, section, catalog, record):
+    name, *numbers = fields(_record(sections, section)).values()
     if name not in catalog:
         raise ConfigError(f"unknown species {name!r}; define a [species {name}] section",
                           key=f"[{section}] species")
     species, states = catalog[name], []
-    for prefix in state_prefixes:
+    for prefix, f, m in zip(list(record._fields)[1:], numbers[::2], numbers[1::2]):
         try:
-            states.append(HyperfineState(values[f"{prefix}_f"], values[f"{prefix}_m"]))
+            states.append(HyperfineState(f, m))
             require_valid_state(species, states[-1])
         except DomainError as exc:
             raise ConfigError(str(exc), key=f"[{section}] {prefix}_f/{prefix}_m") from exc
@@ -260,8 +269,8 @@ def load_scenario_text(text, seed_override=None):
             label = name[len("species "):].strip()
             catalog[label] = _record(sections, name, name=label)
 
-    qubit = _atom_config(sections, "qubit", catalog, QubitConfig, ("upper", "lower"))
-    enabler = _atom_config(sections, "enabler", catalog, EnablerConfig, ("storage", "enabled"))
+    qubit = _atom_config(sections, "qubit", catalog, QubitConfig)
+    enabler = _atom_config(sections, "enabler", catalog, EnablerConfig)
     records = {name: _record(sections, name) for name in
                ("field", "raman", "stirap", "dipole", "gate", "readout", "levels", "sweep")}
     noise = _record(sections, "noise", seed=seed_override)
@@ -276,7 +285,7 @@ def load_scenario_text(text, seed_override=None):
     if not sweep.maximum > sweep.minimum:
         raise ConfigError("max must exceed min", key="[sweep] max")
     section = SWEEP_PARAMETERS[sweep.parameter]
-    bound = next(row[4] for row in _KEYS[section][1] if row[1] == sweep.parameter)
+    bound = next(bound for _, key, bound in _KEYS[section][1] if key == sweep.parameter)
     if not _BOUNDS[bound](sweep.minimum):
         raise ConfigError(f"must be {bound}, the bound of [{section}] {sweep.parameter}, "
                           f"got {sweep.minimum!r}", key="[sweep] min")

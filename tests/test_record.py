@@ -19,19 +19,21 @@ from hybridgate.errors import DomainError
 from hybridgate.hyperfine import HyperfineState
 from hybridgate.record import FrozenRecordError, Record, fields, replace
 
-_SCN = scenario.load_scenario_text(
-    resources.files("hybridgate").joinpath("data/paper.cfg").read_text(encoding="utf-8"))
+_TEXT = resources.files("hybridgate").joinpath("data/paper.cfg").read_text(encoding="utf-8")
+_SCN = scenario.load_scenario_text(_TEXT)
 
 
 def _examples():
-    """One instance of every record class, each from the bundled scenario's runs."""
+    """One instance of every record class, each from the bundled scenario, its config or
+    its runs."""
     raman, gate_run = repro.raman_run(_SCN), repro.gate_run(_SCN)
     budget_run = repro.budget_run(_SCN, gate_run.schedule)
     records = [_SCN, *fields(_SCN).values(), _SCN.qubit.species, _SCN.qubit.upper,
                _SCN.qubit_channels("storage")[0], repro.levels_run(_SCN), raman, raman.reduction,
                raman.drive, raman.trajectory, repro.stirap_run(_SCN), repro._stirap_args(_SCN)[0],
                gate_run, gate_run.induced, gate_run.schedule, gate_run.schedule.steps[0], budget_run, budget_run.report,
-               budget.adiabaticity_check(1e-5, 1e6), cli.RunContext("out", 0, "0")]
+               budget.adiabaticity_check(1e-5, 1e6), cli.RunContext("out", 0, "0"),
+               scenario._record(scenario.parse_config_text(_TEXT), "qubit")]
     return {type(record): record for record in records if isinstance(record, Record)}
 
 
@@ -61,7 +63,7 @@ def _subclasses(cls):
 def test_examples_cover_every_record_class_of_the_package():
     package = {cls for cls in _subclasses(Record) if cls.__module__.startswith("hybridgate.")}
     assert set(EXAMPLES) == package
-    assert len(package) == 30
+    assert len(package) == 31
     assert set(OUT_OF_RANGE) <= package
 
 
@@ -103,9 +105,11 @@ def test_record_class(cls):
     pairs = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
     assert repr(record) == f"{cls.__qualname__}({pairs})"
 
-    # a missing, unknown, repeated or surplus argument
-    with pytest.raises(TypeError, match=f"missing required argument.*'{names[0]}'"):
-        cls(**dict(zip(names[1:], values[1:])))
+    # a missing (where the first field has no default), unknown, repeated or surplus argument
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    if names[0] not in defaults:
+        with pytest.raises(TypeError, match=f"missing required argument.*'{names[0]}'"):
+            cls(**dict(zip(names[1:], values[1:])))
     with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_field'"):
         cls(*values, not_a_field=1)
     with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
@@ -116,7 +120,6 @@ def test_record_class(cls):
         replace(record, not_a_field=1)
 
     # defaults apply to the fields that have one, and only to them
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     built = cls(*values[:len(names) - len(defaults)])
     assert {name: getattr(built, name) for name in defaults} == defaults
 

@@ -3,11 +3,12 @@
 Every rate of the bundled scenario is multiplied by 8 = 2**3 and every time
 divided by 8, and the molecule separation is halved, which multiplies
 omega_dd ~ r**-3 by exactly 8. Multiplying by a power of two is exact in
-binary floating point, so the arithmetic does not change: a dimensionless
-quantity stays bit-identical, a time comes out exactly 1/8 of its value, a
-rate exactly 8 times it, and a field-side quantity does not move. A quantity
-that breaks this rule names an absolute constant hidden in the code; the
-known ones are listed in INEXACT with their reason.
+binary floating point, so the arithmetic does not change. Each report
+quantity scales by its unit suffix: a rate (``_rad_s``) comes out exactly 8
+times its value, any other time (``_s``) exactly 1/8 of it, and every other
+quantity, dimensionless or field-side, stays bit-identical. A quantity that
+breaks this rule names an absolute constant hidden in the code; the known ones
+are listed in INEXACT with their reason.
 """
 
 from importlib import resources
@@ -21,18 +22,6 @@ from hybridgate.scenario import load_scenario_text
 SEPARATION_DIVISOR = 2.0
 SCALE = SEPARATION_DIVISOR ** 3   # exactly 8: omega_dd ~ separation**-3
 
-# Quantities by how they scale: multiplied by SCALE, divided by it, or left as they are.
-RATES = ("omega_dd_rad_s",)
-TIMES = ("pi_pulse_duration_s", "interaction_time_s", "gate_time_s", "protocol_time_s",
-         "dephasing_time_s")
-DIMENSIONLESS = ("single_pulse_phase_rad", "accumulated_phase_rad", "closed_form_phase_rad",
-                 "phase_gate_fidelity", "stirap_efficiency", "stirap_efficiency_reversed",
-                 "stirap_norm_drift", "ramsey_contrast_at_t_phi", "inelastic_loss_gate",
-                 "operations_count")
-FIELD_SIDE = ("transition_hz", "sensitivity_hz_per_g", "sensitivity_fd_max_rel_err",
-              "site_resolution_hz", "resonance_site_count", "induced_dipole_D",
-              "polarization_ratio", "linear_response_valid", "open_channels_storage_1",
-              "open_channels_enabled_0", "open_channels_enabled_1")
 # Quantities that do not follow the rule, each with its reason.
 INEXACT = {
     # LOSS_BENCHMARK_S = 20 us is an absolute duration: the figure is the loss
@@ -74,20 +63,20 @@ def reports():
 
 
 def test_every_quantity_is_classified(reports):
+    # each name INEXACT lists is a report quantity; the suffix rule classifies the rest
     base, _ = reports
-    classes = (RATES, TIMES, DIMENSIONLESS, FIELD_SIDE, tuple(INEXACT))
-    named = [name for names in classes for name in names]
-    assert sorted(named) == sorted(set(base) - {"checks"})
+    assert set(INEXACT) <= set(base) - {"checks"}
 
 
 def test_rescaled_scenario_scales_exactly(reports):
     base, scaled = reports
-    for name in RATES:
-        assert scaled[name] == base[name] * SCALE, name
-    for name in TIMES:
-        assert scaled[name] == base[name] / SCALE, name
-    for name in DIMENSIONLESS + FIELD_SIDE:
-        assert scaled[name] == base[name], name
+    for name in sorted(set(base) - {"checks"} - set(INEXACT)):
+        if name.endswith("_rad_s"):
+            assert scaled[name] == base[name] * SCALE, name
+        elif name.endswith("_s"):
+            assert scaled[name] == base[name] / SCALE, name
+        else:
+            assert scaled[name] == base[name], name
 
 
 def test_the_exceptions_move_as_their_reasons_say(reports):

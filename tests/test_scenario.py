@@ -4,7 +4,9 @@ from importlib import resources
 import pytest
 
 from hybridgate.errors import ConfigError
-from hybridgate.scenario import load_scenario_text, parse_config_text
+from hybridgate.hyperfine import AtomSpecies
+from hybridgate.repro import paper_repro
+from hybridgate.scenario import _KEYS, load_scenario_text, parse_config_text
 
 
 def _bundled_text():
@@ -104,6 +106,28 @@ class TestBundledScenario:
         zero, one = scn.qubit_channels("enabled")
         assert zero.label() == "|1,1>Rb87+|1,1>Li7"
         assert one.label() == "|2,2>Rb87+|1,1>Li7"
+
+    def test_omitted_keys_take_their_defaults(self):
+        text, count = re.subn(r"(?m)^(delta_rad_s = 0\.0|gamma_e_rad_s = 0\.0|delta_e_rad_s = 0\.0"
+                              r"|fopa_enhancement = 1\.0|mc_samples = 100000"
+                              r"|selectivity_factor = 1\.0|b_min_G = 0\.0|b_max_G = 1000\.0"
+                              r"|count = 101)\n", "", _bundled_text())
+        assert count == 10
+        bundled = load_scenario_text(_bundled_text())
+        omitted = load_scenario_text(text)
+        assert omitted == bundled
+        assert paper_repro(omitted) == paper_repro(bundled)
+
+    def test_the_key_table_and_the_records_agree(self):
+        for section, (record, rows) in _KEYS.items():
+            read = [field for field, _, _ in rows]
+            assert set(read) <= set(record._fields), section
+            # one row per field; a [species <name>] section fixes the name instead
+            fixed = {"name"} if record is AtomSpecies else set()
+            assert sorted(read) == sorted(set(record._fields) - fixed), section
+            # a string annotation would reach the key's conversion as text
+            for field in read:
+                assert record._fields[field] in (float, int, str), (section, field)
 
     def test_fopa_scales_pump(self):
         scn = load_scenario_text(_with_replacement("fopa_enhancement = 1.0",
