@@ -3,13 +3,17 @@
 
 No exception may escape main and no warning may be raised. A run that exits 0
 must write only finite numbers: no file it wrote and no stdout line may hold
-nan, inf or null. 42 keys x 4 values x 7 subcommands = 1176 runs.
+nan, inf or null. Each check of a paper-repro run that exits 0 has a low bound,
+a high bound or both, no key outside {name, kind, value, low, high, pass}, and
+passes exactly when low <= value <= high. 42 keys x 4 values x 7 subcommands =
+1176 runs.
 
 Run it with ``PYTHONPATH=src python -m pytest -q ci/test_config_grid.py``; it
 sits outside the Tier-1 testpaths because it takes longer than the suite's
 targeted config-extremes cases.
 """
 
+import json
 import re
 import warnings
 from importlib import resources
@@ -22,6 +26,7 @@ BUNDLED = resources.files("hybridgate").joinpath("data/paper.cfg").read_text()
 SUBCOMMANDS = tuple(cli._HANDLERS)
 VALUES = ("0", "-1", "1e-300", "1e300")
 NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity|null)\b")
+CHECK_KEYS = {"name", "kind", "value", "low", "high", "pass"}
 
 
 def _numeric_keys(text):
@@ -77,3 +82,8 @@ def test_extreme_value_exits_cleanly(tmp_path, capsys, subcommand, section, key,
     for path in out.iterdir():
         for line in path.read_text().splitlines():
             assert not NON_FINITE.search(line), (path.name, line)
+    if subcommand == "paper-repro":
+        for c in json.loads((out / "paper_repro.json").read_text())["checks"]:
+            assert {"name", "kind", "value", "pass"} <= set(c) <= CHECK_KEYS, c
+            assert "low" in c or "high" in c, c
+            assert c["pass"] == (c.get("low", c["value"]) <= c["value"] <= c.get("high", c["value"])), c

@@ -112,6 +112,8 @@ def ramsey_contrast_mc(sensitivity_hz_per_g, sigma_b_gauss, t_s, n_samples, seed
     if not _is_integer(n_samples) or n_samples < MC_MIN_SAMPLES:
         raise DomainError(f"need an integer n_samples >= {MC_MIN_SAMPLES} for a meaningful "
                           f"contrast, got {n_samples!r}")
+    if not _is_integer(seed) or not 0 <= int(seed) < 2 ** 64:
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not (sigma_b_gauss >= 0 and math.isfinite(sigma_b_gauss)):
         raise DomainError(f"sigma_B must be finite and >= 0 G, got {sigma_b_gauss!r}")
     if not math.isfinite(sensitivity_hz_per_g):
@@ -123,7 +125,6 @@ def ramsey_contrast_mc(sensitivity_hz_per_g, sigma_b_gauss, t_s, n_samples, seed
         raise DomainError(f"phase per unit normal overflows: {half_phase_per_normal!r}")
     n_chunks = -(-n_samples // MC_CHUNK)
     workers = min(n_chunks, _available_cpus())
-    seed64 = int(seed) & 0xFFFFFFFFFFFFFFFF
     # One generator per worker, set for chunk c to the state of a new
     # Philox(key=(seed, c)), so memory does not grow with n_samples. Generators
     # and buffers are allocated here, not in the workers: a thread that calls
@@ -139,7 +140,7 @@ def ramsey_contrast_mc(sensitivity_hz_per_g, sigma_b_gauss, t_s, n_samples, seed
             for c in range(w, n_chunks, workers):
                 take = min(MC_CHUNK, n_samples - c * MC_CHUNK)
                 t, inv = buffers[w, :, :take]
-                starts[w]["state"]["key"] = (seed64, c)
+                starts[w]["state"]["key"] = (int(seed), c)
                 rngs[w].bit_generator.state = starts[w]
                 rngs[w].standard_normal(out=t)
                 t *= half_phase_per_normal

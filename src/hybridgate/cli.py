@@ -24,8 +24,8 @@ from .dynamics import LAMBDA_LABELS
 from .errors import ConfigError, DomainError, NumericalFailure
 from .output import ensure_out_dir, format_float, metadata_line, write_csv, write_json
 from .record import Record, fields
-from .repro import (budget_run, gate_run, levels_run, paper_repro, raman_run, stirap_run,
-                    sweep_curves)
+from .repro import (budget_run, gate_run, gate_schedule, levels_run, paper_repro, raman_run,
+                    stirap_run, sweep_curves)
 from .scenario import load_scenario_text
 
 
@@ -156,7 +156,7 @@ def _cmd_gate(scn, ctx):
 
 
 def _cmd_budget(scn, ctx):
-    budget = budget_run(scn, gate_run(scn).schedule)
+    budget = budget_run(scn, gate_schedule(scn)[2])
     report = budget.report
     ctx.report("budget_report.json", {"sensitivity_hz_per_g": budget.sensitivity_hz_per_g,
                                       **fields(report),
@@ -183,14 +183,12 @@ def _cmd_sweep(scn, ctx):
 def _cmd_paper_repro(scn, ctx):
     report = paper_repro(scn)
     ctx.report("paper_repro.json", report)
-    checks = report["checks"]
-    for check in checks:
-        status = "PASS" if check["pass"] else "FAIL"
-        print(f"{status} {check['name']}: value={format_float(check['value'])} "
-              f"expected={format_float(float(check['expected']))} "
-              f"tolerance={format_float(float(check['tolerance']))}")
-    failed = sum(1 for c in checks if not c["pass"])
-    print(f"paper-repro: {len(checks) - failed}/{len(checks)} checks passed")
+    for check in report["checks"]:
+        bounds = "".join(f" {s}={format_float(check[s])}" for s in ("low", "high") if s in check)
+        print(f"{'PASS' if check['pass'] else 'FAIL'} {check['name']} ({check['kind']}): "
+              f"value={format_float(check['value'])}{bounds}")
+    passed = sum(c["pass"] for c in report["checks"])
+    print(f"paper-repro: {passed}/{len(report['checks'])} checks passed")
     return 0
 
 

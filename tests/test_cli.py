@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hybridgate import __version__, cli, dynamics, repro
+from hybridgate import __version__, cli, dynamics, gate, repro
 from hybridgate.budget import BudgetReport
 from hybridgate.constants import BOHR_MAGNETON_HZ_PER_G
 from hybridgate.errors import DomainError, NumericalFailure
@@ -28,18 +28,14 @@ def _write_config(tmp_path, text, name="scenario.cfg"):
     return str(path)
 
 
-# Checks whose pass condition is one-sided or inverted; every other check
-# passes exactly when |value - expected| <= tolerance.
-EXPLICIT_CONDITION_CHECKS = {
-    "tau_int_differs_from_quoted_14us", "adiabatic_elimination_improvement",
-    "stirap_order_advantage", "stirap_norm_drift", "stirap_efficiency", "phase_gate_fidelity",
-}
-
-
 def _failed_checks_with_derived_verdicts(checks):
+    """The names of the failed checks, after asserting that every check is
+    {name, kind, value, pass} plus low, high or both, and that its verdict is
+    low <= value <= high over the bounds it has."""
     for c in checks:
-        if c["name"] not in EXPLICIT_CONDITION_CHECKS:
-            assert c["pass"] == (abs(c["value"] - c["expected"]) <= c["tolerance"]), c["name"]
+        bounds = set(c) - {"name", "kind", "value", "pass"}
+        assert bounds and bounds <= {"low", "high"} and c["kind"] in repro.CHECK_KINDS, c
+        assert c["pass"] == (c.get("low", c["value"]) <= c["value"] <= c.get("high", c["value"])), c
     return [c["name"] for c in checks if not c["pass"]]
 
 
@@ -211,6 +207,28 @@ class TestPaperRepro:
         assert report["transition_hz"] == pytest.approx(8.2784e9, rel=1e-4)
         assert report["open_channels_enabled_1"] == ["|1,1>Rb87+|2,2>Li7"]
 
+    @pytest.mark.parametrize("low, high, value, ok", [
+        (0.0, 1.0, 0.0, True), (0.0, 1.0, 1.0, True), (0.0, 1.0, -0.5, False),
+        (0.0, 1.0, 1.5, False), (0.0, 1.0, math.nan, False), (None, 1.0, -1e300, True),
+        (None, 1.0, 1.5, False), (None, 1.0, math.nan, False), (0.0, None, 1e300, True),
+        (0.0, None, -0.5, False), (0.0, None, math.nan, False)])
+    def test_a_check_passes_exactly_inside_its_window(self, low, high, value, ok):
+        check = repro._check("c", repro.CLAIM, value, low, high)
+        assert check["pass"] is ok
+        assert list(check) == ["name", "kind", "value",
+                               *(side for side, b in (("low", low), ("high", high)) if b is not None),
+                               "pass"]
+
+    def test_each_check_line_prints_its_kind_and_the_bounds_it_has(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["paper-repro", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        checks = json.loads((out / "paper_repro.json").read_text())["checks"]
+        assert len(lines) == len(checks) + 1
+        for line, c in zip(lines, checks):
+            bounds = "".join(rf" {side}=\S+" for side in ("low", "high") if side in c)
+            assert re.fullmatch(rf"PASS {c['name']} \({c['kind']}\): value=\S+{bounds}", line)
+
     def test_off_resonance_field_fails_only_the_transition_check(self, tmp_path):
         cfg = _write_config(tmp_path, _bundled_text().replace("b_G = 649.0", "b_G = 600.0"))
         out = tmp_path / "out"
@@ -356,6 +374,15 @@ class TestOtherSubcommands:
         assert 180e-6 <= report["dephasing_time_s"] <= 250e-6
         assert report["adiabaticity_ok"] is True
         assert 8 <= report["operations_count"] <= 12
+
+    def test_budget_builds_the_schedule_without_the_phase_profile(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("budget computed the gate's phase profile")
+
+        scn = load_scenario_text(_bundled_text())
+        assert repro.gate_schedule(scn)[2] == repro.gate_run(scn).schedule
+        monkeypatch.setattr(gate, "accumulated_phase_profile", refuse)
+        assert cli.main(["budget", "--out", str(tmp_path)]) == 0
 
     def test_stirap_files(self, tmp_path):
         cfg = _write_config(tmp_path, _bundled_text())

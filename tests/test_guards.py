@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hybridgate.budget import NoiseModel
+from hybridgate.budget import NoiseModel, ramsey_contrast_mc
 from hybridgate.dynamics import LambdaParams, PulseEnvelope, TwoLevelParams, integrate_schrodinger
 from hybridgate.errors import DomainError
 from hybridgate.gate import DipoleParams
@@ -65,3 +65,17 @@ def test_noise_model_takes_an_integer_seed_in_64_bits(seed):
 def test_noise_model_takes_an_integer_sample_count_of_at_least_1000(n):
     assert NoiseModel(1e-4, 0.0, 1e5, mc_samples=n).mc_samples is n
     assert NoiseModel(1e-4, 0.0, 1e5).mc_samples == 100000
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1, 1.7, 1.0, True, False, "1", None])
+def test_monte_carlo_refuses_a_seed_outside_64_bits_or_not_an_integer(seed):
+    # folded into 64 bits or truncated, each would alias a valid seed's stream
+    with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        ramsey_contrast_mc(2.38e6, 3e-4, 1e-4, 1000, seed)
+
+
+def test_monte_carlo_takes_every_seed_the_noise_model_takes():
+    for seed in (0, 1, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int32(7)):
+        assert 0.0 <= ramsey_contrast_mc(2.38e6, 3e-4, 1e-4, 1000, seed) <= 1.0
+    assert (ramsey_contrast_mc(2.38e6, 3e-4, 1e-4, 1000, np.uint64(2 ** 64 - 1))
+            == ramsey_contrast_mc(2.38e6, 3e-4, 1e-4, 1000, 2 ** 64 - 1))
