@@ -71,7 +71,8 @@ class BudgetReport(Record):
 
 
 def dephasing_time(sensitivity_hz_per_g, sigma_b_gauss):
-    """Dephasing time of the qubit transition under rms field noise sigma_B > 0."""
+    """Dephasing time of a qubit transition under rms field noise sigma_B > 0,
+    from the magnitude |df/dB| > 0 of its field sensitivity."""
     if not sensitivity_hz_per_g > 0:
         raise DomainError(f"sensitivity must be > 0 Hz/G, got {sensitivity_hz_per_g!r}")
     if not math.isfinite(sensitivity_hz_per_g):

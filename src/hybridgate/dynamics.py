@@ -17,18 +17,25 @@ nan or inf, gives the Hermitian verdict that decides the norm check and,
 unless a substep count is given, sets it so that ||H||*h stays at
 STEP_PHASE_TARGET. The stages check only the step phase, against the hard
 limit STEP_PHASE_MAX, on every H they use. The propagators of all grid
-intervals start at the identity and advance together: each substep applies
-the four RK4 stages, from H at the substep's start, midpoint and end, to
-them in place, in buffers allocated once per call. The interval propagators
-then carry every initial state of a stack at once, as the columns of one
-(d, m) array, so m states cost little more than one. Hamiltonian callables
-take a 1-d array of n times and return an (n, d, d) array.
+intervals start at the identity and advance together: after one call of H
+on the interval starts, each substep calls H once, on its n midpoints and
+then its n ends, and applies the four RK4 stages, from H at the substep's
+start, midpoint and end, to them in place, in buffers allocated once per
+call. A doubling scan over the interval propagators then gives the
+propagator from the first grid time to each later one, and these carry
+every initial state of a stack at once, as the columns of one (d, m)
+array, so m states cost little more than one. Hamiltonian callables take a
+1-d array of n times and return an (n, d, d) array.
 
 Internally a stack of n matrices is held matrix-last, as a contiguous
-(d, d, n) array: a product of two stacks is then d broadcast multiply-adds
-over length-n rows, where an (n, d, d) matmul makes one BLAS call per
-matrix. lambda_matrix builds its stacks in that layout, so they arrive
-without a copy; only the interval propagators are turned back to (n, d, d).
+(d, d, n) array: a product of two stacks is then a few broadcast
+multiply-adds over length-n rows, where an (n, d, d) matmul makes one BLAS
+call per matrix. Each H call has a support, the entries that are non-zero
+at any of its times; the stage products and the step-phase norm take only
+those (4 of 9 for the resonant Lambda H), and since every skipped term is an
+exact zero the sums are the dense ones. lambda_matrix builds its stacks in
+that layout, so they arrive without a copy; only the prefix propagators are
+turned back to (n, d, d).
 """
 
 import math
@@ -199,19 +206,36 @@ def pi_pulse_duration(params):
     return math.pi / w
 
 
-def _matmul_last(x, y, out, term):
-    """out = x @ y for matrix-last (d, d, n) stacks; term is (d, d, n) scratch."""
-    np.multiply(x[:, :1], y[0], out=out)
-    for k in range(1, len(x)):
-        out += np.multiply(x[:, k:k + 1], y[k], out=term)
+def _matmul_last(x, y, out, term, support=None):
+    """out = x @ y for matrix-last (d, d, n) stacks, from the terms of the
+    entries of x in support only; term is (d, d, n) scratch.
+
+    support is a (d, d) boolean array, False only where that entry of x is
+    exactly 0 at all n (x.any(axis=-1) when not given): each row of out is
+    the sum, in column order, of x[i, k] * y[k] over the supported k, and a
+    row with none is 0. For a finite y every term it skips is a signed zero
+    of the dense sum, so the sums are the dense ones; the dense product is
+    the case where every entry is supported.
+    """
+    if support is None:
+        support = x.any(axis=-1)
+    for i, row in enumerate(support.tolist()):
+        columns = [k for k, supported in enumerate(row) if supported]
+        if not columns:
+            out[i] = 0.0
+            continue
+        np.multiply(x[i, columns[0]], y[columns[0]], out=out[i])
+        for k in columns[1:]:
+            out[i] += np.multiply(x[i, k], y[k], out=term[i])
     return out
 
 
-def _rk4_substep(propagator, h_a, h_mid, h_b, h, buffers):
+def _rk4_substep(propagator, h_a, h_mid, h_b, h, buffers, supports=(None, None, None)):
     """Advance the matrix-last (d, d, n) propagators P in place by one
     classical RK4 substep of dP/dt = -i H P, of length h, from H at the
     substep's start, midpoint and end; buffers are four (d, d, n) complex
-    scratch arrays.
+    scratch arrays and supports the (d, d) supports of the three H stacks
+    (see _matmul_last; taken from each stack when not given).
 
     With c = -i h: k1 = H_a P, k2 = H_mid (P + c k1 / 2),
     k3 = H_mid (P + c k2 / 2), k4 = H_b (P + c k3) and
@@ -220,35 +244,37 @@ def _rk4_substep(propagator, h_a, h_mid, h_b, h, buffers):
     u4 = c k4 / 2.
     """
     stage, y, total, term = buffers
+    support_a, support_mid, support_b = supports
     c = -1j * h
-    np.multiply(_matmul_last(h_a, propagator, stage, term), 0.5 * c, out=total)
+    np.multiply(_matmul_last(h_a, propagator, stage, term, support_a), 0.5 * c, out=total)
     np.add(propagator, total, out=y)
-    np.multiply(_matmul_last(h_mid, y, stage, term), 0.5 * c, out=y)
+    np.multiply(_matmul_last(h_mid, y, stage, term, support_mid), 0.5 * c, out=y)
     total += y
     total += y
     y += propagator
-    np.multiply(_matmul_last(h_mid, y, stage, term), c, out=y)
+    np.multiply(_matmul_last(h_mid, y, stage, term, support_mid), c, out=y)
     total += y
     y += propagator
-    total += np.multiply(_matmul_last(h_b, y, stage, term), 0.5 * c, out=stage)
+    total += np.multiply(_matmul_last(h_b, y, stage, term, support_b), 0.5 * c, out=stage)
     total *= 1.0 / 3.0
     propagator += total
 
 
-def _norm_max(h_matrices, scratch=None):
+def _norm_max(h_matrices, support=None):
     """Largest Frobenius norm of the matrices of a matrix-last (d, d, n)
-    stack, from the squares of the real and imaginary parts: nan when h holds
-    a nan, inf when it holds an inf or an element past |h| ~ 1e154. scratch
-    is a float array of shape (2,) + h_matrices.shape, allocated when not given.
+    stack, from the squares of the real and imaginary parts of the entries
+    in its (d, d) support (h_matrices.any(axis=-1) when not given; the
+    entries left out are 0, so the norm is the same): nan when h holds a
+    nan, inf when it holds an inf or an element past |h| ~ 1e154.
     """
-    if scratch is None:
-        scratch = np.empty((2,) + h_matrices.shape)
-    squared, term = scratch
-    re, im = h_matrices.real, h_matrices.imag
+    if support is None:
+        support = h_matrices.any(axis=-1)
+    entries = h_matrices[support]    # (supported entries, n)
+    squared, term = np.empty((2,) + entries.shape)
     with np.errstate(over="ignore"):    # an overflow makes the norm inf, rejected by the caller
-        np.multiply(re, re, out=squared)
-        squared += np.multiply(im, im, out=term)
-        return math.sqrt(squared.reshape(len(h_matrices) ** 2, -1).sum(axis=0).max())
+        np.multiply(entries.real, entries.real, out=squared)
+        squared += np.multiply(entries.imag, entries.imag, out=term)
+        return math.sqrt(squared.sum(axis=0).max())
 
 
 def _is_hermitian(h_matrices):
@@ -276,6 +302,33 @@ def _unitary_checked(traj, hermitian):
         raise NumericalFailure(
             f"norm drift {traj.norm_drift:.3e} exceeds {NORM_DRIFT_LIMIT} on a unitary run")
     return traj
+
+
+def _interval_states(propagator, psi, spare, term):
+    """psi and then P_i ... P_2 P_1 psi for i = 1 .. n, as an (n + 1, d) or
+    (n + 1, d, m) array, from the matrix-last (d, d, n) interval propagators
+    P_i and one (d,) state or m states as the columns of a (d, m) array;
+    spare and term are (d, d, n) scratch, and propagator is overwritten.
+
+    A Hillis-Steele scan forms the prefix products: after the level of
+    offset s, interval i holds the product of intervals max(1, i - 2s + 1)
+    .. i, later ones on the left, so ceil(log2 n) levels of _matmul_last
+    leave every prefix. Stacked as (n d, d) rows, they take psi in one
+    product.
+    """
+    prefix, n = propagator, propagator.shape[-1]
+    s = 1
+    while s < n:
+        _matmul_last(prefix[..., s:], prefix[..., :-s], spare[..., s:], term[..., s:])
+        spare[..., :s] = prefix[..., :s]
+        prefix, spare = spare, prefix
+        s *= 2
+    d = len(prefix)
+    out = np.empty((n + 1,) + psi.shape, dtype=complex)
+    out[0] = psi
+    rows = np.ascontiguousarray(np.moveaxis(prefix, -1, 0)).reshape(n * d, d)
+    np.matmul(rows, psi, out=out[1:].reshape((n * d,) + psi.shape[1:]))
+    return out
 
 
 def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
@@ -339,34 +392,35 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     h = dt / substeps
     starts = t_grid[:-1]
     n = len(starts)
-    scratch = np.empty((2, d, d, n))
 
     def evaluate(times):
-        h_matrices = _to_matrix_last(hamiltonian(times), n, d)
-        phase = _norm_max(h_matrices, scratch) * h
+        """H at times as a matrix-last stack, with its support (exact zeros
+        only, from this call); raises when max||H||*h passes STEP_PHASE_MAX."""
+        h_matrices = _to_matrix_last(hamiltonian(times), len(times), d)
+        support = h_matrices.any(axis=-1)
+        phase = _norm_max(h_matrices, support) * h
         if not phase <= STEP_PHASE_MAX:
             raise StepSizeError(
                 f"step size too coarse: max||H||*h = {phase:.3g} > {STEP_PHASE_MAX}; "
                 f"increase substeps or refine t_grid" if math.isfinite(phase) else
                 f"max||H||*h is {phase}, not finite: H holds a nan or inf at a stage time, "
                 f"or its squared norm is past float range")
-        return h_matrices
+        return h_matrices, support
 
     propagator = np.zeros((d, d, n), dtype=complex)
     propagator[np.arange(d), np.arange(d)] = 1.0
     buffers = [np.empty_like(propagator) for _ in range(4)]
-    h_b = evaluate(starts)
+    h_b, support_b = evaluate(starts)
     for k in range(substeps):
+        # one call on the n midpoints, then the n ends: one stack, one support
         t = starts + k * h
-        h_a, h_mid, h_b = h_b, evaluate(t + 0.5 * h), evaluate(t + h)
-        _rk4_substep(propagator, h_a, h_mid, h_b, h, buffers)
+        both, support = evaluate(np.concatenate((t + 0.5 * h, t + h)))
+        h_a, support_a, h_b = h_b, support_b, both[..., n:]
+        _rk4_substep(propagator, h_a, both[..., :n], h_b, h, buffers,
+                     (support_a, support, support))
+        support_b = support
 
-    # one (d,) state per time, or a (d, m) array with one state per column
-    out = np.empty((len(t_grid),) + psi.T.shape, dtype=complex)
-    out[0] = psi.T
-    propagators = np.ascontiguousarray(np.moveaxis(propagator, -1, 0))
-    for i, interval in enumerate(propagators, start=1):
-        np.matmul(interval, out[i - 1], out=out[i])
+    out = _interval_states(propagator, psi.T, buffers[0], buffers[3])
     amplitudes = out.transpose(*range(2, out.ndim), 0, 1)   # (n + 1, d) or (m, n + 1, d)
     return _unitary_checked(Trajectory(times=t_grid, amplitudes=amplitudes), hermitian)
 

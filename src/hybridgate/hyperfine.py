@@ -187,7 +187,7 @@ def field_sensitivity(species, upper, lower, b_gauss):
 
 def site_frequency_resolution(sensitivity_hz_per_g, gradient_g_per_cm, spacing_cm):
     """Qubit-frequency difference [Hz] between lattice sites one spacing apart
-    in a magnetic gradient."""
+    in a magnetic gradient, from the magnitude |df/dB| of the field sensitivity."""
     resolution = sensitivity_hz_per_g * gradient_g_per_cm * spacing_cm
     for name, value in (("sensitivity", sensitivity_hz_per_g), ("gradient", gradient_g_per_cm),
                         ("spacing", spacing_cm), ("resolution", resolution)):

@@ -12,7 +12,7 @@ import numpy as np
 # Called through their modules, not imported by name, so that wrapping a
 # module attribute (as a span tracer does) also covers the calls made here.
 from . import budget, dynamics, gate, hyperfine
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .record import Record, replace
 
 FD_STEP_G = 0.01
@@ -173,10 +173,22 @@ class BudgetRun(Record):
     contrast: float
 
 
+def _qubit_sensitivity(scn):
+    """Field sensitivity [Hz/G] of the [qubit] pair at b_G, with its sign: a
+    pair whose frequency falls as the field rises has a negative one, and
+    dephases and is addressed by its magnitude. Raises DomainError for an
+    inverted pair, whose upper level is not above its lower one at b_G."""
+    sp, up, lo, b = scn.qubit.species, scn.qubit.upper, scn.qubit.lower, scn.field.b_gauss
+    transition = hyperfine.transition_frequency(sp, up, lo, b)
+    if not transition > 0:
+        raise DomainError(f"[qubit] upper {up.label()} is not above lower {lo.label()} at "
+                          f"b_G = {b!r} G: the transition frequency is {transition!r} Hz")
+    return hyperfine.field_sensitivity(sp, up, lo, b)
+
+
 def budget_run(scn, schedule):
-    sens = hyperfine.field_sensitivity(scn.qubit.species, scn.qubit.upper, scn.qubit.lower,
-                                       scn.field.b_gauss)
-    report = budget.assemble_budget(scn.noise, sens, schedule, scn.readout.splitting_hz,
+    sens = _qubit_sensitivity(scn)
+    report = budget.assemble_budget(scn.noise, abs(sens), schedule, scn.readout.splitting_hz,
                                     selectivity_factor=scn.readout.selectivity_factor)
     contrast = budget.ramsey_contrast_mc(sens, scn.noise.sigma_b_gauss, report.dephasing_time_s,
                                          scn.noise.mc_samples, scn.noise.seed)
@@ -197,7 +209,7 @@ def sweep_curves(scn, values):
         return {"transition_hz": hyperfine.transition_frequency(sp, up, lo, b),
                 "sensitivity_hz_per_g": hyperfine.field_sensitivity(sp, up, lo, b)}
     if param == "sigma_B_G":
-        sens = hyperfine.field_sensitivity(sp, up, lo, scn.field.b_gauss)
+        sens = abs(_qubit_sensitivity(scn))
         return {"dephasing_time_s": [budget.dephasing_time(sens, s) for s in values]}
     if param == "omega_R_rad_s":
         omega_dd = gate.dipole_dipole_rate(ind.mu_induced_debye, scn.dipole.separation_m)
@@ -262,7 +274,7 @@ def paper_repro(scn):
         "sensitivity_hz_per_g": br.sensitivity_hz_per_g,
         "sensitivity_fd_max_rel_err": _fd_sensitivity_max_rel_err(scn),
         "site_resolution_hz": hyperfine.site_frequency_resolution(
-            br.sensitivity_hz_per_g, scn.field.gradient_g_per_cm, spacing_cm),
+            abs(br.sensitivity_hz_per_g), scn.field.gradient_g_per_cm, spacing_cm),
         "resonance_site_count": hyperfine.resonance_site_count(
             scn.field.resonance_width_g, scn.field.gradient_g_per_cm, spacing_cm),
         "induced_dipole_D": gr.induced.mu_induced_debye,

@@ -497,7 +497,28 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, text)
         assert cli.main(["budget", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.endswith(
-            "invalid value: sensitivity must be > 0 Hz/G, got -2329694.2049243324\n")
+            "invalid value: [qubit] upper |1,1> is not above lower |2,2> at b_G = 649.0 G: "
+            "the transition frequency is -8278403636.018616 Hz\n")
+
+    def test_a_pair_whose_frequency_falls_with_field_runs(self, tmp_path, capsys):
+        # |2,-1> -> |1,0> lies 3.5 G below its zero-slope field: the slope is
+        # negative, and T_phi and the site resolution come from its magnitude
+        text = _with_key(_with_key(_bundled_text(), "qubit", "upper_m", "-1"),
+                         "qubit", "lower_m", "0")
+        cfg = _write_config(tmp_path, text)
+        assert cli.main(["budget", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        report = json.loads((tmp_path / "b" / "budget_report.json").read_text())
+        assert report["sensitivity_hz_per_g"] == pytest.approx(-5016.975184085779, rel=1e-9)
+        assert report["dephasing_time_s"] == pytest.approx(0.1058, rel=1e-3)
+        assert cli.main(["paper-repro", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        written = json.loads((tmp_path / "r" / "paper_repro.json").read_text())
+        assert written["site_resolution_hz"] == pytest.approx(250.8, rel=1e-3)
+        failed = _failed_checks_with_derived_verdicts(written["checks"])
+        for name in ("field_sensitivity_hz_per_g", "site_resolution_hz", "dephasing_time_s",
+                     "operations_count"):
+            assert name in failed
+        assert "ramsey_contrast_at_t_phi" not in failed
+        capsys.readouterr()
 
     def test_unknown_subcommand_exits_1(self, capsys):
         assert cli.main(["frobnicate"]) == 1

@@ -1,5 +1,6 @@
 import math
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from hybridgate.dynamics import (
     stirap_trajectory,
     two_level_population,
 )
-from hybridgate.dynamics import (_is_hermitian, _matmul_last, _norm_max, _rk4_substep,
-                                 _to_matrix_last)
+from hybridgate import repro
+from hybridgate.dynamics import (_interval_states, _is_hermitian, _matmul_last, _norm_max,
+                                 _rk4_substep, _to_matrix_last)
 from hybridgate.errors import DomainError, NumericalFailure, StepSizeError
+from hybridgate.scenario import load_scenario_text
 
 
 def _two_level_h(omega):
@@ -330,9 +333,13 @@ class TestIntegrator:
                                      substeps=substeps)
         probes = np.concatenate([grid, grid[:-1] + 0.125e-6])
         assert np.array_equal(calls[0], probes)
-        assert [len(t) for t in calls[1:]] == [4] * (len(calls) - 1)
-        # the probe, the first stage start, then a midpoint and an end per substep
-        assert len(calls) == 2 + 2 * used
+        assert [len(t) for t in calls[1:]] == [4] + [8] * (len(calls) - 2)
+        # the probe, the first stage start, then one call per substep on its
+        # midpoints and ends
+        assert len(calls) == 2 + used
+        h = 0.25e-6 / used
+        assert np.array_equal(calls[-1], np.concatenate([grid[:-1] + (used - 1) * h + 0.5 * h,
+                                                         grid[:-1] + (used - 1) * h + h]))
         assert traj.norm_drift < 1e-12
 
     @pytest.mark.parametrize("grid", [[0.0, 1e-6, math.nan], [0.0, math.nan, 2e-6],
@@ -567,10 +574,11 @@ class TestMatrixLastKernel:
 
     @pytest.mark.parametrize("phase_ratio, raises", [(0.99, False), (1.01, True)])
     def test_one_over_limit_matrix_raises(self, phase_ratio, raises):
-        # 600 intervals, one substep: every stage H call is one 600-matrix
-        # stack, and only matrix 300 reaches phase_ratio times the step-phase
-        # limit; the probe's 1201 times, which it checks for finiteness and
-        # Hermiticity only, get the grid stack and its last matrix again
+        # 600 intervals, one substep: the stage H calls are the 600 starts and
+        # then the 600 midpoints and 600 ends in one call, and only matrix 300
+        # reaches phase_ratio times the step-phase limit; the probe's 1201
+        # times, which it checks for finiteness and Hermiticity only, get the
+        # grid stack and its last matrix again
         base = _random_hermitian(np.random.default_rng(6), (600,), 3)
         base /= np.max(np.linalg.norm(base, axis=(-2, -1)))
         grid = np.linspace(0.0, 6e-6, 601)
@@ -581,8 +589,9 @@ class TestMatrixLastKernel:
         assert np.argmax(np.linalg.norm(stack, axis=(-2, -1))) == 300
 
         def hamiltonian(t):
-            assert len(t) in (600, 1201)
-            return stack if len(t) == 600 else np.concatenate([stack, stack[-1:], stack])
+            assert len(t) in (600, 1200, 1201)
+            return {600: stack, 1200: np.concatenate([stack, stack]),
+                    1201: np.concatenate([stack, stack[-1:], stack])}[len(t)]
 
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         if raises:
@@ -590,6 +599,124 @@ class TestMatrixLastKernel:
                 integrate_schrodinger(hamiltonian, psi0, grid, substeps=1)
         else:
             integrate_schrodinger(hamiltonian, psi0, grid, substeps=1)
+
+
+def _dense_matmul_last(x, y):
+    """x @ y for matrix-last stacks, every entry of x taken: the product
+    before supports, d broadcast multiply-adds over the columns of x."""
+    out = x[:, :1] * y[0]
+    for k in range(1, len(x)):
+        out += x[:, k:k + 1] * y[k]
+    return out
+
+
+class TestSupportAwareKernel:
+    """Products skip the entries of H that are exactly 0 at every time of
+    the call that returned it, and the states come from a prefix scan."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_support_aware_product_is_the_dense_product(self, d):
+        rng = np.random.default_rng(20 + d)
+        y = rng.normal(size=(d, d, 600)) + 1j * rng.normal(size=(d, d, 600))
+        patterns = [rng.random((d, d)) < 0.5 for _ in range(20)]
+        patterns += [np.ones((d, d), bool), np.zeros((d, d), bool),
+                     np.repeat(np.arange(d)[:, None] != 0, d, axis=1)]   # row 0 all zero
+        for pattern in patterns:
+            x = (rng.normal(size=(d, d, 600)) + 1j * rng.normal(size=(d, d, 600))) * pattern[..., None]
+            x[..., ::7] = 0.0      # zeros at some times keep an entry supported
+            assert np.array_equal(x.any(axis=-1), pattern)
+            dense = _dense_matmul_last(x, y)
+            out, term = np.empty_like(y), np.empty_like(y)
+            assert np.array_equal(_matmul_last(x, y, out, term, pattern), dense)
+            assert np.array_equal(_matmul_last(x, y, out, term), dense)
+            # the dense product is the case where every entry is supported
+            assert np.array_equal(_matmul_last(x, y, out, term, np.ones((d, d), bool)), dense)
+        assert not _matmul_last(np.zeros_like(y), y, out, term).any()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_substep_with_supports_matches_per_matrix_update(self, d):
+        rng = np.random.default_rng(30 + d)
+        h_a, h_mid, h_b, p = (rng.normal(size=(600, d, d)) + 1j * rng.normal(size=(600, d, d))
+                              for _ in range(4))
+        h_a[:, 0, :] = 0.0       # an all-zero row
+        h_mid[:, :, 1] = 0.0
+        h_b[:] = 0.0             # an all-zero stack
+        expected = _reference_update(h_a, h_mid, h_b, 0.01) @ p
+        propagator = _last(p)
+        stacks = [_last(h_a), _last(h_mid), _last(h_b)]
+        _rk4_substep(propagator, *stacks, 0.01, [np.empty_like(propagator) for _ in range(4)],
+                     tuple(stack.any(axis=-1) for stack in stacks))
+        assert np.max(np.abs(np.moveaxis(propagator, -1, 0) - expected)) < 1e-13
+
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
+    def test_the_support_comes_from_each_call(self, substeps):
+        # H's zero pattern depends on where t falls in its grid interval: A
+        # at the grid points, B at the grid midpoints and C elsewhere (the
+        # substep midpoints, and with 3 substeps some ends too); only B is
+        # non-zero at (0, 2) and (2, 0), so the probe's support, which has B,
+        # covers no stage call but those that have B too, and skipping an
+        # entry a call has would move the result by far more than 1e-13. H
+        # is not Hermitian, so a jump in it drifts the norm unchecked.
+        rng = np.random.default_rng(7)
+        masks = {0: np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                 2: np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+                 None: np.array([[0, 1, 0], [1, 0, 1], [0, 1, 1]])}
+        parts = {key: 5e4 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) * mask
+                 for key, mask in masks.items()}
+        grid = np.linspace(0.0, 2e-6, 11)
+        dt = grid[1] - grid[0]
+
+        def hamiltonian(t):
+            t = np.asarray(t)
+            phase = np.rint(4 * substeps * t / dt) % (4 * substeps)
+            out = np.empty(t.shape + (3, 3), dtype=complex)
+            for i, p in enumerate(phase):
+                key = 0 if p == 0 else 2 if p == 2 * substeps else None
+                out[i] = (1.0 + 0.3 * np.cos(1e6 * t[i])) * parts[key]
+            return out
+
+        psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        supports = []
+        probe = hamiltonian
+
+        def recorded(t):
+            h = probe(t)
+            supports.append(tuple(np.any(h != 0, axis=0).ravel()))
+            return h
+
+        traj = integrate_schrodinger(recorded, psi0, grid, substeps=substeps)
+        assert not supports[0][5] and len(set(supports[1:])) >= 2   # the probe lacks C's (1, 2)
+        expected = _reference_trajectory(hamiltonian, psi0, grid, substeps)
+        assert np.max(np.abs(traj.amplitudes - expected)) < 1e-13
+        assert np.max(np.abs(traj.amplitudes[-1] - psi0)) > 1e-2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 600])
+    @pytest.mark.parametrize("m", [None, 2], ids=["one state", "2-state stack"])
+    def test_scan_matches_sequential_application(self, n, m):
+        rng = np.random.default_rng(n)
+        d = 3
+        unitaries = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+        psi = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0][:, :m or 1]
+        psi = psi[:, 0] if m is None else psi
+        expected = [psi]
+        for interval in unitaries:
+            expected.append(interval @ expected[-1])
+        scratch = [np.empty((d, d, n), dtype=complex) for _ in range(2)]
+        states = _interval_states(_last(unitaries), psi, *scratch)
+        assert states.shape == (n + 1,) + psi.shape
+        assert np.max(np.abs(states - np.array(expected))) < 1e-14
+
+    def test_detuned_stirap_efficiencies_pinned(self):
+        # every diagonal entry of the second Lambda row and column is
+        # supported here; the RK4 arithmetic is that of the bundled pin in
+        # test_cli, so these move only by rounding
+        text = resources.files("hybridgate").joinpath("data/paper.cfg").read_text()
+        head, header, body = text.partition("[stirap]\n")
+        body = body.replace("delta_e_rad_s = 0.0\n", "delta_e_rad_s = 2e6\n", 1)
+        body = body.replace("delta_rad_s = 0.0\n", "delta_rad_s = 3e4\n", 1)
+        stirap = repro.stirap_run(load_scenario_text(head + header + body))
+        assert stirap.efficiency == pytest.approx(0.9868479263109864, rel=1e-12)
+        assert stirap.reversed_efficiency == pytest.approx(0.9868479247492854, rel=1e-12)
 
 
 class TestPulseEnvelope:
