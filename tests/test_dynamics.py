@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from importlib import resources
 
@@ -651,12 +652,13 @@ class TestSupportAwareKernel:
     @pytest.mark.parametrize("substeps", [1, 2, 3])
     def test_the_support_comes_from_each_call(self, substeps):
         # H's zero pattern depends on where t falls in its grid interval: A
-        # at the grid points, B at the grid midpoints and C elsewhere (the
-        # substep midpoints, and with 3 substeps some ends too); only B is
-        # non-zero at (0, 2) and (2, 0), so the probe's support, which has B,
-        # covers no stage call but those that have B too, and skipping an
-        # entry a call has would move the result by far more than 1e-13. H
-        # is not Hermitian, so a jump in it drifts the norm unchecked.
+        # at the grid points, B at the grid midpoints and C at every other
+        # time (the substep midpoints, and with 3 substeps some ends too).
+        # The probe sees A and B, so its support lacks C's (1, 2) and (2, 1),
+        # and the interval starts see A alone: a support carried over from
+        # either drops entries of a later call and moves the result by far
+        # more than 1e-13. H is not Hermitian, so the norm its jumps drift
+        # is not checked.
         rng = np.random.default_rng(7)
         masks = {0: np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]]),
                  2: np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
@@ -677,10 +679,9 @@ class TestSupportAwareKernel:
 
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         supports = []
-        probe = hamiltonian
 
         def recorded(t):
-            h = probe(t)
+            h = hamiltonian(t)
             supports.append(tuple(np.any(h != 0, axis=0).ravel()))
             return h
 
@@ -707,13 +708,14 @@ class TestSupportAwareKernel:
         assert np.max(np.abs(states - np.array(expected))) < 1e-14
 
     def test_detuned_stirap_efficiencies_pinned(self):
-        # every diagonal entry of the second Lambda row and column is
-        # supported here; the RK4 arithmetic is that of the bundled pin in
-        # test_cli, so these move only by rounding
+        # with both detunings H[1, 1] and H[2, 2] join the support (6 of 9
+        # entries); like the bundled pin in test_cli, these may move only by
+        # rounding when the order of the RK4 arithmetic changes
         text = resources.files("hybridgate").joinpath("data/paper.cfg").read_text()
         head, header, body = text.partition("[stirap]\n")
-        body = body.replace("delta_e_rad_s = 0.0\n", "delta_e_rad_s = 2e6\n", 1)
-        body = body.replace("delta_rad_s = 0.0\n", "delta_rad_s = 3e4\n", 1)
+        body, count = re.subn(r"(?m)^delta_e_rad_s = .*$", "delta_e_rad_s = 2e6", body, count=1)
+        body, count2 = re.subn(r"(?m)^delta_rad_s = .*$", "delta_rad_s = 3e4", body, count=1)
+        assert header and count == count2 == 1
         stirap = repro.stirap_run(load_scenario_text(head + header + body))
         assert stirap.efficiency == pytest.approx(0.9868479263109864, rel=1e-12)
         assert stirap.reversed_efficiency == pytest.approx(0.9868479247492854, rel=1e-12)
