@@ -15,9 +15,12 @@ x86_64 vCPUs, median of 200).
 Neither way is atomic: an interrupted write leaves the new head on the old
 tail, where a truncating write would leave a short file.
 
-A table's numbers are formatted in one numpy pass, without a Python call
-per value. For 1e-11 <= |x| < 1e12, k = 11 - floor(log10|x|) is in [0, 22],
-so 10**k is exact and y = |x| * 10**k is the exact value Y rounded once.
+A table is formatted and written in blocks of whole rows, so the writer's
+temporaries do not grow with it; a value's bytes depend only on the value
+and its column, so the blocks join into the bytes of the whole. A block's
+numbers take one numpy pass, without a Python call per value. For 1e-11 <=
+|x| < 1e12, k = 11 - floor(log10|x|) is in [0, 22], so 10**k is exact and
+y = |x| * 10**k is the exact value Y rounded once.
 Rounding is monotone, and 1e11 and every half-integer up to 1e12 - 0.5 are
 doubles, so where 1e11 < y < 1e12 - 0.5 and y is not a half-integer, Y lies
 strictly between the same half-integers as y. Then rint(y) is Y rounded to
@@ -27,6 +30,7 @@ another magnitude, nan, inf, a log10 one decade off) goes through
 ``"%.11e"`` itself.
 """
 
+import itertools
 import json
 import math
 import os
@@ -35,6 +39,11 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
+
+
+# Values per block of rows: a block's temporaries (about 200 bytes a value)
+# stay below glibc's mmap threshold, so they reuse heap pages.
+CSV_BLOCK = 1024
 
 
 def format_float(value):
@@ -92,12 +101,23 @@ def write_csv(path, columns, rows, meta):
     """Write ``rows``, a 2-d float array or a sequence of rows with one value
     per column, each value as the bytes of format_float(v).
 
-    One numpy pass writes the digits of every value whose scaled mantissa y
-    is certified (one exact power of ten, y not on a tie; see the module
-    docstring); the rest go through ``"%.11e"`` in one batch."""
-    values = np.asarray(rows, dtype=float)
-    body = _csv_body(values.reshape(len(values), len(columns)))
-    _write_bytes(path, f"{meta}\n{','.join(columns)}\n".encode("utf-8") + body)
+    Each block of rows takes one numpy pass for every value whose scaled
+    mantissa y is certified (see the module docstring) and one ``"%.11e"``
+    batch for the rest. Rows that do not fit the columns raise DomainError
+    before the file is opened."""
+    ncols = len(columns)
+    try:
+        values = np.asarray(rows, dtype=float)
+    except ValueError as exc:   # ragged rows, or a value that is not a number
+        raise DomainError(f"{os.path.basename(path)}: rows are not {ncols} columns of floats: "
+                          f"{exc}") from exc
+    if ncols == 0 or (values.size and values.shape[1:] != (ncols,)):
+        raise DomainError(f"{os.path.basename(path)}: rows of shape {values.shape} do not fit "
+                          f"{ncols} columns")
+    values = values.reshape(-1, ncols)
+    step = max(1, CSV_BLOCK // ncols)
+    blocks = (_csv_body(values[i:i + step]) for i in range(0, len(values), step))
+    _write_bytes(path, itertools.chain([f"{meta}\n{','.join(columns)}\n".encode()], blocks))
 
 
 def _first_non_finite(value, key=""):
@@ -121,18 +141,19 @@ def write_json(path, payload):
     except ValueError as exc:
         raise DomainError(f"{os.path.basename(path)}: {_first_non_finite(payload)} "
                           f"is not finite") from exc
-    _write_bytes(path, (text + "\n").encode("utf-8"))
+    _write_bytes(path, [(text + "\n").encode("utf-8")])
 
 
-def _write_bytes(path, data):
-    """Write ``data`` over ``path`` in place (see the module docstring); a new
-    file gets the mode ``open(path, "wb")`` would give it."""
+def _write_bytes(path, chunks):
+    """Write the byte strings ``chunks`` in turn over ``path`` in place (see the
+    module docstring); a new file gets the mode ``open(path, "wb")`` would give it."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        view = memoryview(data)
-        while view:   # os.write may write less than it is given
-            view = view[os.write(fd, view):]
-        os.ftruncate(fd, len(data))
+        for chunk in chunks:
+            view = memoryview(chunk)
+            while view:   # os.write may write less than it is given
+                view = view[os.write(fd, view):]
+        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     finally:
         os.close(fd)
 

@@ -3,12 +3,14 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hybridgate import budget
 from hybridgate.budget import (
+    MC_BLOCK,
     MC_CHUNK,
     NoiseModel,
     adiabaticity_check,
@@ -98,6 +100,7 @@ class TestRamseyContrast:
 
     def test_chunk_streams_are_order_independent(self):
         # Recompute the two-chunk reduction by drawing the chunks in reverse
+        # order, each reduced in the kernel's MC_BLOCK sub-blocks in stream
         # order; per-chunk keyed streams must give the identical result.
         n = 2 * MC_CHUNK
         t = 1e-4
@@ -108,7 +111,11 @@ class TestRamseyContrast:
             z = np.random.Generator(np.random.Philox(key=key)).standard_normal(MC_CHUNK)
             tan_half = np.tan(z * (0.5 * 2.0 * math.pi * SENS * t * SIGMA))
             inv = 1.0 / (tan_half * tan_half + 1.0)
-            sums[chunk_index] = (2.0 * inv.sum() - MC_CHUNK, 2.0 * (tan_half * inv).sum())
+            inv_sum = t_inv_sum = 0.0
+            for block in range(0, MC_CHUNK, MC_BLOCK):
+                inv_sum += inv[block:block + MC_BLOCK].sum()
+                t_inv_sum += (tan_half[block:block + MC_BLOCK] * inv[block:block + MC_BLOCK]).sum()
+            sums[chunk_index] = (2.0 * inv_sum - MC_CHUNK, 2.0 * t_inv_sum)
         manual = math.hypot(0.0 + sums[0][0] + sums[1][0], 0.0 + sums[0][1] + sums[1][1]) / n
         assert ramsey_contrast_mc(SENS, SIGMA, t, n, seed) == manual
 
@@ -254,6 +261,23 @@ class TestParallelChunks:
         monkeypatch.setattr(np.random, "Generator", generator)
         assert ramsey_contrast_mc(SENS, SIGMA, 1e-4, n, 3) == expected
         assert len(built) == cpus
+
+    def test_traced_memory_does_not_grow_with_the_sample_count(self, monkeypatch):
+        # Each worker draws and reduces its chunks in MC_BLOCK sub-blocks of one
+        # (2, MC_BLOCK) buffer: 2 workers trace about 1.05 MB at any sample
+        # count, where buffers of MC_CHUNK samples would take 2.1 MB.
+        _workers(monkeypatch, 2)
+        ramsey_contrast_mc(SENS, SIGMA, 1e-4, 1000, 4)   # numpy.random imports helpers on first use
+        peaks = []
+        for n in (100_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                ramsey_contrast_mc(SENS, SIGMA, 1e-4, n, 4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 1_100_000, peaks
+        assert max(peaks) - min(peaks) < 16 * 1024, peaks
 
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

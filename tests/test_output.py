@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hybridgate import cli, repro
 from hybridgate.dynamics import LAMBDA_LABELS
 from hybridgate.errors import DomainError
-from hybridgate.output import write_csv, write_json
+from hybridgate.output import CSV_BLOCK, write_csv, write_json
 from hybridgate.scenario import load_scenario_text
 
 META = "# hybridgate test config=sha256:0 seed=0"
@@ -81,6 +82,41 @@ def test_bytes_match_per_value_formatting_on_a_million_values(tmp_path):
     assert len(lines) == len(expected)
     wrong = [(got, want) for got, want in zip(lines, expected) if got != want]
     assert wrong == []
+
+
+@pytest.mark.parametrize("nrows, ncols", [
+    (2 * (CSV_BLOCK // 3) + 5, 3),   # two whole blocks of 341 rows and a part
+    (CSV_BLOCK + 1, 1),
+    (2, CSV_BLOCK + 3),              # rows wider than a block: one row a block
+    (1, 2),
+    (0, 2),
+])
+def test_bytes_match_per_value_formatting_across_blocks(tmp_path, nrows, ncols):
+    rng = np.random.default_rng(nrows * 7 + ncols)
+    values = rng.standard_normal((nrows, ncols)) * 10.0 ** rng.integers(-13, 14, (nrows, ncols))
+    if nrows:
+        values[-1, -1] = -123456789012.5   # a tie: the last block falls back for it
+    columns = [f"c{i}" for i in range(ncols)]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), columns, values, META)
+    assert path.read_bytes() == _per_value_csv(columns, values.tolist()).encode("utf-8")
+
+
+def test_traced_memory_does_not_grow_with_the_table(tmp_path):
+    # Blocks of rows are formatted and written in turn. A table formatted whole
+    # traces about 213 bytes a value: 4.3 MB at 2e4 values, 426 MB at 2e6.
+    rng = np.random.default_rng(32)
+    peaks = []
+    for n in (20_000, 200_000, 2_000_000):
+        values = (rng.standard_normal(n) * 10.0 ** rng.integers(-10, 12, n)).reshape(-1, 2)
+        tracemalloc.start()
+        try:
+            write_csv(str(tmp_path / "t.csv"), ("a", "b"), values, META)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] < 1_000_000, n
+    assert max(peaks) - min(peaks) < 64 * 1024, peaks
 
 
 def test_a_table_whose_every_value_falls_back_is_exact(tmp_path):
@@ -175,6 +211,24 @@ def test_a_refused_table_or_report_leaves_the_old_file_untouched(tmp_path):
     with pytest.raises(DomainError):
         write_json(str(tmp_path / "r.json"), {"a": math.inf})
     assert (tmp_path / "r.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("rows, shape", [
+    ([[1.0], [2.0]], "(2, 1)"),
+    (np.zeros((2, 3)), "(2, 3)"),
+    ([[1.0, 2.0], [3.0]], "inhomogeneous"),
+    (np.arange(4.0), "(4,)"),
+])
+def test_rows_that_do_not_fit_the_columns_are_refused_before_the_file_is_opened(
+        tmp_path, rows, shape):
+    write_csv(str(tmp_path / "t.csv"), ("a", "b"), [[1.0, 2.0]], META)
+    before = (tmp_path / "t.csv").read_bytes()
+    for name in ("t.csv", "new.csv"):
+        with pytest.raises(DomainError, match=f"{name}: .*2 columns") as err:
+            write_csv(str(tmp_path / name), ("a", "b"), rows, "# another header")
+        assert shape in str(err.value)
+    assert (tmp_path / "t.csv").read_bytes() == before
+    assert not (tmp_path / "new.csv").exists()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])
