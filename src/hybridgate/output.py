@@ -41,8 +41,8 @@ from . import __version__
 from .errors import DomainError
 
 
-# Values per block of rows: a block's temporaries (about 200 bytes a value)
-# stay below glibc's mmap threshold, so they reuse heap pages.
+# Values per block of rows: each of a block's temporaries (at most the 80 KB
+# index array) stays under glibc's 128 KiB mmap threshold and reuses heap pages.
 CSV_BLOCK = 1024
 
 
@@ -108,7 +108,7 @@ def write_csv(path, columns, rows, meta):
     ncols = len(columns)
     try:
         values = np.asarray(rows, dtype=float)
-    except ValueError as exc:   # ragged rows, or a value that is not a number
+    except (TypeError, ValueError) as exc:   # ragged rows, or a value that is not a number
         raise DomainError(f"{os.path.basename(path)}: rows are not {ncols} columns of floats: "
                           f"{exc}") from exc
     if ncols == 0 or (values.size and values.shape[1:] != (ncols,)):
@@ -117,7 +117,7 @@ def write_csv(path, columns, rows, meta):
     values = values.reshape(-1, ncols)
     step = max(1, CSV_BLOCK // ncols)
     blocks = (_csv_body(values[i:i + step]) for i in range(0, len(values), step))
-    _write_bytes(path, itertools.chain([f"{meta}\n{','.join(columns)}\n".encode()], blocks))
+    _write_bytes(path, itertools.chain([f"{meta}\n{','.join(columns)}\n".encode("utf-8")], blocks))
 
 
 def _first_non_finite(value, key=""):

@@ -218,6 +218,7 @@ def test_a_refused_table_or_report_leaves_the_old_file_untouched(tmp_path):
     (np.zeros((2, 3)), "(2, 3)"),
     ([[1.0, 2.0], [3.0]], "inhomogeneous"),
     (np.arange(4.0), "(4,)"),
+    ([[1.0, object()]], "'object'"),
 ])
 def test_rows_that_do_not_fit_the_columns_are_refused_before_the_file_is_opened(
         tmp_path, rows, shape):
