@@ -25,7 +25,7 @@ from .errors import ConfigError, DomainError, NumericalFailure
 from .output import ensure_out_dir, format_float, metadata_line, write_csv, write_json
 from .record import Record, fields
 from .repro import (budget_run, gate_run, gate_schedule, levels_run, paper_repro, raman_run,
-                    stirap_run, sweep_curves)
+                    stirap_area_sweep, stirap_run, sweep_curves)
 from .scenario import load_scenario_text
 
 
@@ -126,13 +126,13 @@ def _cmd_pulse(scn, ctx):
 
 
 def _cmd_stirap(scn, ctx):
-    stirap = stirap_run(scn, area_sweep=True)
+    stirap = stirap_run(scn)
     traj = stirap.trajectory
     pops = traj.populations()
     for idx, name in enumerate(LAMBDA_LABELS):
         ctx.table(f"stirap_{name}.csv", ("t_s", f"p_{name}"), traj.times, pops[:, idx])
-    ctx.table("stirap_efficiency.csv", ("omega0_rms_area", "efficiency"), stirap.sweep_areas,
-              stirap.sweep_efficiencies)
+    ctx.table("stirap_efficiency.csv", ("omega0_rms_area", "efficiency"),
+              *stirap_area_sweep(scn, stirap.efficiency))
     print(f"stirap: efficiency = {format_float(stirap.efficiency)} (reversed order "
           f"{format_float(stirap.reversed_efficiency)}), "
           f"norm drift = {format_float(traj.norm_drift)}")
@@ -211,7 +211,7 @@ def run(argv):
     config_bytes = _read_config_bytes(args.config)
     config_hash = hashlib.sha256(config_bytes).hexdigest()
     try:
-        text = config_bytes.decode("utf-8")
+        text = config_bytes.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file is not UTF-8: {exc}", key=str(args.config)) from exc
     if args.seed is not None and not 0 <= args.seed < 2 ** 64:

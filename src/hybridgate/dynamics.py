@@ -30,12 +30,12 @@ array, so m states cost little more than one. Hamiltonian callables take a
 Internally a stack of n matrices is held matrix-last, as a contiguous
 (d, d, n) array: a product of two stacks is then a few broadcast
 multiply-adds over length-n rows, where an (n, d, d) matmul makes one BLAS
-call per matrix. Each H call has a support, the entries that are non-zero
-at any of its times; the stage products and the step-phase norm take only
-those (4 of 9 for the resonant Lambda H), and since every skipped term is an
-exact zero the sums are the dense ones. lambda_matrix builds its stacks in
-that layout, so they arrive without a copy; only the prefix propagators are
-turned back to (n, d, d).
+call per matrix. Every product and norm sums only the entries of the
+support its caller gives: in the stage products and the step-phase norm,
+the entries of an H call that are non-zero at any of its times (4 of 9 for
+the resonant Lambda H), so the sums are the dense ones; in the prefix scan,
+every entry. lambda_matrix builds its stacks in that layout, so they arrive
+without a copy; only the prefix propagators are turned back to (n, d, d).
 """
 
 import math
@@ -206,19 +206,17 @@ def pi_pulse_duration(params):
     return math.pi / w
 
 
-def _matmul_last(x, y, out, term, support=None):
+def _matmul_last(x, y, out, term, support):
     """out = x @ y for matrix-last (d, d, n) stacks, from the terms of the
     entries of x in support only; term is (d, d, n) scratch.
 
-    support is a (d, d) boolean array, False only where that entry of x is
-    exactly 0 at all n (x.any(axis=-1) when not given): each row of out is
-    the sum, in column order, of x[i, k] * y[k] over the supported k, and a
-    row with none is 0. For a finite y every term it skips is a signed zero
-    of the dense sum, so the sums are the dense ones; the dense product is
-    the case where every entry is supported.
+    support is a (d, d) boolean array that the caller gives, False only
+    where that entry of x is exactly 0 at all n: each row of out is the sum,
+    in column order, of x[i, k] * y[k] over the supported k, and a row with
+    none is 0. For a finite y every term it skips is a signed zero of the
+    dense sum, so the sums are the dense ones; the dense product is the case
+    where every entry is supported.
     """
-    if support is None:
-        support = x.any(axis=-1)
     for i, row in enumerate(support.tolist()):
         columns = [k for k, supported in enumerate(row) if supported]
         if not columns:
@@ -230,12 +228,12 @@ def _matmul_last(x, y, out, term, support=None):
     return out
 
 
-def _rk4_substep(propagator, h_a, h_mid, h_b, h, buffers, supports=(None, None, None)):
+def _rk4_substep(propagator, h_a, h_mid, h_b, h, buffers, supports):
     """Advance the matrix-last (d, d, n) propagators P in place by one
     classical RK4 substep of dP/dt = -i H P, of length h, from H at the
     substep's start, midpoint and end; buffers are four (d, d, n) complex
     scratch arrays and supports the (d, d) supports of the three H stacks
-    (see _matmul_last; taken from each stack when not given).
+    (see _matmul_last).
 
     With c = -i h: k1 = H_a P, k2 = H_mid (P + c k1 / 2),
     k3 = H_mid (P + c k2 / 2), k4 = H_b (P + c k3) and
@@ -260,15 +258,13 @@ def _rk4_substep(propagator, h_a, h_mid, h_b, h, buffers, supports=(None, None, 
     propagator += total
 
 
-def _norm_max(h_matrices, support=None):
+def _norm_max(h_matrices, support):
     """Largest Frobenius norm of the matrices of a matrix-last (d, d, n)
     stack, from the squares of the real and imaginary parts of the entries
-    in its (d, d) support (h_matrices.any(axis=-1) when not given; the
-    entries left out are 0, so the norm is the same): nan when h holds a
-    nan, inf when it holds an inf or an element past |h| ~ 1e154.
+    in the (d, d) support that the caller gives (the entries left out are
+    0, so the norm is the same): nan when h holds a nan, inf when it holds
+    an inf or an element past |h| ~ 1e154.
     """
-    if support is None:
-        support = h_matrices.any(axis=-1)
     entries = h_matrices[support]    # (supported entries, n)
     squared, term = np.empty((2,) + entries.shape)
     with np.errstate(over="ignore"):    # an overflow makes the norm inf, rejected by the caller
@@ -313,17 +309,19 @@ def _interval_states(propagator, psi, spare, term):
     A Hillis-Steele scan forms the prefix products: after the level of
     offset s, interval i holds the product of intervals max(1, i - 2s + 1)
     .. i, later ones on the left, so ceil(log2 n) levels of _matmul_last
-    leave every prefix. Stacked as (n d, d) rows, they take psi in one
-    product.
+    leave every prefix, each level over the dense support (an exact 0
+    adds only signed zeros; on STIRAP the intervals' supports join to a
+    dense one). Stacked as (n d, d) rows, they take psi in one product.
     """
     prefix, n = propagator, propagator.shape[-1]
+    d = len(prefix)
+    dense = np.ones((d, d), bool)
     s = 1
     while s < n:
-        _matmul_last(prefix[..., s:], prefix[..., :-s], spare[..., s:], term[..., s:])
+        _matmul_last(prefix[..., s:], prefix[..., :-s], spare[..., s:], term[..., s:], dense)
         spare[..., :s] = prefix[..., :s]
         prefix, spare = spare, prefix
         s *= 2
-    d = len(prefix)
     out = np.empty((n + 1,) + psi.shape, dtype=complex)
     out[0] = psi
     rows = np.ascontiguousarray(np.moveaxis(prefix, -1, 0)).reshape(n * d, d)
@@ -384,7 +382,7 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
         raise StepSizeError("H holds a nan or inf at a probe time; it must be finite")
     hermitian = _is_hermitian(h_probe)
     if substeps is None:
-        needed = dt * _norm_max(h_probe) / STEP_PHASE_TARGET
+        needed = dt * _norm_max(h_probe, h_probe.any(axis=-1)) / STEP_PHASE_TARGET
         if needed > MAX_SUBSTEPS:
             raise StepSizeError(f"the step phase target needs {needed:.3g} RK4 substeps per "
                                 f"interval, more than the work bound {MAX_SUBSTEPS}")

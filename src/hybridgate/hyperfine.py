@@ -138,7 +138,7 @@ def _breit_rabi(species, state, b_gauss, slope=False):
     c = 4.0 * state.m / (2.0 * species.nuclear_spin + 1.0)
     # The radicand is convex in x >= 0, so where it is finite at the largest
     # field (in Python floats, which do not warn) it is finite at every field.
-    b_max = float(b_gauss.max() if isinstance(b_gauss, np.ndarray) else b_gauss)
+    b_max = float(b_gauss.max(initial=0.0) if isinstance(b_gauss, np.ndarray) else b_gauss)
     x_max = g_x * BOHR_MAGNETON_HZ_PER_G * b_max / species.hyperfine_splitting_hz
     if not math.isfinite(1.0 + c * x_max + x_max * x_max):
         raise DomainError(f"magnetic field {b_max!r} G is beyond the float range of the "

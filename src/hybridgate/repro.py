@@ -88,18 +88,14 @@ def raman_run(scn):
 
 
 class StirapRun(Record):
-    """STIRAP trajectory from the atoms and efficiency, the efficiency in
-    reversed order and, when asked for, the efficiency at each pulse area of
-    the sweep."""
+    """STIRAP trajectory from the atoms, its efficiency and the efficiency in reversed order."""
 
     trajectory: dynamics.Trajectory
     efficiency: float
     reversed_efficiency: float
-    sweep_areas: tuple = ()          # omega0 * rms width
-    sweep_efficiencies: tuple = ()
 
 
-def stirap_run(scn, area_sweep=False):
+def stirap_run(scn):
     """One integration of the configured pulses, from the atoms and from the
     molecule: the atoms row is the trajectory, and its final molecule
     population the efficiency.
@@ -123,13 +119,17 @@ def stirap_run(scn, area_sweep=False):
     traj = dynamics.Trajectory(both.times, both.amplitudes[0])
     efficiency = float(traj.final_populations()[2])
     reversed_efficiency = float(both.final_populations()[1, 0])
-    if not area_sweep:
-        return StirapRun(traj, efficiency, reversed_efficiency)
-    # the sweep ends at the full drive, whose transfer is integrated above
+    return StirapRun(traj, efficiency, reversed_efficiency)
+
+
+def stirap_area_sweep(scn, efficiency):
+    """(areas, efficiencies): the transfer efficiency at each pulse area
+    omega0 * rms width of STIRAP_SWEEP_FACTORS times the configured peak.
+    The last factor is the full drive, whose efficiency (stirap_run's) the
+    caller gives, so only the weaker drives are integrated."""
     sweep = [dynamics.simulate_stirap(*_stirap_args(scn, peak_factor=float(factor)))
              for factor in STIRAP_SWEEP_FACTORS[:-1]] + [efficiency]
-    areas = STIRAP_SWEEP_FACTORS * scn.stirap.peak_rad_s * scn.stirap.rms_width_s
-    return StirapRun(traj, efficiency, reversed_efficiency, tuple(areas), sweep)
+    return STIRAP_SWEEP_FACTORS * scn.stirap.peak_rad_s * scn.stirap.rms_width_s, sweep
 
 
 class GateRun(Record):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -339,6 +340,19 @@ class TestStageRecords:
             with pytest.raises(ValueError):
                 traj.amplitudes[0, 0] = 5.0
 
+    def test_area_sweep_integrates_all_but_the_full_drive(self):
+        # the last point is the efficiency the caller passes from stirap_run;
+        # every other one is the transfer integrated at its peak factor
+        stirap = repro.stirap_run(self.SCN)
+        areas, efficiencies = repro.stirap_area_sweep(self.SCN, stirap.efficiency)
+        factors = repro.STIRAP_SWEEP_FACTORS
+        assert np.array_equal(areas, factors * self.SCN.stirap.peak_rad_s
+                              * self.SCN.stirap.rms_width_s)
+        assert len(efficiencies) == len(factors) and efficiencies[-1] == stirap.efficiency
+        for factor, efficiency in zip(factors[:-1], efficiencies):
+            assert efficiency == dynamics.simulate_stirap(
+                *repro._stirap_args(self.SCN, peak_factor=float(factor)))
+
     def test_gate_phase_is_the_last_profile_point(self):
         gr = repro.gate_run(self.SCN)
         assert gr.phase_rad == gr.phase_profile[1][-1]
@@ -545,6 +559,24 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "configuration error" in proc.stderr and str(path) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_config_with_a_byte_order_mark_reads_as_without_it(self, tmp_path, capsys):
+        # one leading mark is dropped; the config hash stays that of the file
+        raw = b"\xef\xbb\xbf" + _bundled_text().encode("utf-8")
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(raw)
+        assert cli.main(["paper-repro", "--out", str(tmp_path / "plain")]) == 0
+        plain = capsys.readouterr()
+        assert cli.main(["paper-repro", "--config", str(path), "--out", str(tmp_path / "bom")]) == 0
+        assert capsys.readouterr() == plain
+        reports = [json.loads((tmp_path / name / "paper_repro.json").read_text())
+                   for name in ("plain", "bom")]
+        assert reports[1].pop("config_sha256") == hashlib.sha256(raw).hexdigest()
+        assert reports[0].pop("config_sha256") != hashlib.sha256(raw).hexdigest()
+        assert reports[0] == reports[1]
+        path.write_bytes(b"\xef\xbb\xbf" + raw)   # a second mark is config text
+        assert cli.main(["levels", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "configuration error: line 1" in capsys.readouterr().err
 
     def test_uncreatable_out_dir_exits_1(self, tmp_path):
         blocker = tmp_path / "file"

@@ -513,10 +513,12 @@ class TestMatrixLastKernel:
         h = 0.01
         expected = _reference_update(h_a, h_mid, h_b, h) @ p
         propagator = _last(p)
-        _rk4_substep(propagator, _last(h_a), _last(h_mid), _last(h_b), h,
-                     [np.empty_like(propagator) for _ in range(4)])
+        stacks = [_last(h_a), _last(h_mid), _last(h_b)]
+        _rk4_substep(propagator, *stacks, h, [np.empty_like(propagator) for _ in range(4)],
+                     tuple(stack.any(axis=-1) for stack in stacks))
         assert np.max(np.abs(np.moveaxis(propagator, -1, 0) - expected)) < 1e-13
-        product = _matmul_last(_last(h_a), _last(h_b), *(np.empty_like(propagator) for _ in range(2)))
+        product = _matmul_last(stacks[0], stacks[2], *(np.empty_like(propagator) for _ in range(2)),
+                               stacks[0].any(axis=-1))
         assert np.max(np.abs(np.moveaxis(product, -1, 0) - h_a @ h_b)) < 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -551,7 +553,8 @@ class TestMatrixLastKernel:
         stack[300, 0, 2] += 1e-9
         assert not _reference_is_hermitian(stack)
         assert _is_hermitian(_last(stack)) is False
-        assert _norm_max(_last(stack)) == pytest.approx(_reference_max_frobenius(stack), rel=1e-15)
+        assert _norm_max(_last(stack), _last(stack).any(axis=-1)) == pytest.approx(
+            _reference_max_frobenius(stack), rel=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("size", [1e-3, 1e6], ids=["below 1", "above 1"])
@@ -568,7 +571,8 @@ class TestMatrixLastKernel:
         stack[300] *= phase_ratio * size / np.linalg.norm(stack[300])
         h = STEP_PHASE_MAX / size
         stack[450, 0, d - 1] += asym_ratio * 1e-12 * max(1.0, np.max(np.abs(stack[450])))
-        norm_max, is_hermitian = _norm_max(_last(stack)), _is_hermitian(_last(stack))
+        norm_max = _norm_max(_last(stack), _last(stack).any(axis=-1))
+        is_hermitian = _is_hermitian(_last(stack))
         assert _reference_is_hermitian(stack) == (asym_ratio < 1) == is_hermitian
         assert (_reference_max_frobenius(stack) * h > STEP_PHASE_MAX) == (phase_ratio > 1)
         assert (norm_max * h > STEP_PHASE_MAX) == (phase_ratio > 1)
@@ -629,10 +633,9 @@ class TestSupportAwareKernel:
             dense = _dense_matmul_last(x, y)
             out, term = np.empty_like(y), np.empty_like(y)
             assert np.array_equal(_matmul_last(x, y, out, term, pattern), dense)
-            assert np.array_equal(_matmul_last(x, y, out, term), dense)
             # the dense product is the case where every entry is supported
             assert np.array_equal(_matmul_last(x, y, out, term, np.ones((d, d), bool)), dense)
-        assert not _matmul_last(np.zeros_like(y), y, out, term).any()
+        assert not _matmul_last(np.zeros_like(y), y, out, term, np.zeros((d, d), bool)).any()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_substep_with_supports_matches_per_matrix_update(self, d):
@@ -706,6 +709,36 @@ class TestSupportAwareKernel:
         states = _interval_states(_last(unitaries), psi, *scratch)
         assert states.shape == (n + 1,) + psi.shape
         assert np.max(np.abs(states - np.array(expected))) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 600])
+    @pytest.mark.parametrize("identities", ["after the first", "odd", "random half"])
+    def test_scan_over_the_dense_support_is_the_scan_over_each_products_support(
+            self, n, identities):
+        # identity intervals hold exact zeros, so a product over x's own
+        # support, x.any(axis=-1), can skip terms that the dense one adds as
+        # signed zeros; the states must still be the same bits
+        rng = np.random.default_rng(40 + n)
+        d = 3
+        unitaries = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+        identity = {"after the first": np.arange(n) > 0, "odd": np.arange(n) % 2 == 1,
+                    "random half": rng.random(n) < 0.5}[identities]
+        unitaries[identity] = np.eye(d)
+        psi = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0][:, :2]
+        prefix, spare, term = _last(unitaries), *(np.empty((d, d, n), dtype=complex) for _ in range(2))
+        sparse_levels, s = 0, 1
+        while s < n:
+            support = prefix[..., s:].any(axis=-1)
+            sparse_levels += not support.all()
+            _matmul_last(prefix[..., s:], prefix[..., :-s], spare[..., s:], term[..., s:], support)
+            spare[..., :s] = prefix[..., :s]
+            prefix, spare = spare, prefix
+            s *= 2
+        rows = np.ascontiguousarray(np.moveaxis(prefix, -1, 0)).reshape(n * d, d)
+        expected = np.concatenate([psi[None], (rows @ psi).reshape(n, d, 2)])
+        if identities == "after the first" and n > 1:
+            assert sparse_levels == math.ceil(math.log2(n))
+        scratch = [np.empty((d, d, n), dtype=complex) for _ in range(2)]
+        assert np.array_equal(_interval_states(_last(unitaries), psi, *scratch), expected)
 
     def test_detuned_stirap_efficiencies_pinned(self):
         # with both detunings H[1, 1] and H[2, 2] join the support (6 of 9

@@ -297,6 +297,19 @@ class TestFieldArrays:
                 field_sensitivity(species, upper, lower, b),
                 [field_sensitivity(species, upper, lower, float(v)) for v in b])
 
+    def test_an_empty_field_array_gives_empty_arrays(self):
+        # |2,-2> is stretched (its radicand is (1 - x)^2); |2,2> and |1,1> are not
+        empty = np.array([])
+        stretched, lower = HyperfineState(2, -2), HyperfineState(1, -1)
+        results = [breit_rabi_energy(RB87, stretched, empty), breit_rabi_energy(RB87, UP, empty),
+                   transition_frequency(RB87, stretched, lower, empty),
+                   transition_frequency(RB87, UP, DOWN, empty),
+                   field_sensitivity(RB87, stretched, lower, empty),
+                   field_sensitivity(RB87, UP, DOWN, empty)]
+        for result in results:
+            assert isinstance(result, np.ndarray) and result.dtype == float
+            assert result.shape == (0,)
+
     @pytest.mark.parametrize("call", [
         lambda b: breit_rabi_energy(RB87, HyperfineState(2, -2), b),
         lambda b: breit_rabi_energy(RB87, UP, b),

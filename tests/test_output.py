@@ -146,11 +146,11 @@ def _bundled_tables():
     values = np.linspace(scn.sweep.minimum, scn.sweep.maximum, scn.sweep.count).tolist()
     for name, series in repro.sweep_curves(scn, values).items():
         tables[f"sweep_{name}.csv"] = (values, series)
-    stirap = repro.stirap_run(scn, area_sweep=True)
+    stirap = repro.stirap_run(scn)
     pops = stirap.trajectory.populations()
     for idx, name in enumerate(LAMBDA_LABELS):
         tables[f"stirap_{name}.csv"] = (stirap.trajectory.times, pops[:, idx])
-    tables["stirap_efficiency.csv"] = (stirap.sweep_areas, stirap.sweep_efficiencies)
+    tables["stirap_efficiency.csv"] = repro.stirap_area_sweep(scn, stirap.efficiency)
     return tables
 
 

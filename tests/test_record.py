@@ -261,9 +261,9 @@ def test_a_record_holds_arrays_read_only_and_lists_as_tuples():
     held = dynamics.Trajectory(times, np.ones((3, 1)))
     assert held.times.base is times and not held.times.flags.writeable and times.flags.writeable
     assert dynamics.Trajectory(held.times, held.amplitudes).times is held.times   # as given
-    run = repro.StirapRun(traj, 1.0, 1.0, [np.ones(2)], [0.5])
-    assert run.sweep_areas.__class__ is tuple and not run.sweep_areas[0].flags.writeable
-    assert run.sweep_efficiencies == (0.5,)
+    run = replace(repro.gate_run(_SCN), phase_profile=[np.ones(2), [0.5]])
+    assert run.phase_profile.__class__ is tuple and not run.phase_profile[0].flags.writeable
+    assert run.phase_profile[1] == (0.5,)
     assert gate.GateSchedule(list(EXAMPLES[gate.GateSchedule].steps)) == EXAMPLES[gate.GateSchedule]
 
 
