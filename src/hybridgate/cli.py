@@ -1,13 +1,13 @@
 """Scenario-driven command-line front end.
 
-    hybridgate <subcommand> --config <path> [--out <dir>] [--seed <u64>]
+    hybridgate <subcommand> [--config <path>] [--out <dir>] [--seed <u64>]
 
-Subcommands: levels, pulse, stirap, gate, budget, sweep, paper-repro.
-Output tables are CSV with a metadata comment line; identical config and
-seed produce byte-identical files. Exit codes: 0 success, 1 configuration
-error (an output file that cannot be written is one) or invalid value (a nan
-or inf in an output table or report is one; that file is not written), 2
-numerical failure.
+Subcommands: levels, pulse, stirap, gate, budget, sweep, paper-repro. Options
+may come before or after the subcommand. Output tables are CSV with a metadata
+comment line; identical config and seed produce byte-identical files. Exit
+codes: 0 success, 1 configuration error (an output file that cannot be written
+is one) or invalid value (a nan or inf in an output table or report is one;
+that file is not written), 2 numerical failure.
 """
 
 import argparse
@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .dynamics import LAMBDA_LABELS
 from .errors import ConfigError, DomainError, NumericalFailure
-from .output import ensure_out_dir, format_float, metadata_line, write_csv, write_json
-from .record import Record, fields
+from .output import format_float, metadata_line, write_csv, write_json
+from .record import Record, fields, replace
 from .repro import (budget_run, gate_run, gate_schedule, levels_run, paper_repro, raman_run,
                     stirap_area_sweep, stirap_run, sweep_curves)
 from .scenario import load_scenario_text
@@ -69,18 +69,12 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache   # built on the first run, not at import; parse_args keeps no state
 def _build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="scenario config file (default: bundled paper.cfg)")
-    common.add_argument("--out", default=None,
-                        help="output directory (default: $HYBRIDGATE_OUT or ./out)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the Monte Carlo seed from the config")
     parser = _Parser(prog="hybridgate", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hybridgate {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name in _HANDLERS:   # defined below; the parser is built at run time
-        sub.add_parser(name, parents=[common])
+    parser.add_argument("subcommand", choices=_HANDLERS)   # defined below; read at the first run
+    parser.add_argument("--config", help="scenario config file (default: bundled paper.cfg)")
+    parser.add_argument("--out", help="output directory (default: $HYBRIDGATE_OUT or ./out)")
+    parser.add_argument("--seed", type=int, help="override the Monte Carlo seed from the config")
     return parser
 
 
@@ -206,8 +200,6 @@ _HANDLERS = {
 def run(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand is None:
-        raise ConfigError(f"a subcommand is required: one of {', '.join(_HANDLERS)}")
     config_bytes = _read_config_bytes(args.config)
     config_hash = hashlib.sha256(config_bytes).hexdigest()
     try:
@@ -216,10 +208,12 @@ def run(argv):
         raise ConfigError(f"config file is not UTF-8: {exc}", key=str(args.config)) from exc
     if args.seed is not None and not 0 <= args.seed < 2 ** 64:
         raise ConfigError(f"must fit in 64 bits, got {args.seed}", key="--seed")
-    scenario = load_scenario_text(text, seed_override=args.seed)
+    scenario = load_scenario_text(text)
+    if args.seed is not None:
+        scenario = replace(scenario, noise=replace(scenario.noise, seed=args.seed))
     out_dir = args.out or os.environ.get("HYBRIDGATE_OUT") or "out"
     try:
-        ensure_out_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}", key="--out") from exc
     ctx = RunContext(out_dir=out_dir, seed=scenario.noise.seed, config_hash=config_hash)

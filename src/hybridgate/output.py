@@ -156,8 +156,3 @@ def _write_bytes(path, chunks):
         os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     finally:
         os.close(fd)
-
-
-def ensure_out_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path

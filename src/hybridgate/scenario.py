@@ -113,7 +113,7 @@ def parse_config_text(text):
         if not line or line[0] in "#;":
             continue
         if line[0] == "[" and line[-1] == "]":
-            name = line[1:-1].strip()
+            name = " ".join(line[1:-1].split())
             if not name:
                 raise ConfigError(f"line {lineno}: empty section name")
             if name in sections:
@@ -219,7 +219,7 @@ _BOUNDS = {bound: partial({">": operator.lt, ">=": operator.le}[bound.split()[0]
 def _record(sections, section, **fixed):
     """Build ``section``'s record from its table rows, removing each key read so that
     unread keys are left over. An omitted key takes its field's default. A ``fixed``
-    field that is not None replaces the value read."""
+    field replaces the value read."""
     record, rows = _KEYS[section.partition(" ")[0]]
     given = sections.get(section) or {}
     values = {}
@@ -239,7 +239,7 @@ def _record(sections, section, **fixed):
             if bound and not _BOUNDS[bound](value):
                 raise ConfigError(f"must be {bound}, got {value!r}", key=f"[{section}] {key}")
         values[field] = value
-    values.update({field: value for field, value in fixed.items() if value is not None})
+    values.update(fixed)
     try:
         return record(**values)
     except DomainError as exc:
@@ -261,19 +261,18 @@ def _atom_config(sections, section, catalog, record):
     return record(species, *states)
 
 
-def load_scenario_text(text, seed_override=None):
+def load_scenario_text(text):
     sections = parse_config_text(text)
     catalog = dict(SPECIES_PRESETS)
     for name in sections:
         if name.startswith("species "):
-            label = name[len("species "):].strip()
+            label = name[len("species "):]
             catalog[label] = _record(sections, name, name=label)
 
     qubit = _atom_config(sections, "qubit", catalog, QubitConfig)
     enabler = _atom_config(sections, "enabler", catalog, EnablerConfig)
-    records = {name: _record(sections, name) for name in
-               ("field", "raman", "stirap", "dipole", "gate", "readout", "levels", "sweep")}
-    noise = _record(sections, "noise", seed=seed_override)
+    records = {name: _record(sections, name) for name in ("field", "raman", "stirap", "dipole",
+               "gate", "noise", "readout", "levels", "sweep")}
     levels, sweep = records["levels"], records["sweep"]
     if levels.count > 1 and not levels.b_max_gauss > levels.b_min_gauss:
         raise ConfigError("b_max_G must exceed b_min_G for a multi-point grid",
@@ -294,4 +293,4 @@ def load_scenario_text(text, seed_override=None):
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
 
-    return Scenario(qubit=qubit, enabler=enabler, noise=noise, **records)
+    return Scenario(qubit=qubit, enabler=enabler, **records)

@@ -505,6 +505,13 @@ class TestExitCodes:
         assert "--seed" in err and "64 bits" in err
         assert "[noise]" not in err
 
+    def test_seed_option_does_not_hide_an_out_of_range_config_seed(self, tmp_path, capsys):
+        text = _bundled_text().replace("seed = 20260808", "seed = 18446744073709551616")
+        cfg = _write_config(tmp_path, text)
+        assert cli.main(["budget", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--seed", "5"]) == 1
+        assert "[noise]" in capsys.readouterr().err
+
     def test_inverted_qubit_names_the_sensitivity_as_a_number(self, tmp_path, capsys):
         text = _bundled_text().replace("upper_f = 2\nupper_m = 2\nlower_f = 1\nlower_m = 1",
                                        "upper_f = 1\nupper_m = 1\nlower_f = 2\nlower_m = 2")
@@ -541,6 +548,16 @@ class TestExitCodes:
     def test_no_subcommand_exits_1(self, capsys):
         assert cli.main([]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["levels", "extra"],
+                                      ["budget", "--seed", "x"]])
+    def test_usage_error_is_one_configuration_error_line(self, tmp_path, capsys, argv):
+        # argparse's wording differs across Python versions; only the frame is pinned
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hybridgate: configuration error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         assert cli.main(["levels", "--config", str(tmp_path / "nope.cfg"),
@@ -610,6 +627,16 @@ class TestEnvironment:
         cfg = _write_config(tmp_path, _bundled_text())
         assert cli.main(["sweep", "--config", cfg]) == 0
         assert (tmp_path / "envout" / "sweep_omega_dd_rad_s.csv").exists()
+
+    def test_options_before_the_subcommand_match_options_after_it(self, tmp_path, capsys):
+        first, last = tmp_path / "first", tmp_path / "last"
+        assert cli.main(["--out", str(first), "--seed", "7", "budget"]) == 0
+        first_out = capsys.readouterr().out
+        assert cli.main(["budget", "--out", str(last), "--seed", "7"]) == 0
+        assert capsys.readouterr().out == first_out
+        assert ((first / "budget_report.json").read_bytes()
+                == (last / "budget_report.json").read_bytes())
+        assert json.loads((first / "budget_report.json").read_text())["seed"] == 7
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "hybridgate", "--version"],

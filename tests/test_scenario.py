@@ -82,6 +82,14 @@ class TestParser:
         with pytest.raises(ConfigError, match=r"\[field\]: line \d+: repeated section"):
             load_scenario_text(_bundled_text() + "[field]\nb_G = 500.0\n")
 
+    @pytest.mark.parametrize("spelling", ["species  Rb85", "species\tRb85"])
+    def test_a_section_spelled_twice_is_repeated(self, spelling):
+        # a header's whitespace is normalised, so the later section cannot win
+        keys = "nuclear_spin = 2.5\nhyperfine_splitting_Hz = 3.0357e9\ng_J = 2.00233\n"
+        text = f"[species Rb85]\n{keys}[{spelling}]\n{keys}" + _bundled_text()
+        with pytest.raises(ConfigError, match=r"\[species Rb85\]: line 5: repeated section"):
+            load_scenario_text(text)
+
 
 class TestBundledScenario:
     def test_round_trip(self):
@@ -96,10 +104,6 @@ class TestBundledScenario:
         assert scn.noise.seed == 20260808
         assert scn.noise.mc_samples == 100000
         assert scn.sweep.parameter == "separation_r_m"
-
-    def test_seed_override(self):
-        scn = load_scenario_text(_bundled_text(), seed_override=99)
-        assert scn.noise.seed == 99
 
     def test_channels(self):
         scn = load_scenario_text(_bundled_text())
@@ -226,7 +230,7 @@ class TestValidation:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match=r"\[noise\]"):
-            load_scenario_text(_bundled_text(), seed_override=-5)
+            load_scenario_text(_with_replacement("seed = 20260808", "seed = -5"))
 
     def test_unknown_keys_are_listed(self):
         text = (_with_replacement("mc_samples = 100000", "mc_sample = 5000")
