@@ -30,7 +30,6 @@ from .dynamics import (
     effective_rabi,
     integrate_schrodinger,
     pi_pulse_duration,
-    simulate_stirap,
     two_level_population,
 )
 from .errors import (

@@ -5,9 +5,10 @@
 Subcommands: levels, pulse, stirap, gate, budget, sweep, paper-repro. Options
 may come before or after the subcommand. Output tables are CSV with a metadata
 comment line; identical config and seed produce byte-identical files. Exit
-codes: 0 success, 1 configuration error (an output file that cannot be written
-is one) or invalid value (a nan or inf in an output table or report is one;
-that file is not written), 2 numerical failure.
+codes: 0 success (-h and --version return it too), 1 configuration error (an
+empty --out or an output file that cannot be written is one) or invalid value
+(a nan or inf in an output table or report is one; that file is not written),
+2 numerical failure.
 """
 
 import argparse
@@ -199,7 +200,10 @@ _HANDLERS = {
 
 def run(argv):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse, after printing -h or --version
+        return exc.code
     config_bytes = _read_config_bytes(args.config)
     config_hash = hashlib.sha256(config_bytes).hexdigest()
     try:
@@ -211,7 +215,8 @@ def run(argv):
     scenario = load_scenario_text(text)
     if args.seed is not None:
         scenario = replace(scenario, noise=replace(scenario.noise, seed=args.seed))
-    out_dir = args.out or os.environ.get("HYBRIDGATE_OUT") or "out"
+    # an empty --out is refused by makedirs below; an empty HYBRIDGATE_OUT counts as unset
+    out_dir = args.out if args.out is not None else os.environ.get("HYBRIDGATE_OUT") or "out"
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

@@ -495,8 +495,3 @@ def stirap_trajectory(pump, stokes, delta_e_rad_s, delta_rad_s, psi0=(1.0, 0.0, 
     grid = np.linspace(t0, t1, STIRAP_POINTS)
     return integrate_schrodinger(hfunc, psi0, grid)
 
-
-def simulate_stirap(pump, stokes, delta_e_rad_s, delta_rad_s):
-    """Transfer efficiency: final molecular population of the pulse sequence."""
-    traj = stirap_trajectory(pump, stokes, delta_e_rad_s, delta_rad_s)
-    return float(traj.final_populations()[2])

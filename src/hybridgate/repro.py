@@ -21,17 +21,6 @@ LOSS_BENCHMARK_S = 20e-6       # fixed gate-duration benchmark for the loss figu
 STIRAP_SWEEP_FACTORS = np.geomspace(0.01, 1.0, 8)   # ends at exactly 1.0, the full drive
 
 
-def _stirap_args(scn, peak_factor=1.0):
-    """(pump, stokes, delta_e, delta) of the configured STIRAP transfer: the
-    Stokes pulse first (the counterintuitive order), its window from 0."""
-    peak = scn.stirap.peak_rad_s * peak_factor
-    sigma = scn.stirap.rms_width_s
-    margin = dynamics.GAUSSIAN_CUTOFF_SIGMAS * sigma
-    return (dynamics.PulseEnvelope(peak, margin + scn.stirap.separation_s, sigma),
-            dynamics.PulseEnvelope(peak, margin, sigma),
-            scn.stirap.delta_e_rad_s, scn.stirap.delta_rad_s)
-
-
 def _fd_sensitivity_max_rel_err(scn):
     sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
     b = np.array(FD_CHECK_FIELDS_G)
@@ -114,8 +103,14 @@ def stirap_run(scn):
     The two routes differ by the integrator's error alone, which a
     two-photon detuning makes first order at the pulse cut-offs.
     """
+    st = scn.stirap
+    margin = dynamics.GAUSSIAN_CUTOFF_SIGMAS * st.rms_width_s
+    # the Stokes pulse first (the counterintuitive order), its window from 0
+    pump = dynamics.PulseEnvelope(st.peak_rad_s, margin + st.separation_s, st.rms_width_s)
+    stokes = dynamics.PulseEnvelope(st.peak_rad_s, margin, st.rms_width_s)
     atoms_and_molecule = np.eye(3)[[0, 2]]
-    both = dynamics.stirap_trajectory(*_stirap_args(scn), psi0=atoms_and_molecule)
+    both = dynamics.stirap_trajectory(pump, stokes, st.delta_e_rad_s, st.delta_rad_s,
+                                      psi0=atoms_and_molecule)
     traj = dynamics.Trajectory(both.times, both.amplitudes[0])
     efficiency = float(traj.final_populations()[2])
     reversed_efficiency = float(both.final_populations()[1, 0])
@@ -124,12 +119,15 @@ def stirap_run(scn):
 
 def stirap_area_sweep(scn, efficiency):
     """(areas, efficiencies): the transfer efficiency at each pulse area
-    omega0 * rms width of STIRAP_SWEEP_FACTORS times the configured peak.
+    omega0 * rms width of STIRAP_SWEEP_FACTORS times the configured peak,
+    each from stirap_run with [stirap] peak_rad_s scaled by its factor.
     The last factor is the full drive, whose efficiency (stirap_run's) the
     caller gives, so only the weaker drives are integrated."""
-    sweep = [dynamics.simulate_stirap(*_stirap_args(scn, peak_factor=float(factor)))
-             for factor in STIRAP_SWEEP_FACTORS[:-1]] + [efficiency]
-    return STIRAP_SWEEP_FACTORS * scn.stirap.peak_rad_s * scn.stirap.rms_width_s, sweep
+    st = scn.stirap
+    weaker = [replace(scn, stirap=replace(st, peak_rad_s=st.peak_rad_s * float(factor)))
+              for factor in STIRAP_SWEEP_FACTORS[:-1]]
+    sweep = [stirap_run(s).efficiency for s in weaker] + [efficiency]
+    return STIRAP_SWEEP_FACTORS * st.peak_rad_s * st.rms_width_s, sweep
 
 
 class GateRun(Record):

@@ -295,10 +295,12 @@ class TestPaperRepro:
         # stirap_run reads the reversed order from its molecule row by time
         # reversal; integrating the swapped pulses from the atoms agrees
         scn = load_scenario_text(_bundled_text())
-        pump, stokes, delta_e, delta = repro._stirap_args(scn)
-        direct = dynamics.simulate_stirap(replace(pump, center_s=stokes.center_s),
-                                          replace(stokes, center_s=pump.center_s),
-                                          delta_e, delta)
+        st = scn.stirap
+        margin = dynamics.GAUSSIAN_CUTOFF_SIGMAS * st.rms_width_s
+        pump = dynamics.PulseEnvelope(st.peak_rad_s, margin, st.rms_width_s)   # pump first
+        stokes = dynamics.PulseEnvelope(st.peak_rad_s, margin + st.separation_s, st.rms_width_s)
+        direct = dynamics.stirap_trajectory(pump, stokes, st.delta_e_rad_s,
+                                            st.delta_rad_s).final_populations()[2]
         assert repro.stirap_run(scn).reversed_efficiency == pytest.approx(direct, abs=1e-12)
 
     def test_seed_override_changes_contrast(self, tmp_path):
@@ -340,18 +342,22 @@ class TestStageRecords:
             with pytest.raises(ValueError):
                 traj.amplitudes[0, 0] = 5.0
 
-    def test_area_sweep_integrates_all_but_the_full_drive(self):
+    @pytest.mark.parametrize("detuned", [False, True], ids=["bundled", "detuned"])
+    def test_area_sweep_integrates_all_but_the_full_drive(self, detuned):
         # the last point is the efficiency the caller passes from stirap_run;
-        # every other one is the transfer integrated at its peak factor
-        stirap = repro.stirap_run(self.SCN)
-        areas, efficiencies = repro.stirap_area_sweep(self.SCN, stirap.efficiency)
+        # every other one is stirap_run on the config with its peak scaled
+        scn = self.SCN
+        if detuned:
+            scn = replace(scn, stirap=replace(scn.stirap, delta_e_rad_s=2e6, delta_rad_s=3e4))
+        stirap = repro.stirap_run(scn)
+        areas, efficiencies = repro.stirap_area_sweep(scn, stirap.efficiency)
         factors = repro.STIRAP_SWEEP_FACTORS
-        assert np.array_equal(areas, factors * self.SCN.stirap.peak_rad_s
-                              * self.SCN.stirap.rms_width_s)
+        peak = scn.stirap.peak_rad_s
+        assert np.array_equal(areas, factors * peak * scn.stirap.rms_width_s)
         assert len(efficiencies) == len(factors) and efficiencies[-1] == stirap.efficiency
         for factor, efficiency in zip(factors[:-1], efficiencies):
-            assert efficiency == dynamics.simulate_stirap(
-                *repro._stirap_args(self.SCN, peak_factor=float(factor)))
+            scaled = replace(scn, stirap=replace(scn.stirap, peak_rad_s=peak * float(factor)))
+            assert efficiency == repro.stirap_run(scaled).efficiency
 
     def test_gate_phase_is_the_last_profile_point(self):
         gr = repro.gate_run(self.SCN)
@@ -559,6 +565,29 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("env_out", [None, "envout"])
+    def test_empty_out_is_refused(self, tmp_path, capsys, monkeypatch, env_out):
+        # an explicit --out "" is not the default: it neither writes into ./out
+        # nor falls back to $HYBRIDGATE_OUT
+        monkeypatch.chdir(tmp_path)
+        if env_out is None:
+            monkeypatch.delenv("HYBRIDGATE_OUT", raising=False)
+        else:
+            monkeypatch.setenv("HYBRIDGATE_OUT", env_out)
+        assert cli.main(["levels", "--out", ""]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hybridgate: configuration error: --out: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["levels", "-h"]])
+    def test_help_and_version_return_0(self, capsys, argv):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        if argv == ["--version"]:
+            assert out == f"hybridgate {__version__}\n"
+        else:
+            assert out.startswith("usage: hybridgate")
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         assert cli.main(["levels", "--config", str(tmp_path / "nope.cfg"),
                          "--out", str(tmp_path / "o")]) == 1
@@ -627,6 +656,12 @@ class TestEnvironment:
         cfg = _write_config(tmp_path, _bundled_text())
         assert cli.main(["sweep", "--config", cfg]) == 0
         assert (tmp_path / "envout" / "sweep_omega_dd_rad_s.csv").exists()
+
+    def test_empty_env_out_counts_as_unset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HYBRIDGATE_OUT", "")
+        assert cli.main(["sweep"]) == 0
+        assert (tmp_path / "out" / "sweep_omega_dd_rad_s.csv").exists()
 
     def test_options_before_the_subcommand_match_options_after_it(self, tmp_path, capsys):
         first, last = tmp_path / "first", tmp_path / "last"

@@ -22,7 +22,6 @@ from hybridgate.dynamics import (
     lambda_matrix,
     pi_pulse_duration,
     raman_trajectory,
-    simulate_stirap,
     stirap_trajectory,
     two_level_population,
 )
@@ -52,6 +51,11 @@ def _stirap_setup(peak_factor=1.0, reversed_order=False, sigma=30e-6, separation
     if reversed_order:
         t_stokes, t_pump = t_pump, t_stokes
     return PulseEnvelope(peak, t_pump, sigma), PulseEnvelope(peak, t_stokes, sigma)
+
+
+def _stirap_efficiency(pump, stokes, delta_e, delta):
+    """Final molecule population of a STIRAP run from the atoms."""
+    return float(stirap_trajectory(pump, stokes, delta_e, delta).final_populations()[2])
 
 
 def _raman_final_populations(params, duration_s):
@@ -922,16 +926,16 @@ class TestStirap:
         assert traj.norm_drift < 1e-9
 
     def test_reversed_order_is_worse(self):
-        eff = simulate_stirap(*_stirap_setup(), 0.0, 0.0)
-        assert simulate_stirap(*_stirap_setup(reversed_order=True), 0.0, 0.0) < eff
+        eff = _stirap_efficiency(*_stirap_setup(), 0.0, 0.0)
+        assert _stirap_efficiency(*_stirap_setup(reversed_order=True), 0.0, 0.0) < eff
 
     def test_weak_drive_fails_adiabaticity(self):
-        assert simulate_stirap(*_stirap_setup(peak_factor=0.01), 0.0, 0.0) < 0.9
+        assert _stirap_efficiency(*_stirap_setup(peak_factor=0.01), 0.0, 0.0) < 0.9
 
     def test_one_photon_detuning_tolerated(self):
         # the transfer rides the dark state, which has no excited component,
         # so a moderate one-photon detuning barely degrades it
-        assert simulate_stirap(*_stirap_setup(), 5e5, 0.0) > 0.99
+        assert _stirap_efficiency(*_stirap_setup(), 5e5, 0.0) > 0.99
 
     def test_grid_spacing_must_resolve_the_narrower_pulse(self):
         # The grid runs from the Stokes start (0) to the pump end (8 sigma +
@@ -961,7 +965,7 @@ class TestStirapTimeReversal:
     @pytest.mark.parametrize("delta_e, delta, tol", [(0.0, 0.0, 1e-12), (2e6, 3e4, 1e-10)],
                              ids=["bundled", "detuned"])
     def test_molecule_row_gives_the_reversed_order(self, delta_e, delta, tol):
-        direct = simulate_stirap(*_stirap_setup(reversed_order=True), delta_e, delta)
+        direct = _stirap_efficiency(*_stirap_setup(reversed_order=True), delta_e, delta)
         both = stirap_trajectory(*_stirap_setup(), delta_e, delta, psi0=self.ATOMS_AND_MOLECULE)
         assert both.amplitudes.shape == (2, STIRAP_POINTS, 3)
         assert both.final_populations()[1, 0] == pytest.approx(direct, abs=tol)

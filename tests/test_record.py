@@ -28,9 +28,11 @@ def _examples():
     its runs."""
     raman, gate_run = repro.raman_run(_SCN), repro.gate_run(_SCN)
     budget_run = repro.budget_run(_SCN, gate_run.schedule)
+    st = _SCN.stirap
+    pulse = dynamics.PulseEnvelope(st.peak_rad_s, st.separation_s, st.rms_width_s)
     records = [_SCN, *fields(_SCN).values(), _SCN.qubit.species, _SCN.qubit.upper,
                _SCN.qubit_channels("storage")[0], repro.levels_run(_SCN), raman, raman.reduction,
-               raman.drive, raman.trajectory, repro.stirap_run(_SCN), repro._stirap_args(_SCN)[0],
+               raman.drive, raman.trajectory, repro.stirap_run(_SCN), pulse,
                gate_run, gate_run.induced, gate_run.schedule, gate_run.schedule.steps[0], budget_run, budget_run.report,
                budget.adiabaticity_check(1e-5, 1e6), cli.RunContext("out", 0, "0"),
                scenario._record(scenario.parse_config_text(_TEXT), "qubit")]
