@@ -1,12 +1,14 @@
 """The config-extremes grid: every numeric key of the bundled paper.cfg set to
-0, -1, 1e-300 and 1e300, one at a time, through each subcommand of cli.main.
+0, -1, 1e-300, 1e300 and 10^20 written out as an integer, one at a time, through
+each subcommand of cli.main. An integer key reads 1e300 as no integer at all, and
+10^20 as an integer far past any count, seed or quantum number the tool accepts.
 
 No exception may escape main and no warning may be raised. A run that exits 0
 must write only finite numbers: no file it wrote and no stdout line may hold
 nan, inf or null. Each check of a paper-repro run that exits 0 has a low bound,
 a high bound or both, no key outside {name, kind, value, low, high, pass}, and
-passes exactly when low <= value <= high. 42 keys x 4 values x 7 subcommands =
-1176 runs.
+passes exactly when low <= value <= high. 42 keys x 5 values x 7 subcommands =
+1470 runs.
 
 Run it with ``PYTHONPATH=src python -m pytest -q ci/test_config_grid.py``; it
 sits outside the Tier-1 testpaths because it takes longer than the suite's
@@ -24,7 +26,7 @@ from hybridgate import cli
 
 BUNDLED = resources.files("hybridgate").joinpath("data/paper.cfg").read_text()
 SUBCOMMANDS = tuple(cli._HANDLERS)
-VALUES = ("0", "-1", "1e-300", "1e300")
+VALUES = ("0", "-1", "1e-300", "1e300", "100000000000000000000")
 NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity|null)\b")
 CHECK_KEYS = {"name", "kind", "value", "low", "high", "pass"}
 

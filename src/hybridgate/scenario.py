@@ -155,7 +155,8 @@ def _atom_rows(record):
 # One row per config key: (record field, key, bound), grouped by the section whose
 # record they build ("species": each [species <name>]). The record class declares each
 # field's kind, float, int or str, as its annotation, and its default, if the key has
-# one. A number read must be finite and meet its bound, "> x" or ">= x", if it has one.
+# one. A number read must be finite and meet its bound, if it has one: "> x", ">= x", or
+# for a count that sets the work of a run, ">= x, <= y".
 _KEYS = {
     "species": (AtomSpecies, (
         ("nuclear_spin", "nuclear_spin", None),
@@ -195,25 +196,33 @@ _KEYS = {
         ("gamma_inelastic_per_s", "gamma_inelastic_per_s", ">= 0"),
         ("trap_frequency_hz", "trap_frequency_Hz", "> 0"),
         ("seed", "seed", ">= 0"),
-        ("mc_samples", "mc_samples", ">= 1000"))),
+        ("mc_samples", "mc_samples", ">= 1000, <= 1000000000"))),
     "readout": (ReadoutConfig, (
         ("splitting_hz", "splitting_Hz", "> 0"),
         ("selectivity_factor", "selectivity_factor", "> 0"))),
     "levels": (LevelsConfig, (
         ("b_min_gauss", "b_min_G", ">= 0"),
         ("b_max_gauss", "b_max_G", ">= 0"),
-        ("count", "count", ">= 1"))),
+        ("count", "count", ">= 1, <= 10000000"))),
     "sweep": (SweepConfig, (
         ("parameter", "parameter", None),
         ("minimum", "min", None),
         ("maximum", "max", None),
-        ("count", "count", ">= 2"))),
+        ("count", "count", ">= 2, <= 1000000"))),
 }
 
-# Each bound text as a test of the value ("> x" is x < value), parsed once here.
-_BOUNDS = {bound: partial({">": operator.lt, ">=": operator.le}[bound.split()[0]],
-                          float(bound.split()[1]))
-           for _, rows in _KEYS.values() for *_, bound in rows if bound}
+_SIDES = {">": operator.lt, ">=": operator.le, "<=": operator.ge}
+
+
+def _bound_test(bound):
+    """``bound`` as a test of the value: "> x" is x < value, and a value meets
+    ">= x, <= y" when it meets both sides."""
+    sides = [partial(_SIDES[op], float(limit)) for op, limit in map(str.split, bound.split(", "))]
+    return lambda value: all(side(value) for side in sides)
+
+
+# Each bound text as a test of the value, parsed once here.
+_BOUNDS = {bound: _bound_test(bound) for _, rows in _KEYS.values() for *_, bound in rows if bound}
 
 
 def _record(sections, section, **fixed):

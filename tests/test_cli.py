@@ -56,7 +56,8 @@ def _with_key(text, section, key, value):
     return head + header + body
 
 
-# Config values at the edge of float range, each with the subcommand it breaks.
+# Config values at the edge of float range, and counts past their work bound, each
+# with the subcommand it breaks. Each is refused: exit 1 with one line on stderr.
 CONFIG_EXTREMES = [
     ("pulse", "raman", "omega_p_rad_s", "1e300"),
     ("pulse", "raman", "omega_p_rad_s", "1e-300"),
@@ -74,6 +75,10 @@ CONFIG_EXTREMES = [
     ("levels", "field", "b_G", "1e300"),
     ("sweep", "dipole", "e_dc_V_per_m", "1e300"),
     ("sweep", "sweep", "min", "0.0"),   # sigma_B_G from 0: below the key's > 0 bound
+    # each past its upper bound: its first array would take 728 TiB or more
+    ("budget", "noise", "mc_samples", "100000000000000000000"),
+    ("levels", "levels", "count", "100000000000000"),
+    ("sweep", "sweep", "count", "100000000000000"),
 ]
 
 
@@ -394,6 +399,10 @@ class TestOtherSubcommands:
         assert 180e-6 <= report["dephasing_time_s"] <= 250e-6
         assert report["adiabaticity_ok"] is True
         assert 8 <= report["operations_count"] <= 12
+        # strict JSON: no null, and no NaN or Infinity, which json.loads reads as floats
+        for key, value in report.items():
+            assert isinstance(value, (str, int, float, bool)), (key, value)
+            assert not isinstance(value, float) or math.isfinite(value), (key, value)
 
     def test_budget_builds_the_schedule_without_the_phase_profile(self, tmp_path, monkeypatch):
         def refuse(*args):
@@ -460,19 +469,16 @@ class TestOtherSubcommands:
 class TestExitCodes:
     @pytest.mark.parametrize("subcommand, section, key, value", CONFIG_EXTREMES)
     def test_config_extremes_exit_cleanly(self, tmp_path, capsys, subcommand, section, key, value):
-        # No exception or warning escapes main; exit 0 writes only finite numbers, exit 1
-        # prints one line and writes nothing.
+        # No exception or warning escapes main: it exits 1, prints one line and
+        # writes nothing.
         text = (_sweep_text("sigma_B_G", value, 1e-3) if (section, key) == ("sweep", "min")
                 else _with_key(_bundled_text(), section, key, value))
         out = tmp_path / "o"
         code = cli.main([subcommand, "--config", _write_config(tmp_path, text), "--out", str(out)])
         err = capsys.readouterr().err
-        if code == 0:
-            for path in out.glob("*.csv"):
-                assert np.isfinite(_read_csv(path)[1]).all(), path.name
-        else:
-            assert err.startswith("hybridgate: ") and err.count("\n") == 1, err
-            assert not out.exists() or not any(out.iterdir())
+        assert code == 1
+        assert err.startswith("hybridgate: ") and err.count("\n") == 1, err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_non_finite_table_value_is_named_and_not_written(self, tmp_path):
         ctx = cli.RunContext(out_dir=str(tmp_path), seed=0, config_hash="0")
