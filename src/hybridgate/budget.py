@@ -34,6 +34,7 @@ from .record import Record
 MC_CHUNK = 65536
 MC_BLOCK = 32768
 MC_MIN_SAMPLES = 1000   # fewer give no meaningful contrast
+MC_MAX_SAMPLES = 10 ** 9   # about 19 s of sampling; more is refused before any allocation
 
 ADIABATIC_MIN_PERIODS = 3.0
 
@@ -61,9 +62,10 @@ class NoiseModel(Record):
             raise DomainError(f"trap frequency must be > 0 Hz, got {self.trap_frequency_hz!r}")
         if not _is_integer(self.seed) or not 0 <= int(self.seed) < 2 ** 64:
             raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not _is_integer(self.mc_samples) or self.mc_samples < MC_MIN_SAMPLES:
-            raise DomainError(f"mc_samples must be an integer >= {MC_MIN_SAMPLES}, "
-                              f"got {self.mc_samples!r}")
+        if not _is_integer(self.mc_samples) or not (
+                MC_MIN_SAMPLES <= self.mc_samples <= MC_MAX_SAMPLES):
+            raise DomainError(f"mc_samples must be an integer in [{MC_MIN_SAMPLES}, "
+                              f"{MC_MAX_SAMPLES}], got {self.mc_samples!r}")
 
 
 class AdiabaticityResult(Record):
@@ -121,9 +123,9 @@ def ramsey_contrast_mc(sensitivity_hz_per_g, sigma_b_gauss, t_s, n_samples, seed
     order. A chunk is drawn and reduced in blocks of MC_BLOCK samples, in
     stream order, and its sums are the sums of the block sums in that order.
     """
-    if not _is_integer(n_samples) or n_samples < MC_MIN_SAMPLES:
-        raise DomainError(f"need an integer n_samples >= {MC_MIN_SAMPLES} for a meaningful "
-                          f"contrast, got {n_samples!r}")
+    if not _is_integer(n_samples) or not MC_MIN_SAMPLES <= n_samples <= MC_MAX_SAMPLES:
+        raise DomainError(f"need an integer n_samples in [{MC_MIN_SAMPLES}, {MC_MAX_SAMPLES}] "
+                          f"for a meaningful contrast, got {n_samples!r}")
     if not _is_integer(seed) or not 0 <= int(seed) < 2 ** 64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not (sigma_b_gauss >= 0 and math.isfinite(sigma_b_gauss)):

@@ -25,8 +25,8 @@ from .dynamics import LAMBDA_LABELS
 from .errors import ConfigError, DomainError, NumericalFailure
 from .output import format_float, metadata_line, write_csv, write_json
 from .record import Record, fields, replace
-from .repro import (budget_run, gate_run, gate_schedule, levels_run, paper_repro, raman_run,
-                    stirap_area_sweep, stirap_run, sweep_curves)
+from .repro import (budget_run, gate_run, levels_run, paper_repro, raman_run, stirap_area_sweep,
+                    stirap_run, sweep_curves)
 from .scenario import load_scenario_text
 
 
@@ -151,7 +151,7 @@ def _cmd_gate(scn, ctx):
 
 
 def _cmd_budget(scn, ctx):
-    budget = budget_run(scn, gate_schedule(scn)[2])
+    budget = budget_run(scn)
     report = budget.report
     ctx.report("budget_report.json", {"sensitivity_hz_per_g": budget.sensitivity_hz_per_g,
                                       **fields(report),
@@ -166,8 +166,7 @@ def _cmd_budget(scn, ctx):
 
 
 def _cmd_sweep(scn, ctx):
-    values = np.linspace(scn.sweep.minimum, scn.sweep.maximum, scn.sweep.count).tolist()
-    curves = sweep_curves(scn, values)
+    values, curves = sweep_curves(scn)
     for name, series in curves.items():
         ctx.table(f"sweep_{name}.csv", (scn.sweep.parameter.lower(), name), values, series)
     print(f"sweep: {scn.sweep.parameter} over [{scn.sweep.minimum}, {scn.sweep.maximum}] "

@@ -46,7 +46,9 @@ def levels_run(scn):
     grid = np.linspace(scn.levels.b_min_gauss, scn.levels.b_max_gauss, scn.levels.count)
     sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
     states = hyperfine.all_states(sp)
-    energies = np.array([hyperfine.breit_rabi_energy(sp, state, grid) for state in states])
+    energies = np.empty((len(states), len(grid)))   # filled a row at a time, not copied whole
+    for row, state in zip(energies, states):
+        row[:] = hyperfine.breit_rabi_energy(sp, state, grid)
     return LevelsRun(grid, states, energies, hyperfine.transition_frequency(sp, up, lo, grid),
                      hyperfine.field_sensitivity(sp, up, lo, grid),
                      hyperfine.transition_frequency(sp, up, lo, scn.field.b_gauss))
@@ -122,7 +124,9 @@ def stirap_area_sweep(scn, efficiency):
     omega0 * rms width of STIRAP_SWEEP_FACTORS times the configured peak,
     each from stirap_run with [stirap] peak_rad_s scaled by its factor.
     The last factor is the full drive, whose efficiency (stirap_run's) the
-    caller gives, so only the weaker drives are integrated."""
+    caller gives, so only the weaker drives are integrated: the stirap
+    subcommand runs stirap_run anyway, and would otherwise integrate the
+    full drive twice."""
     st = scn.stirap
     weaker = [replace(scn, stirap=replace(st, peak_rad_s=st.peak_rad_s * float(factor)))
               for factor in STIRAP_SWEEP_FACTORS[:-1]]
@@ -184,7 +188,8 @@ def _qubit_sensitivity(scn):
     return hyperfine.field_sensitivity(sp, up, lo, b)
 
 
-def budget_run(scn, schedule):
+def budget_run(scn):
+    schedule = gate_schedule(scn)[2]
     sens = _qubit_sensitivity(scn)
     report = budget.assemble_budget(scn.noise, abs(sens), schedule, scn.readout.splitting_hz,
                                     selectivity_factor=scn.readout.selectivity_factor)
@@ -193,29 +198,35 @@ def budget_run(scn, schedule):
     return BudgetRun(sens, report, contrast)
 
 
-def sweep_curves(scn, values):
-    """Quantities computed along the ``[sweep] parameter`` axis at ``values``,
-    one dict entry per curve."""
-    param = scn.sweep.parameter
-    ind = gate.induced_dipole(scn.dipole)
+def sweep_curves(scn):
+    """(values, curves): the ``[sweep]`` grid of count Python floats from min to
+    max, and the quantities computed along the ``parameter`` axis at those
+    values, one dict entry per curve. Only the axes that read the configured
+    induced dipole compute it, so it cannot fail a b_G or sigma_B_G sweep."""
+    sw = scn.sweep
+    values = np.linspace(sw.minimum, sw.maximum, sw.count).tolist()
+    param = sw.parameter
     if param == "separation_r_m":
-        return {"omega_dd_rad_s":
-                [gate.dipole_dipole_rate(ind.mu_induced_debye, r) for r in values]}
+        mu_induced = gate.induced_dipole(scn.dipole).mu_induced_debye
+        return values, {"omega_dd_rad_s":
+                        [gate.dipole_dipole_rate(mu_induced, r) for r in values]}
     sp, up, lo = scn.qubit.species, scn.qubit.upper, scn.qubit.lower
     if param == "b_G":
         b = np.array(values)
-        return {"transition_hz": hyperfine.transition_frequency(sp, up, lo, b),
-                "sensitivity_hz_per_g": hyperfine.field_sensitivity(sp, up, lo, b)}
+        return values, {"transition_hz": hyperfine.transition_frequency(sp, up, lo, b),
+                        "sensitivity_hz_per_g": hyperfine.field_sensitivity(sp, up, lo, b)}
     if param == "sigma_B_G":
         sens = abs(_qubit_sensitivity(scn))
-        return {"dephasing_time_s": [budget.dephasing_time(sens, s) for s in values]}
+        return values, {"dephasing_time_s": [budget.dephasing_time(sens, s) for s in values]}
     if param == "omega_R_rad_s":
-        omega_dd = gate.dipole_dipole_rate(ind.mu_induced_debye, scn.dipole.separation_m)
-        return {"pi_pulse_duration_s": [dynamics.pi_pulse_duration(dynamics.TwoLevelParams(w, 0.0))
-                                        for w in values],
-                "interaction_time_s": [gate.interaction_time_for_pi(omega_dd, w) for w in values]}
+        omega_dd = gate.dipole_dipole_rate(gate.induced_dipole(scn.dipole).mu_induced_debye,
+                                           scn.dipole.separation_m)
+        return values, {
+            "pi_pulse_duration_s": [dynamics.pi_pulse_duration(dynamics.TwoLevelParams(w, 0.0))
+                                    for w in values],
+            "interaction_time_s": [gate.interaction_time_for_pi(omega_dd, w) for w in values]}
     if param == "mu_permanent_D":
-        return {"omega_dd_rad_s": [gate.dipole_dipole_rate(
+        return values, {"omega_dd_rad_s": [gate.dipole_dipole_rate(
             gate.induced_dipole(replace(scn.dipole, mu_permanent_debye=mu)).mu_induced_debye,
             scn.dipole.separation_m) for mu in values]}
     raise ConfigError(f"unknown sweep parameter {param!r}", key="[sweep] parameter")
@@ -245,7 +256,7 @@ def paper_repro(scn):
 
     gr = gate_run(scn)
     omega_dd = gr.omega_dd_rad_s
-    br = budget_run(scn, gr.schedule)
+    br = budget_run(scn)
     single = gate.GateSchedule((gate.Step("raman_down", math.pi / omega_r,
                                           dynamics.TwoLevelParams(omega_r, 0.0)),))
     phi_single = float(gate.accumulated_phase_profile(omega_dd, single)[1][-1])

@@ -13,7 +13,7 @@ import math
 import operator
 from functools import partial
 
-from .budget import NoiseModel
+from .budget import MC_MAX_SAMPLES, MC_MIN_SAMPLES, NoiseModel
 from .dynamics import LambdaParams
 from .errors import ConfigError, DomainError
 from .gate import DipoleParams
@@ -196,7 +196,7 @@ _KEYS = {
         ("gamma_inelastic_per_s", "gamma_inelastic_per_s", ">= 0"),
         ("trap_frequency_hz", "trap_frequency_Hz", "> 0"),
         ("seed", "seed", ">= 0"),
-        ("mc_samples", "mc_samples", ">= 1000, <= 1000000000"))),
+        ("mc_samples", "mc_samples", f">= {MC_MIN_SAMPLES}, <= {MC_MAX_SAMPLES}"))),
     "readout": (ReadoutConfig, (
         ("splitting_hz", "splitting_Hz", "> 0"),
         ("selectivity_factor", "selectivity_factor", "> 0"))),

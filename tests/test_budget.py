@@ -154,6 +154,15 @@ class TestRamseyContrast:
         with pytest.raises(DomainError):
             ramsey_contrast_mc(SENS, SIGMA, 1e-4, 999, 0)
 
+    def test_sample_count_above_the_bound_rejected_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+        monkeypatch.setattr(threading, "Thread", refuse)
+        monkeypatch.setattr(np.random, "Philox", refuse)
+        for n in (budget.MC_MAX_SAMPLES + 1, 10 ** 20):
+            with pytest.raises(DomainError, match=r"integer n_samples in \[1000, 1000000000\]"):
+                ramsey_contrast_mc(SENS, SIGMA, 1e-4, n, 0)
+
     @pytest.mark.parametrize("n", [2000.5, 100000.0, True, "100000", math.nan])
     def test_non_integer_sample_count_rejected(self, n):
         with pytest.raises(DomainError, match="integer n_samples"):

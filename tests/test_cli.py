@@ -158,18 +158,33 @@ class TestSweep:
         assert trans[0][1] == 6.835e9
         assert sens.shape == (64, 2)
 
+    @pytest.mark.parametrize("parameter, minimum, maximum", [("b_G", 0.0, 1000.0),
+                                                             ("sigma_B_G", 1e-5, 1e-3)])
+    def test_qubit_axes_do_not_read_the_dipole(self, tmp_path, parameter, minimum, maximum):
+        # an induced dipole that overflows is an error of the stages that use it
+        text = _sweep_text(parameter, minimum, maximum)
+        tables = []
+        for name, config in (("bundled", text),
+                             ("overflowing", _with_key(text, "dipole", "rotational_const_Hz",
+                                                       "1e-300"))):
+            out = tmp_path / name
+            assert cli.main(["sweep", "--config", _write_config(tmp_path, config, f"{name}.cfg"),
+                             "--out", str(out)]) == 0
+            tables.append({p.name: p.read_text().splitlines()[1:] for p in out.iterdir()})
+        assert len(tables[0]) == {"b_G": 2, "sigma_B_G": 1}[parameter]
+        assert tables[0] == tables[1]
+
     def test_noise_sweep_keeps_t_phi_times_sigma(self):
         scn = load_scenario_text(_sweep_text("sigma_B_G", 1e-5, 1e-3))
-        values = np.linspace(1e-5, 1e-3, 16).tolist()
-        t_phi = np.array(repro.sweep_curves(scn, values)["dephasing_time_s"])
+        values, curves = repro.sweep_curves(scn)
+        t_phi = np.array(curves["dephasing_time_s"])
         sens = field_sensitivity(scn.qubit.species, scn.qubit.upper, scn.qubit.lower,
                                  scn.field.b_gauss)
         np.testing.assert_allclose(t_phi * values, 1.0 / (2.0 * math.pi * sens), rtol=1e-12)
 
     def test_rabi_sweep_gives_pi_pulse_and_wait(self):
         scn = load_scenario_text(_sweep_text("omega_R_rad_s", 5e5, 5e6))
-        values = np.linspace(5e5, 5e6, 16).tolist()
-        curves = repro.sweep_curves(scn, values)
+        values, curves = repro.sweep_curves(scn)
         omega_dd = repro.gate_run(scn).omega_dd_rad_s
         np.testing.assert_allclose(curves["pi_pulse_duration_s"], np.pi / np.array(values),
                                    rtol=1e-15)
@@ -177,12 +192,15 @@ class TestSweep:
                                                 for w in values]
 
     def test_dipole_sweep_scales_as_mu_to_the_fourth(self):
-        scn = load_scenario_text(_sweep_text("mu_permanent_D", 1.0, 6.0))
+        # 26 points from 1 to 6 D step by 0.2 D: the configured 4.2 D is point 16
+        scn = load_scenario_text(_with_key(_sweep_text("mu_permanent_D", 1.0, 6.0),
+                                           "sweep", "count", 26))
         mu = scn.dipole.mu_permanent_debye
-        values = [1.0, 2.5, mu, 6.0]
-        omega = np.array(repro.sweep_curves(scn, values)["omega_dd_rad_s"])
-        np.testing.assert_allclose(omega / np.array(values) ** 4, omega[2] / mu ** 4, rtol=1e-12)
-        assert omega[2] == pytest.approx(repro.gate_run(scn).omega_dd_rad_s, rel=1e-12)
+        values, curves = repro.sweep_curves(scn)
+        assert values[16] == mu
+        omega = np.array(curves["omega_dd_rad_s"])
+        np.testing.assert_allclose(omega / np.array(values) ** 4, omega[16] / mu ** 4, rtol=1e-12)
+        assert omega[16] == pytest.approx(repro.gate_run(scn).omega_dd_rad_s, rel=1e-12)
 
     @pytest.mark.parametrize("parameter, minimum, maximum, curves", [
         ("sigma_B_G", 1e-5, 1e-3, ["dephasing_time_s"]),

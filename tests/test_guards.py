@@ -11,6 +11,7 @@ from hybridgate.dynamics import LambdaParams, PulseEnvelope, TwoLevelParams, int
 from hybridgate.errors import DomainError
 from hybridgate.gate import DipoleParams
 from hybridgate.hyperfine import AtomSpecies
+from hybridgate.record import replace
 
 NAN, INF = math.nan, math.inf
 
@@ -61,10 +62,20 @@ def test_noise_model_takes_an_integer_seed_in_64_bits(seed):
     assert NoiseModel(1e-4, 0.0, 1e5, seed=seed).seed is seed
 
 
-@pytest.mark.parametrize("n", [1000, 10 ** 12, np.int64(1000), np.uint32(100000)])
+@pytest.mark.parametrize("n", [1000, 10 ** 9, np.int64(1000), np.uint32(100000)])
 def test_noise_model_takes_an_integer_sample_count_of_at_least_1000(n):
     assert NoiseModel(1e-4, 0.0, 1e5, mc_samples=n).mc_samples is n
     assert NoiseModel(1e-4, 0.0, 1e5).mc_samples == 100000
+
+
+@pytest.mark.parametrize("n", [10 ** 9 + 1, np.int64(10 ** 9 + 1), 10 ** 20])
+def test_noise_model_refuses_a_sample_count_above_10_to_the_9(n):
+    model = NoiseModel(1e-4, 0.0, 1e5)
+    for build in (lambda: NoiseModel(1e-4, 0.0, 1e5, mc_samples=n),
+                  lambda: replace(model, mc_samples=n)):
+        with pytest.raises(DomainError,
+                           match=r"mc_samples must be an integer in \[1000, 1000000000\]"):
+            build()
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1, 1.7, 1.0, True, False, "1", None])

@@ -143,8 +143,8 @@ def _bundled_tables():
     tables["pulse_molecule_2level.csv"] = (raman.trajectory.times, raman.two_level_population)
     tables["pulse_excited_3level.csv"] = (raman.trajectory.times, pops[:, 1])
     tables["gate_phase_rad.csv"] = tuple(repro.gate_run(scn).phase_profile)
-    values = np.linspace(scn.sweep.minimum, scn.sweep.maximum, scn.sweep.count).tolist()
-    for name, series in repro.sweep_curves(scn, values).items():
+    values, curves = repro.sweep_curves(scn)
+    for name, series in curves.items():
         tables[f"sweep_{name}.csv"] = (values, series)
     stirap = repro.stirap_run(scn)
     pops = stirap.trajectory.populations()

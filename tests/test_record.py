@@ -27,7 +27,7 @@ def _examples():
     """One instance of every record class, each from the bundled scenario, its config or
     its runs."""
     raman, gate_run = repro.raman_run(_SCN), repro.gate_run(_SCN)
-    budget_run = repro.budget_run(_SCN, gate_run.schedule)
+    budget_run = repro.budget_run(_SCN)
     st = _SCN.stirap
     pulse = dynamics.PulseEnvelope(st.peak_rad_s, st.separation_s, st.rms_width_s)
     records = [_SCN, *fields(_SCN).values(), _SCN.qubit.species, _SCN.qubit.upper,
