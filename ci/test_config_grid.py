@@ -1,7 +1,8 @@
 """The config-extremes grid: every numeric key of the bundled paper.cfg set to
-0, -1, 1e-300, 1e300 and 10^20 written out as an integer, one at a time, through
-each subcommand of cli.main. An integer key reads 1e300 as no integer at all, and
-10^20 as an integer far past any count, seed or quantum number the tool accepts.
+0, -1, 1e-300, 1e300, 10^20 written out as an integer, and nan, one at a time,
+through each subcommand of cli.main. An integer key reads 1e300 and nan as no
+integer at all, and 10^20 as an integer far past any count, seed or quantum
+number the tool accepts; a float key's record refuses nan as it refuses inf.
 
 No exception may escape main and no warning may be raised. A run that exits 0
 must write only finite numbers: no file it wrote and no stdout line may hold
@@ -27,7 +28,7 @@ from hybridgate import cli, scenario
 
 BUNDLED = resources.files("hybridgate").joinpath("data/paper.cfg").read_text()
 SUBCOMMANDS = tuple(cli._HANDLERS)
-VALUES = ("0", "-1", "1e-300", "1e300", "100000000000000000000")
+VALUES = ("0", "-1", "1e-300", "1e300", "100000000000000000000", "nan")
 NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity|null)\b")
 CHECK_KEYS = {"name", "kind", "value", "low", "high", "pass"}
 
@@ -66,7 +67,7 @@ def test_the_grid_covers_every_numeric_key():
     # which paper.cfg does not have, once each
     loader = {(section, key) for section, (record, rows) in scenario._KEYS.items()
               if section != "species"
-              for field, key, _ in rows if record._fields[field] in (float, int)}
+              for field, key in rows if record._fields[field] in (float, int)}
     assert len(set(KEYS)) == len(KEYS) and set(KEYS) == loader
     assert len(SUBCOMMANDS) == 7
 

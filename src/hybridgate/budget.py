@@ -39,11 +39,6 @@ MC_MAX_SAMPLES = 10 ** 9   # about 19 s of sampling; more is refused before any 
 ADIABATIC_MIN_PERIODS = 3.0
 
 
-def _is_integer(value):
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 class NoiseModel(Record):
     """Noise and trap inputs for the budget."""
 
@@ -52,20 +47,10 @@ class NoiseModel(Record):
     trap_frequency_hz: float
     seed: int = 0
     mc_samples: int = 100000   # Monte Carlo samples of the Ramsey contrast
-
-    def __post_init__(self):
-        if not self.sigma_b_gauss > 0:
-            raise DomainError(f"sigma_B must be > 0 G, got {self.sigma_b_gauss!r}")
-        if not self.gamma_inelastic_per_s >= 0:
-            raise DomainError(f"inelastic rate must be >= 0, got {self.gamma_inelastic_per_s!r}")
-        if not self.trap_frequency_hz > 0:
-            raise DomainError(f"trap frequency must be > 0 Hz, got {self.trap_frequency_hz!r}")
-        if not _is_integer(self.seed) or not 0 <= int(self.seed) < 2 ** 64:
-            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not _is_integer(self.mc_samples) or not (
-                MC_MIN_SAMPLES <= self.mc_samples <= MC_MAX_SAMPLES):
-            raise DomainError(f"mc_samples must be an integer in [{MC_MIN_SAMPLES}, "
-                              f"{MC_MAX_SAMPLES}], got {self.mc_samples!r}")
+    # a seed keys the Philox streams, so it must fit in 64 bits
+    _bounds = {"sigma_b_gauss": "> 0", "gamma_inelastic_per_s": ">= 0", "trap_frequency_hz": "> 0",
+               "seed": f">= 0, < {2 ** 64}",
+               "mc_samples": f">= {MC_MIN_SAMPLES}, <= {MC_MAX_SAMPLES}"}
 
 
 class AdiabaticityResult(Record):
@@ -123,11 +108,10 @@ def ramsey_contrast_mc(sensitivity_hz_per_g, sigma_b_gauss, t_s, n_samples, seed
     order. A chunk is drawn and reduced in blocks of MC_BLOCK samples, in
     stream order, and its sums are the sums of the block sums in that order.
     """
-    if not _is_integer(n_samples) or not MC_MIN_SAMPLES <= n_samples <= MC_MAX_SAMPLES:
-        raise DomainError(f"need an integer n_samples in [{MC_MIN_SAMPLES}, {MC_MAX_SAMPLES}] "
-                          f"for a meaningful contrast, got {n_samples!r}")
-    if not _is_integer(seed) or not 0 <= int(seed) < 2 ** 64:
-        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if problem := NoiseModel.bound_problem("mc_samples", n_samples):
+        raise DomainError(f"n_samples {problem}")
+    if problem := NoiseModel.bound_problem("seed", seed):
+        raise DomainError(f"seed {problem}")
     if not (sigma_b_gauss >= 0 and math.isfinite(sigma_b_gauss)):
         raise DomainError(f"sigma_B must be finite and >= 0 G, got {sigma_b_gauss!r}")
     if not math.isfinite(sensitivity_hz_per_g):

@@ -26,7 +26,7 @@ from .errors import ConfigError, DomainError, NumericalFailure
 from .output import format_float, metadata_line, write_csv, write_json
 from .record import Record, fields, replace
 from .repro import (budget_run, gate_run, levels_run, paper_repro, raman_run, stirap_area_sweep,
-                    stirap_run, sweep_curves)
+                    sweep_curves)
 from .scenario import load_scenario_text
 
 
@@ -121,13 +121,14 @@ def _cmd_pulse(scn, ctx):
 
 
 def _cmd_stirap(scn, ctx):
-    stirap = stirap_run(scn)
+    areas, runs = stirap_area_sweep(scn)
+    stirap = runs[-1]   # the configured drive
     traj = stirap.trajectory
     pops = traj.populations()
     for idx, name in enumerate(LAMBDA_LABELS):
         ctx.table(f"stirap_{name}.csv", ("t_s", f"p_{name}"), traj.times, pops[:, idx])
-    ctx.table("stirap_efficiency.csv", ("omega0_rms_area", "efficiency"),
-              *stirap_area_sweep(scn, stirap.efficiency))
+    ctx.table("stirap_efficiency.csv", ("omega0_rms_area", "efficiency"), areas,
+              [run.efficiency for run in runs])
     print(f"stirap: efficiency = {format_float(stirap.efficiency)} (reversed order "
           f"{format_float(stirap.reversed_efficiency)}), "
           f"norm drift = {format_float(traj.norm_drift)}")
@@ -209,10 +210,10 @@ def run(argv):
         text = config_bytes.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file is not UTF-8: {exc}", key=str(args.config)) from exc
-    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
-        raise ConfigError(f"must fit in 64 bits, got {args.seed}", key="--seed")
     scenario = load_scenario_text(text)
     if args.seed is not None:
+        if problem := scenario.noise.bound_problem("seed", args.seed):
+            raise ConfigError(problem, key="--seed")
         scenario = replace(scenario, noise=replace(scenario.noise, seed=args.seed))
     # an empty --out is refused by makedirs below; an empty HYBRIDGATE_OUT counts as unset
     out_dir = args.out if args.out is not None else os.environ.get("HYBRIDGATE_OUT") or "out"

@@ -83,12 +83,7 @@ class TwoLevelParams(Record):
 
     omega_r_rad_s: float
     delta_rad_s: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.omega_r_rad_s < math.inf:
-            raise DomainError(f"omega_r must be finite and >= 0, got {self.omega_r_rad_s!r}")
-        if not math.isfinite(self.delta_rad_s):
-            raise DomainError(f"delta must be finite, got {self.delta_rad_s!r}")
+    _bounds = {"omega_r_rad_s": ">= 0", "delta_rad_s": None}
 
     @property
     def generalized_rabi_rad_s(self):
@@ -108,14 +103,8 @@ class LambdaParams(Record):
     delta_e_rad_s: float
     delta_rad_s: float = 0.0
     gamma_e_rad_s: float = 0.0
-
-    def __post_init__(self):
-        for name in ("omega_p", "omega_s", "delta_e", "delta"):
-            value = getattr(self, f"{name}_rad_s")
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-        if not 0 <= self.gamma_e_rad_s < math.inf:
-            raise DomainError(f"gamma_e must be finite and >= 0, got {self.gamma_e_rad_s!r}")
+    _bounds = {"omega_p_rad_s": ">= 0", "omega_s_rad_s": ">= 0", "delta_e_rad_s": None,
+               "delta_rad_s": None, "gamma_e_rad_s": ">= 0"}
 
 
 class EffectiveTwoLevel(Record):
@@ -133,14 +122,7 @@ class PulseEnvelope(Record):
     peak_rad_s: float
     center_s: float
     rms_width_s: float
-
-    def __post_init__(self):
-        if not 0 <= self.peak_rad_s < math.inf:
-            raise DomainError(f"peak amplitude must be finite and >= 0, got {self.peak_rad_s!r}")
-        if not math.isfinite(self.center_s):
-            raise DomainError(f"center must be finite, got {self.center_s!r}")
-        if not 0 < self.rms_width_s < math.inf:
-            raise DomainError(f"rms width must be finite and > 0, got {self.rms_width_s!r}")
+    _bounds = {"peak_rad_s": ">= 0", "center_s": None, "rms_width_s": "> 0"}
 
     @property
     def start_s(self):

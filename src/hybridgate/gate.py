@@ -29,13 +29,8 @@ class DipoleParams(Record):
     e_dc_v_per_m: float
     separation_m: float
     fopa_enhancement: float = 1.0  # scalar Feshbach enhancement applied to the pump Rabi rate
-
-    def __post_init__(self):
-        for name in ("mu_permanent_debye", "rotational_const_hz", "e_dc_v_per_m", "separation_m"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if not 1.0 <= self.fopa_enhancement < math.inf:
-            raise DomainError(f"fopa_enhancement must be finite and >= 1, got {self.fopa_enhancement!r}")
+    _bounds = {"mu_permanent_debye": "> 0", "rotational_const_hz": "> 0", "e_dc_v_per_m": "> 0",
+               "separation_m": "> 0", "fopa_enhancement": ">= 1"}
 
 
 class InducedDipole(Record):
@@ -100,12 +95,11 @@ class Step(Record):
     kind: str
     duration_s: float
     pulse: TwoLevelParams = None
+    _bounds = {"duration_s": "> 0"}
 
     def __post_init__(self):
         if self.kind not in STEP_KINDS:
             raise DomainError(f"step kind must be one of {STEP_KINDS}, got {self.kind!r}")
-        if not 0 < self.duration_s < math.inf:
-            raise DomainError(f"step duration must be finite and > 0, got {self.duration_s!r}")
         if (self.pulse is None) == (self.kind in RAMAN_KINDS):
             raise DomainError(f"Raman steps, and only they, carry a pulse; got a {self.kind} "
                               f"step with pulse={self.pulse!r}")

@@ -38,13 +38,12 @@ class AtomSpecies(Record):
     hyperfine_splitting_hz: float
     g_j: float
     g_i: float = 0.0
+    _bounds = {"nuclear_spin": "> 0", "hyperfine_splitting_hz": "> 0", "g_j": None, "g_i": None}
 
     def __post_init__(self):
         two_i = 2.0 * self.nuclear_spin
-        if not 0 < self.nuclear_spin < math.inf or abs(two_i - round(two_i)) > 1e-12:
-            raise DomainError(f"nuclear spin must be a positive half-integer, got {self.nuclear_spin!r}")
-        if not self.hyperfine_splitting_hz > 0:
-            raise DomainError(f"hyperfine splitting must be > 0 Hz, got {self.hyperfine_splitting_hz!r}")
+        if abs(two_i - round(two_i)) > 1e-12:
+            raise DomainError(f"nuclear_spin must be a half-integer, got {self.nuclear_spin!r}")
 
     @property
     def f_lower(self):

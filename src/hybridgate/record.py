@@ -8,9 +8,10 @@ generated or compiled:
 
 - ``__init__`` takes each field positionally or by keyword, applies the
   defaults, raises TypeError for a missing, unknown or repeated argument,
-  holds each value and calls ``__post_init__`` if the class has one. It holds
-  a writable array as a read-only view, so the caller's array stays writable,
-  a read-only array as given, and a tuple or list as a tuple held alike;
+  holds each value, checks each bounded field and calls ``__post_init__``,
+  which a class may define for its other checks. It holds a writable array as
+  a read-only view, so the caller's array stays writable, a read-only array as
+  given, and a tuple or list as a tuple held alike;
 - assigning or deleting an attribute raises FrozenRecordError;
 - records of one class are equal when each pair of field values is the same
   object, equal arrays (``np.array_equal``), equal tuples item by item, or
@@ -18,11 +19,23 @@ generated or compiled:
 - ``repr`` is ``Name(field=value!r, ...)``.
 
 Only the declared fields take part in these and in ``fields`` and ``replace``.
+
+A class bounds a float or int field by naming it in ``_bounds`` with a bound
+text, "> x", ">= x", "< y" or two sides as in ">= x, <= y", or None. However
+a record is built, by its constructor or ``replace``, the field then holds a
+finite number (for an int field an integer, compared as a Python int; never a
+bool) that meets its bound, if any, or the constructor raises DomainError.
 """
 
+import math
 from operator import attrgetter
 
 import numpy as np
+
+from .errors import DomainError
+
+# The types a bounded field of each kind takes, bools excepted.
+_NUMBERS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
 
 
 class FrozenRecordError(AttributeError):
@@ -33,6 +46,8 @@ class Record:
     _fields = {}     # field name -> annotation, in declaration order
     _defaults = {}   # field name -> default value
     _key = None      # record -> its field values (the value itself for one field)
+    _bounds = {}     # bounded field name -> its bound text, or None for any finite number
+    _limits = {}     # bounded field name -> (kind, low, high): its bound is low < value < high
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -47,6 +62,19 @@ class Record:
             raise TypeError(f"record class {cls.__qualname__}: a field without a default "
                             f"follows one with a default")
         cls._key = attrgetter(*cls._fields)
+        cls._limits = {}
+        for name, bound in cls._bounds.items():
+            kind = cls._fields.get(name)
+            if kind not in _NUMBERS:
+                raise TypeError(f"record class {cls.__qualname__}: {name} is no float or int field")
+            ends = {">": -math.inf, "<": math.inf}
+            for op, limit in map(str.split, bound.split(", ") if bound else ()):
+                limit = kind(limit)
+                if op.endswith("="):   # a closed side opens one step out, at the next float or int
+                    limit = (math.nextafter(limit, ends[op[0]]) if kind is float
+                             else limit + (1 if op[0] == "<" else -1))
+                ends[op[0]] = limit
+            cls._limits[name] = (kind, ends[">"], ends["<"])
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -56,9 +84,31 @@ class Record:
             names, values = kwargs, kwargs.values()
         else:
             names, values = cls._fields, _bind(cls, args, kwargs)
-        self.__dict__.update(zip(names, map(_held, values)))
-        if hasattr(cls, "__post_init__"):
+        state = self.__dict__
+        state.update(zip(names, map(_held, values)))
+        for name, (kind, low, high) in cls._limits.items():
+            # the open ends turn away nan and inf; a value of another type takes the full check
+            value = state[name]
+            if type(value) is not kind or not low < value < high:
+                if problem := cls.bound_problem(name, value):
+                    raise DomainError(f"{name} {problem}")
+        if hasattr(cls, "__post_init__"):   # a class's checks that are no bound on one field
             self.__post_init__()
+
+    @classmethod
+    def bound_problem(cls, name, value):
+        """Why ``value`` cannot be the bounded field ``name``, as "must be ...,
+        got ...", or None when it can. It is compared as a Python int or float."""
+        kind, low, high = cls._limits[name]
+        if type(value) is kind and low < value < high:
+            return None
+        if isinstance(value, bool) or not isinstance(value, _NUMBERS[kind]):
+            return f"must be {'an integer' if kind is int else 'a finite number'}, got {value!r}"
+        number = int(value) if isinstance(value, (int, np.integer)) else float(value)
+        if not -math.inf < number < math.inf:
+            return f"must be a finite number, got {value!r}"
+        if not low < number < high:
+            return f"must be {cls._bounds[name]}, got {value!r}"
 
     def __setattr__(self, name, value):
         raise FrozenRecordError(f"cannot assign to field {name!r}")

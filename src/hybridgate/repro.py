@@ -119,19 +119,17 @@ def stirap_run(scn):
     return StirapRun(traj, efficiency, reversed_efficiency)
 
 
-def stirap_area_sweep(scn, efficiency):
-    """(areas, efficiencies): the transfer efficiency at each pulse area
-    omega0 * rms width of STIRAP_SWEEP_FACTORS times the configured peak,
-    each from stirap_run with [stirap] peak_rad_s scaled by its factor.
-    The last factor is the full drive, whose efficiency (stirap_run's) the
-    caller gives, so only the weaker drives are integrated: the stirap
-    subcommand runs stirap_run anyway, and would otherwise integrate the
-    full drive twice."""
+def stirap_area_sweep(scn):
+    """(areas, runs): the pulse areas omega0 * rms width of STIRAP_SWEEP_FACTORS
+    times the configured peak, and the StirapRun of each, stirap_run with
+    [stirap] peak_rad_s scaled by its factor. The last factor is exactly 1.0,
+    so the last run is stirap_run(scn); it runs first, so that a failure
+    names the configured drive's numbers."""
     st = scn.stirap
-    weaker = [replace(scn, stirap=replace(st, peak_rad_s=st.peak_rad_s * float(factor)))
+    full = stirap_run(scn)
+    weaker = [stirap_run(replace(scn, stirap=replace(st, peak_rad_s=st.peak_rad_s * float(factor))))
               for factor in STIRAP_SWEEP_FACTORS[:-1]]
-    sweep = [stirap_run(s).efficiency for s in weaker] + [efficiency]
-    return STIRAP_SWEEP_FACTORS * st.peak_rad_s * st.rms_width_s, sweep
+    return STIRAP_SWEEP_FACTORS * st.peak_rad_s * st.rms_width_s, [*weaker, full]
 
 
 class GateRun(Record):

@@ -5,15 +5,11 @@ Config files are plain text: ``[section]`` headers followed by
 Keys carry their unit as a suffix (``sigma_B_G``, ``separation_r_m``).
 Every parse or validation problem raises ConfigError naming the offending
 ``[section] key``; so do a key that no setting reads and a repeated key or
-section. One table, ``_KEYS``, names each key's record field and bound; the
-record class declares the field's kind (its annotation) and default.
+section. One table, ``_KEYS``, names each key's record field; the record class
+declares the field's kind (its annotation), its default and its bound.
 """
 
-import math
-import operator
-from functools import partial
-
-from .budget import MC_MAX_SAMPLES, MC_MIN_SAMPLES, NoiseModel
+from .budget import NoiseModel
 from .dynamics import LambdaParams
 from .errors import ConfigError, DomainError
 from .gate import DipoleParams
@@ -30,6 +26,8 @@ class FieldConfig(Record):
     gradient_g_per_cm: float
     site_spacing_m: float
     resonance_width_g: float
+    _bounds = {"b_gauss": ">= 0", "gradient_g_per_cm": "> 0", "site_spacing_m": "> 0",
+               "resonance_width_g": ">= 0"}
 
 
 class QubitConfig(Record):
@@ -50,22 +48,27 @@ class StirapConfig(Record):
     separation_s: float
     delta_e_rad_s: float = 0.0
     delta_rad_s: float = 0.0
+    _bounds = {"peak_rad_s": "> 0", "rms_width_s": "> 0", "separation_s": "> 0",
+               "delta_e_rad_s": None, "delta_rad_s": None}
 
 
 class GateConfig(Record):
     omega_r_rad_s: float
     enabler_rotation_s: float
+    _bounds = {"omega_r_rad_s": "> 0", "enabler_rotation_s": "> 0"}
 
 
 class ReadoutConfig(Record):
     splitting_hz: float
     selectivity_factor: float = 1.0
+    _bounds = {"splitting_hz": "> 0", "selectivity_factor": "> 0"}
 
 
 class LevelsConfig(Record):
     b_min_gauss: float = 0.0
     b_max_gauss: float = 1000.0
     count: int = 101
+    _bounds = {"b_min_gauss": ">= 0", "b_max_gauss": ">= 0", "count": ">= 1, <= 10000000"}
 
 
 class SweepConfig(Record):
@@ -73,6 +76,7 @@ class SweepConfig(Record):
     minimum: float
     maximum: float
     count: int
+    _bounds = {"minimum": None, "maximum": None, "count": ">= 2, <= 1000000"}
 
 
 class Scenario(Record):
@@ -143,86 +147,74 @@ class _AtomKeys(Record):
     m0: int
     f1: int
     m1: int
+    _bounds = dict.fromkeys(("f0", "m0", "f1", "m1"))
 
 
 def _atom_rows(record):
     """The rows of ``record``'s section: species, then f and m of each state field."""
     _, *states = record._fields
-    return (("species", "species", None),
-            *((f"{q}{i}", f"{state}_{q}", None) for i, state in enumerate(states) for q in "fm"))
+    return (("species", "species"),
+            *((f"{q}{i}", f"{state}_{q}") for i, state in enumerate(states) for q in "fm"))
 
 
-# One row per config key: (record field, key, bound), grouped by the section whose
-# record they build ("species": each [species <name>]). The record class declares each
-# field's kind, float, int or str, as its annotation, and its default, if the key has
-# one. A number read must be finite and meet its bound, if it has one: "> x", ">= x", or
-# for a count that sets the work of a run, ">= x, <= y".
+# One row per config key: (record field, key), grouped by the section whose record
+# they build ("species": each [species <name>]). The record class declares each
+# field's kind, float, int or str, as its annotation, its default, if the key has one,
+# and, for a float or int field, its bound in ``_bounds``: a number read must be
+# finite and meet it.
 _KEYS = {
     "species": (AtomSpecies, (
-        ("nuclear_spin", "nuclear_spin", None),
-        ("hyperfine_splitting_hz", "hyperfine_splitting_Hz", "> 0"),
-        ("g_j", "g_J", None),
-        ("g_i", "g_I", None))),
+        ("nuclear_spin", "nuclear_spin"),
+        ("hyperfine_splitting_hz", "hyperfine_splitting_Hz"),
+        ("g_j", "g_J"),
+        ("g_i", "g_I"))),
     "qubit": (_AtomKeys, _atom_rows(QubitConfig)),
     "enabler": (_AtomKeys, _atom_rows(EnablerConfig)),
     "field": (FieldConfig, (
-        ("b_gauss", "b_G", ">= 0"),
-        ("gradient_g_per_cm", "gradient_G_per_cm", "> 0"),
-        ("site_spacing_m", "site_spacing_m", "> 0"),
-        ("resonance_width_g", "resonance_width_G", ">= 0"))),
+        ("b_gauss", "b_G"),
+        ("gradient_g_per_cm", "gradient_G_per_cm"),
+        ("site_spacing_m", "site_spacing_m"),
+        ("resonance_width_g", "resonance_width_G"))),
     "raman": (LambdaParams, (
-        ("omega_p_rad_s", "omega_p_rad_s", ">= 0"),
-        ("omega_s_rad_s", "omega_s_rad_s", ">= 0"),
-        ("delta_e_rad_s", "delta_e_rad_s", None),
-        ("delta_rad_s", "delta_rad_s", None),
-        ("gamma_e_rad_s", "gamma_e_rad_s", ">= 0"))),
+        ("omega_p_rad_s", "omega_p_rad_s"),
+        ("omega_s_rad_s", "omega_s_rad_s"),
+        ("delta_e_rad_s", "delta_e_rad_s"),
+        ("delta_rad_s", "delta_rad_s"),
+        ("gamma_e_rad_s", "gamma_e_rad_s"))),
     "stirap": (StirapConfig, (
-        ("peak_rad_s", "peak_rad_s", "> 0"),
-        ("rms_width_s", "rms_width_s", "> 0"),
-        ("separation_s", "separation_s", "> 0"),
-        ("delta_e_rad_s", "delta_e_rad_s", None),
-        ("delta_rad_s", "delta_rad_s", None))),
+        ("peak_rad_s", "peak_rad_s"),
+        ("rms_width_s", "rms_width_s"),
+        ("separation_s", "separation_s"),
+        ("delta_e_rad_s", "delta_e_rad_s"),
+        ("delta_rad_s", "delta_rad_s"))),
     "dipole": (DipoleParams, (
-        ("mu_permanent_debye", "mu_permanent_D", "> 0"),
-        ("rotational_const_hz", "rotational_const_Hz", "> 0"),
-        ("e_dc_v_per_m", "e_dc_V_per_m", "> 0"),
-        ("separation_m", "separation_r_m", "> 0"),
-        ("fopa_enhancement", "fopa_enhancement", ">= 1"))),
+        ("mu_permanent_debye", "mu_permanent_D"),
+        ("rotational_const_hz", "rotational_const_Hz"),
+        ("e_dc_v_per_m", "e_dc_V_per_m"),
+        ("separation_m", "separation_r_m"),
+        ("fopa_enhancement", "fopa_enhancement"))),
     "gate": (GateConfig, (
-        ("omega_r_rad_s", "omega_R_rad_s", "> 0"),
-        ("enabler_rotation_s", "enabler_rotation_s", "> 0"))),
+        ("omega_r_rad_s", "omega_R_rad_s"),
+        ("enabler_rotation_s", "enabler_rotation_s"))),
     "noise": (NoiseModel, (
-        ("sigma_b_gauss", "sigma_B_G", "> 0"),
-        ("gamma_inelastic_per_s", "gamma_inelastic_per_s", ">= 0"),
-        ("trap_frequency_hz", "trap_frequency_Hz", "> 0"),
-        ("seed", "seed", ">= 0"),
-        ("mc_samples", "mc_samples", f">= {MC_MIN_SAMPLES}, <= {MC_MAX_SAMPLES}"))),
+        ("sigma_b_gauss", "sigma_B_G"),
+        ("gamma_inelastic_per_s", "gamma_inelastic_per_s"),
+        ("trap_frequency_hz", "trap_frequency_Hz"),
+        ("seed", "seed"),
+        ("mc_samples", "mc_samples"))),
     "readout": (ReadoutConfig, (
-        ("splitting_hz", "splitting_Hz", "> 0"),
-        ("selectivity_factor", "selectivity_factor", "> 0"))),
+        ("splitting_hz", "splitting_Hz"),
+        ("selectivity_factor", "selectivity_factor"))),
     "levels": (LevelsConfig, (
-        ("b_min_gauss", "b_min_G", ">= 0"),
-        ("b_max_gauss", "b_max_G", ">= 0"),
-        ("count", "count", ">= 1, <= 10000000"))),
+        ("b_min_gauss", "b_min_G"),
+        ("b_max_gauss", "b_max_G"),
+        ("count", "count"))),
     "sweep": (SweepConfig, (
-        ("parameter", "parameter", None),
-        ("minimum", "min", None),
-        ("maximum", "max", None),
-        ("count", "count", ">= 2, <= 1000000"))),
+        ("parameter", "parameter"),
+        ("minimum", "min"),
+        ("maximum", "max"),
+        ("count", "count"))),
 }
-
-_SIDES = {">": operator.lt, ">=": operator.le, "<=": operator.ge}
-
-
-def _bound_test(bound):
-    """``bound`` as a test of the value: "> x" is x < value, and a value meets
-    ">= x, <= y" when it meets both sides."""
-    sides = [partial(_SIDES[op], float(limit)) for op, limit in map(str.split, bound.split(", "))]
-    return lambda value: all(side(value) for side in sides)
-
-
-# Each bound text as a test of the value, parsed once here.
-_BOUNDS = {bound: _bound_test(bound) for _, rows in _KEYS.values() for *_, bound in rows if bound}
 
 
 def _record(sections, section, **fixed):
@@ -232,7 +224,7 @@ def _record(sections, section, **fixed):
     record, rows = _KEYS[section.partition(" ")[0]]
     given = sections.get(section) or {}
     values = {}
-    for field, key, bound in rows:
+    for field, key in rows:
         if key not in given and field not in record._defaults:
             raise ConfigError("missing required key", key=f"[{section}] {key}")
         kind, value = record._fields[field], given.pop(key, record._defaults.get(field))
@@ -242,11 +234,8 @@ def _record(sections, section, **fixed):
             except ValueError:
                 what = "a number" if kind is float else "an integer"
                 raise ConfigError(f"not {what}: {value!r}", key=f"[{section}] {key}") from None
-            if kind is float and not math.isfinite(value):
-                raise ConfigError(f"must be a finite number, got {value!r}",
-                                  key=f"[{section}] {key}")
-            if bound and not _BOUNDS[bound](value):
-                raise ConfigError(f"must be {bound}, got {value!r}", key=f"[{section}] {key}")
+            if problem := record.bound_problem(field, value):
+                raise ConfigError(problem, key=f"[{section}] {key}")
         values[field] = value
     values.update(fixed)
     try:
@@ -293,10 +282,11 @@ def load_scenario_text(text):
     if not sweep.maximum > sweep.minimum:
         raise ConfigError("max must exceed min", key="[sweep] max")
     section = SWEEP_PARAMETERS[sweep.parameter]
-    bound = next(bound for _, key, bound in _KEYS[section][1] if key == sweep.parameter)
-    if not _BOUNDS[bound](sweep.minimum):
-        raise ConfigError(f"must be {bound}, the bound of [{section}] {sweep.parameter}, "
-                          f"got {sweep.minimum!r}", key="[sweep] min")
+    record, rows = _KEYS[section]
+    field = next(field for field, key in rows if key == sweep.parameter)
+    if record.bound_problem(field, sweep.minimum):
+        raise ConfigError(f"must be {record._bounds[field]}, the bound of [{section}] "
+                          f"{sweep.parameter}, got {sweep.minimum!r}", key="[sweep] min")
 
     unknown = [f"[{name}] {key}" for name, keys in sections.items() for key in keys]
     if unknown:

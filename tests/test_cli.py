@@ -366,21 +366,20 @@ class TestStageRecords:
                 traj.amplitudes[0, 0] = 5.0
 
     @pytest.mark.parametrize("detuned", [False, True], ids=["bundled", "detuned"])
-    def test_area_sweep_integrates_all_but_the_full_drive(self, detuned):
-        # the last point is the efficiency the caller passes from stirap_run;
-        # every other one is stirap_run on the config with its peak scaled
+    def test_area_sweep_runs_stirap_on_each_scaled_drive(self, detuned):
+        # each run is stirap_run on the config with its peak scaled, bit for bit;
+        # the last factor is 1.0, so the last run is the configured drive's
         scn = self.SCN
         if detuned:
             scn = replace(scn, stirap=replace(scn.stirap, delta_e_rad_s=2e6, delta_rad_s=3e4))
-        stirap = repro.stirap_run(scn)
-        areas, efficiencies = repro.stirap_area_sweep(scn, stirap.efficiency)
+        areas, runs = repro.stirap_area_sweep(scn)
         factors = repro.STIRAP_SWEEP_FACTORS
         peak = scn.stirap.peak_rad_s
         assert np.array_equal(areas, factors * peak * scn.stirap.rms_width_s)
-        assert len(efficiencies) == len(factors) and efficiencies[-1] == stirap.efficiency
-        for factor, efficiency in zip(factors[:-1], efficiencies):
+        assert len(runs) == len(factors) and runs[-1] == repro.stirap_run(scn)
+        for factor, run in zip(factors, runs):
             scaled = replace(scn, stirap=replace(scn.stirap, peak_rad_s=peak * float(factor)))
-            assert efficiency == repro.stirap_run(scaled).efficiency
+            assert run == repro.stirap_run(scaled)
 
     def test_gate_phase_is_the_last_profile_point(self):
         gr = repro.gate_run(self.SCN)
@@ -532,7 +531,7 @@ class TestExitCodes:
         assert cli.main(["gate", "--config", cfg, "--out", str(tmp_path / "o"),
                          "--seed", seed]) == 1
         err = capsys.readouterr().err
-        assert "--seed" in err and "64 bits" in err
+        assert f"--seed: must be >= 0, < 18446744073709551616, got {seed}" in err
         assert "[noise]" not in err
 
     def test_seed_option_does_not_hide_an_out_of_range_config_seed(self, tmp_path, capsys):

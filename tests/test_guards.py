@@ -2,6 +2,7 @@
 naming the field, instead of flowing on into nan or all-zero results."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hybridgate.errors import DomainError
 from hybridgate.gate import DipoleParams
 from hybridgate.hyperfine import AtomSpecies
 from hybridgate.record import replace
+from hybridgate.scenario import load_scenario_text
 
 NAN, INF = math.nan, math.inf
 
@@ -31,18 +33,18 @@ def _integrate(substeps):
     (lambda: LambdaParams(NAN, 2e7, 2e8), "omega_p"),
     (lambda: LambdaParams(2e7, -INF, 2e8), "omega_s"),
     (lambda: LambdaParams(2e7, 2e7, INF), "delta_e"),
-    (lambda: LambdaParams(2e7, 2e7, 2e8, delta_rad_s=NAN), "^delta must"),
+    (lambda: LambdaParams(2e7, 2e7, 2e8, delta_rad_s=NAN), "^delta_rad_s must"),
     (lambda: LambdaParams(2e7, 2e7, 2e8, gamma_e_rad_s=NAN), "gamma_e"),
     (lambda: LambdaParams(2e7, 2e7, 2e8, gamma_e_rad_s=INF), "gamma_e"),
     (lambda: PulseEnvelope(NAN, 1e-4, 3e-5), "peak"),
     (lambda: PulseEnvelope(INF, 1e-4, 3e-5), "peak"),
     (lambda: PulseEnvelope(1e6, NAN, 3e-5), "center"),
     (lambda: PulseEnvelope(1e6, -INF, 3e-5), "center"),
-    (lambda: PulseEnvelope(1e6, 1e-4, INF), "rms width"),
+    (lambda: PulseEnvelope(1e6, 1e-4, INF), "rms_width_s"),
     (lambda: DipoleParams(4.2, 6.6e9, 1e5, 500e-9, fopa_enhancement=NAN), "fopa_enhancement"),
     (lambda: DipoleParams(4.2, 6.6e9, 1e5, 500e-9, fopa_enhancement=INF), "fopa_enhancement"),
-    (lambda: AtomSpecies("Rb87", NAN, 6.8e9, 2.0), "nuclear spin"),
-    (lambda: AtomSpecies("Rb87", INF, 6.8e9, 2.0), "nuclear spin"),
+    (lambda: AtomSpecies("Rb87", NAN, 6.8e9, 2.0), "nuclear_spin"),
+    (lambda: AtomSpecies("Rb87", INF, 6.8e9, 2.0), "nuclear_spin"),
     (lambda: _integrate(2.5), "substeps"),
     (lambda: _integrate(0), "substeps"),
     (lambda: _integrate(True), "substeps"),
@@ -54,6 +56,25 @@ def _integrate(substeps):
 ])
 def test_non_finite_or_non_integer_input_is_a_domain_error(build, field):
     with pytest.raises(DomainError, match=field):
+        build()
+
+
+SCN = load_scenario_text(resources.files("hybridgate").joinpath("data/paper.cfg").read_text())
+
+
+# Each of these was a second copy of a bound, or a bound only the config loader
+# held, so that a record built from its constructor or by replace skipped it.
+@pytest.mark.parametrize("build, field", [
+    (lambda: NoiseModel(INF, 0.0, 1e5), "sigma_b_gauss"),
+    (lambda: DipoleParams(4.2, 6.6e9, 1e5, INF), "separation_m"),
+    (lambda: AtomSpecies("X", 1.5, INF, 2.0), "hyperfine_splitting_hz"),
+    (lambda: LambdaParams(-2e7, 2e7, 2e8), "omega_p_rad_s"),
+    (lambda: replace(SCN.stirap, peak_rad_s=-1.0), "peak_rad_s"),
+    (lambda: replace(SCN.stirap, rms_width_s=NAN), "rms_width_s"),
+    (lambda: replace(SCN.field, b_gauss=-5.0), "b_gauss"),
+])
+def test_a_declared_bound_holds_however_the_record_is_built(build, field):
+    with pytest.raises(DomainError, match=f"^{field} must be "):
         build()
 
 
@@ -74,14 +95,14 @@ def test_noise_model_refuses_a_sample_count_above_10_to_the_9(n):
     for build in (lambda: NoiseModel(1e-4, 0.0, 1e5, mc_samples=n),
                   lambda: replace(model, mc_samples=n)):
         with pytest.raises(DomainError,
-                           match=r"mc_samples must be an integer in \[1000, 1000000000\]"):
+                           match=r"mc_samples must be >= 1000, <= 1000000000, got"):
             build()
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1, 1.7, 1.0, True, False, "1", None])
 def test_monte_carlo_refuses_a_seed_outside_64_bits_or_not_an_integer(seed):
     # folded into 64 bits or truncated, each would alias a valid seed's stream
-    with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+    with pytest.raises(DomainError, match=r"^seed must be (an integer|>= 0, < 18446744073709551616),"):
         ramsey_contrast_mc(2.38e6, 3e-4, 1e-4, 1000, seed)
 
 

@@ -150,7 +150,8 @@ def _bundled_tables():
     pops = stirap.trajectory.populations()
     for idx, name in enumerate(LAMBDA_LABELS):
         tables[f"stirap_{name}.csv"] = (stirap.trajectory.times, pops[:, idx])
-    tables["stirap_efficiency.csv"] = repro.stirap_area_sweep(scn, stirap.efficiency)
+    areas, runs = repro.stirap_area_sweep(scn)
+    tables["stirap_efficiency.csv"] = (areas, [run.efficiency for run in runs])
     return tables
 
 

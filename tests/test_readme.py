@@ -36,8 +36,9 @@ def test_config_key_table_is_the_loaders():
     expected = [("section", "key", "default", "bound")]
     for name, (record, rows) in _KEYS.items():
         name = "species <Name>" if name == "species" else name
-        for field, key, bound in rows:
+        for field, key in rows:
             default = repr(record._defaults[field]) if field in record._defaults else "required"
+            bound = record._bounds.get(field)
             expected.append((f"`[{name}]`", f"`{key}`", default, f"`{bound}`" if bound else "none"))
     assert table[0] == expected[0] and set(table[1][0]) == {"-"}
     assert table[2:] == expected[1:]

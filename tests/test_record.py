@@ -4,6 +4,7 @@ lists, an equality that never raises (arrays by ``np.array_equal``), hashing for
 records without arrays (a record holding one is unhashable), and the
 ``Name(field=value!r, ...)`` repr."""
 
+import math
 import os
 import subprocess
 import sys
@@ -180,6 +181,45 @@ def test_a_record_class_needs_fields_in_default_order():
 def test_a_record_class_is_not_subclassed():
     with pytest.raises(TypeError, match="HyperfineState cannot be subclassed"):
         type("Sub", (HyperfineState,), {"__annotations__": {"extra": int}})
+
+
+class _Bounded(Record):
+    x: float
+    n: int = 0
+    _bounds = {"x": ">= 0, < 1", "n": "> -5"}
+
+
+@pytest.mark.parametrize("x", [0.0, 0, np.float32(0.0), np.int64(0), 0.5, np.float64(0.5), -0.0])
+@pytest.mark.parametrize("n", [-4, 0, np.int8(-4), 10 ** 30, np.uint64(2 ** 64 - 1)])
+def test_a_bounded_field_takes_any_number_of_its_kind_within_its_bound(x, n):
+    record = _Bounded(x, n)
+    assert record.x is x and record.n is n
+    assert replace(record, x=x).x is x
+
+
+@pytest.mark.parametrize("name, value, problem", [
+    ("x", 1.0, "must be >= 0, < 1, got 1.0"),
+    ("x", -1e-300, "must be >= 0, < 1, got -1e-300"),
+    *(("x", bad, f"must be a finite number, got {bad!r}")
+      for bad in (math.nan, math.inf, -math.inf, True, np.bool_(False), "0.5", None, 0.5 + 0j,
+                  np.array(0.5))),
+    ("n", -5, "must be > -5, got -5"),
+    ("n", np.int64(-5), f"must be > -5, got {np.int64(-5)!r}"),
+    *(("n", bad, f"must be an integer, got {bad!r}") for bad in (1.0, True, np.bool_(True), "3", math.nan)),
+])
+def test_a_bounded_field_refuses_a_value_outside_its_kind_or_bound(name, value, problem):
+    record = _Bounded(0.5)
+    for build in (lambda: _Bounded(**{"x": 0.5, name: value}), lambda: replace(record, **{name: value})):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert str(info.value) == f"{name} {problem}"
+    assert _Bounded.bound_problem(name, value) == problem
+
+
+@pytest.mark.parametrize("bounds", [{"label": None}, {"y": "> 0"}])
+def test_only_a_float_or_int_field_takes_a_bound(bounds):
+    with pytest.raises(TypeError, match="no float or int field"):
+        type("Bad", (Record,), {"__annotations__": {"label": str}, "_bounds": bounds})
 
 
 def test_importing_the_cli_imports_no_dataclasses():

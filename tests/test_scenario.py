@@ -51,6 +51,7 @@ BOUNDED_KEYS = [
     ("noise", "gamma_inelastic_per_s", "-1.0", "0.0"),
     ("noise", "trap_frequency_Hz", "0.0", None),
     ("noise", "seed", "-1", "0"),
+    ("noise", "seed", "18446744073709551616", "18446744073709551615"),
     ("noise", "mc_samples", "999", "1000"),
     ("readout", "splitting_Hz", "0.0", None),
     ("readout", "selectivity_factor", "0.0", None),
@@ -124,7 +125,7 @@ class TestBundledScenario:
 
     def test_the_key_table_and_the_records_agree(self):
         for section, (record, rows) in _KEYS.items():
-            read = [field for field, _, _ in rows]
+            read = [field for field, _ in rows]
             assert set(read) <= set(record._fields), section
             # one row per field; a [species <name>] section fixes the name instead
             fixed = {"name"} if record is AtomSpecies else set()
@@ -132,6 +133,14 @@ class TestBundledScenario:
             # a string annotation would reach the key's conversion as text
             for field in read:
                 assert record._fields[field] in (float, int, str), (section, field)
+
+    def test_each_numeric_key_takes_its_bound_from_its_record(self):
+        # a float or int key's bound, None included, is declared once, on its
+        # record; a str key has none
+        for section, (record, rows) in _KEYS.items():
+            for field, key in rows:
+                numeric = record._fields[field] in (float, int)
+                assert (field in record._bounds) == numeric, (section, key)
 
     def test_fopa_scales_pump(self):
         scn = load_scenario_text(_with_replacement("fopa_enhancement = 1.0",
