@@ -17,15 +17,16 @@ nan or inf, gives the Hermitian verdict that decides the norm check and,
 unless a substep count is given, sets it so that ||H||*h stays at
 STEP_PHASE_TARGET. The stages check only the step phase, against the hard
 limit STEP_PHASE_MAX, on every H they use. The propagators of all grid
-intervals start at the identity and advance together: after one call of H
-on the interval starts, each substep calls H once, on its n midpoints and
-then its n ends, and applies the four RK4 stages, from H at the substep's
-start, midpoint and end, to them in place, in buffers allocated once per
-call. A doubling scan over the interval propagators then gives the
-propagator from the first grid time to each later one, and these carry
-every initial state of a stack at once, as the columns of one (d, m)
-array, so m states cost little more than one. Hamiltonian callables take a
-1-d array of n times and return an (n, d, d) array.
+intervals start at the identity and advance together: the probe's values at
+the interval starts begin the first substep, so H is called 1 + substeps
+times, and each substep calls H once, on its n midpoints and then its n
+ends, and applies the four RK4 stages, from H at the substep's start,
+midpoint and end, to them in place, in buffers allocated once per call. A
+doubling scan over the interval propagators then gives the propagator from
+the first grid time to each later one, and these carry every initial state
+of a stack at once, as the columns of one (d, m) array, so m states cost
+little more than one. Hamiltonian callables take a 1-d array of n times and
+return an (n, d, d) array.
 
 Internally a stack of n matrices is held matrix-last, as a contiguous
 (d, d, n) array: a product of two stacks is then a few broadcast
@@ -373,10 +374,9 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     starts = t_grid[:-1]
     n = len(starts)
 
-    def evaluate(times):
-        """H at times as a matrix-last stack, with its support (exact zeros
-        only, from this call); raises when max||H||*h passes STEP_PHASE_MAX."""
-        h_matrices = _to_matrix_last(hamiltonian(times), len(times), d)
+    def checked(h_matrices):
+        """A matrix-last H stack with its support (exact zeros only, from this
+        stack); raises when max||H||*h passes STEP_PHASE_MAX."""
         support = h_matrices.any(axis=-1)
         phase = _norm_max(h_matrices, support) * h
         if not phase <= STEP_PHASE_MAX:
@@ -390,11 +390,11 @@ def integrate_schrodinger(hamiltonian, psi0, t_grid, substeps=None):
     propagator = np.zeros((d, d, n), dtype=complex)
     propagator[np.arange(d), np.arange(d)] = 1.0
     buffers = [np.empty_like(propagator) for _ in range(4)]
-    h_b, support_b = evaluate(starts)
-    for k in range(substeps):
-        # one call on the n midpoints, then the n ends: one stack, one support
+    h_b, support_b = checked(h_probe[..., :n])   # the probe's values at the interval starts
+    for k in range(substeps):   # one call on the n midpoints, then the n ends
         t = starts + k * h
-        both, support = evaluate(np.concatenate((t + 0.5 * h, t + h)))
+        both, support = checked(_to_matrix_last(hamiltonian(np.concatenate((t + 0.5 * h, t + h))),
+                                                2 * n, d))
         h_a, support_a, h_b = h_b, support_b, both[..., n:]
         _rk4_substep(propagator, h_a, both[..., :n], h_b, h, buffers,
                      (support_a, support, support))

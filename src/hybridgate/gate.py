@@ -126,11 +126,11 @@ class GateSchedule(Record):
 
     @property
     def total_s(self):
-        return sum(self.by_kind.values())
+        return sum(s.duration_s for s in self.steps)
 
     @property
     def gate_s(self):
-        return self.total_s - sum(self.by_kind.get(k, 0.0) for k in ENABLER_KINDS)
+        return sum(s.duration_s for s in self.steps if s.kind not in ENABLER_KINDS)
 
 
 def interaction_time_for_pi(omega_dd_rad_s, omega_r_rad_s):

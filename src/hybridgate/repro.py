@@ -147,9 +147,17 @@ class GateRun(Record):
 
 
 def gate_schedule(scn):
-    """(induced dipole, omega_dd, schedule): the stage gate_run and the budget share."""
-    ind = gate.induced_dipole(scn.dipole)
-    omega_dd = gate.dipole_dipole_rate(ind.mu_induced_debye, scn.dipole.separation_m)
+    """(induced dipole, omega_dd, schedule): the stage gate_run and the budget share;
+    DomainError names the [dipole] keys when omega_dd underflows, to 0 or so
+    far that the pi-phase wait pi/omega_dd is past float range."""
+    dip = scn.dipole
+    ind = gate.induced_dipole(dip)
+    omega_dd = gate.dipole_dipole_rate(ind.mu_induced_debye, dip.separation_m)
+    if omega_dd == 0.0 or math.isinf(math.pi / omega_dd):
+        raise DomainError(
+            f"[dipole] omega_dd = {omega_dd!r} rad/s underflows for mu_permanent_D = "
+            f"{dip.mu_permanent_debye!r}, rotational_const_Hz = {dip.rotational_const_hz!r}, "
+            f"e_dc_V_per_m = {dip.e_dc_v_per_m!r}, separation_r_m = {dip.separation_m!r}")
     return ind, omega_dd, gate.build_gate_schedule(omega_dd, scn.gate.omega_r_rad_s,
                                                    scn.gate.enabler_rotation_s)
 

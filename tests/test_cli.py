@@ -497,6 +497,30 @@ class TestExitCodes:
         assert err.startswith("hybridgate: ") and err.count("\n") == 1, err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("subcommand", ["gate", "budget", "paper-repro"])
+    @pytest.mark.parametrize("key, value", [("mu_permanent_D", "1e-300"),
+                                            ("e_dc_V_per_m", "1e-300"),
+                                            ("rotational_const_Hz", "1e300"),
+                                            ("separation_r_m", "1e102")])
+    def test_an_omega_dd_that_underflows_names_the_dipole_keys(self, tmp_path, capsys,
+                                                               subcommand, key, value):
+        # the induced dipole or its square underflows to 0 for a positive input;
+        # at 1e102 m omega_dd is subnormal, and pi/omega_dd, the wait, is inf
+        cfg = _write_config(tmp_path, _with_key(_bundled_text(), "dipole", key, value))
+        assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[dipole]" in err, err
+        assert f"{key} = {float(value)!r}" in err and "omega_dd must be > 0" not in err
+
+    def test_sweep_writes_the_zeros_of_an_underflowing_omega_dd(self, tmp_path):
+        cfg = _write_config(tmp_path, _with_key(_bundled_text(), "dipole", "mu_permanent_D",
+                                                "1e-300"))
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        header, rows = _read_csv(out / "sweep_omega_dd_rad_s.csv")
+        assert header == ["separation_r_m", "omega_dd_rad_s"] and len(rows) == 64
+        assert not rows[:, 1].any()
+
     def test_non_finite_table_value_is_named_and_not_written(self, tmp_path):
         ctx = cli.RunContext(out_dir=str(tmp_path), seed=0, config_hash="0")
         with pytest.raises(DomainError) as err:

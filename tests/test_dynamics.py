@@ -323,6 +323,21 @@ class TestIntegrator:
         assert "stage time" in str(err.value) and "past float range" in str(err.value)
         assert "increase substeps" not in str(err.value)
 
+    def test_the_step_phase_is_checked_on_the_probes_grid_point_values(self):
+        # H is too coarse for the given step at the first grid time alone,
+        # which no call after the probe meets: only the check on the probe's
+        # values that start the first substep sees it
+        grid = np.linspace(0.0, 1e-6, 3)
+
+        def hamiltonian(t):
+            h = np.tile(_two_level_h(1e5), (len(t), 1, 1))
+            h[t == grid[0]] = _two_level_h(1e9)
+            return h
+
+        with pytest.raises(StepSizeError, match="step size too coarse"):
+            integrate_schrodinger(hamiltonian, np.array([1.0, 0.0], dtype=complex), grid,
+                                  substeps=2)
+
     @pytest.mark.parametrize("substeps, used", [(None, 2), (1, 1), (3, 3)],
                              ids=["derived", "given 1", "given 3"])
     def test_the_probe_calls_h_once_on_grid_points_and_midpoints(self, substeps, used):
@@ -338,10 +353,10 @@ class TestIntegrator:
                                      substeps=substeps)
         probes = np.concatenate([grid, grid[:-1] + 0.125e-6])
         assert np.array_equal(calls[0], probes)
-        assert [len(t) for t in calls[1:]] == [4] + [8] * (len(calls) - 2)
-        # the probe, the first stage start, then one call per substep on its
-        # midpoints and ends
-        assert len(calls) == 2 + used
+        assert [len(t) for t in calls[1:]] == [8] * (len(calls) - 1)
+        # the probe, whose grid-point values start the first substep, then one
+        # call per substep on its midpoints and ends
+        assert len(calls) == 1 + used
         h = 0.25e-6 / used
         assert np.array_equal(calls[-1], np.concatenate([grid[:-1] + (used - 1) * h + 0.5 * h,
                                                          grid[:-1] + (used - 1) * h + h]))
@@ -664,8 +679,9 @@ class TestSupportAwareKernel:
         # The probe sees A and B, so its support lacks C's (1, 2) and (2, 1),
         # and the interval starts see A alone: a support carried over from
         # either drops entries of a later call and moves the result by far
-        # more than 1e-13. H is not Hermitian, so the norm its jumps drift
-        # is not checked.
+        # more than 1e-13. The first substep starts from the probe's values at
+        # the grid points, whose support is A's alone. H is not Hermitian, so
+        # the norm its jumps drift is not checked.
         rng = np.random.default_rng(7)
         masks = {0: np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]]),
                  2: np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
@@ -687,12 +703,18 @@ class TestSupportAwareKernel:
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         supports = []
 
+        def support(h):
+            return tuple(np.any(h != 0, axis=0).ravel())
+
         def recorded(t):
             h = hamiltonian(t)
-            supports.append(tuple(np.any(h != 0, axis=0).ravel()))
+            supports.append(support(h))
+            if len(supports) == 1:   # the probe: its first n values start the first substep
+                supports.append(support(h[:len(grid) - 1]))
             return h
 
         traj = integrate_schrodinger(recorded, psi0, grid, substeps=substeps)
+        assert len(supports) == 2 + substeps
         assert not supports[0][5] and len(set(supports[1:])) >= 2   # the probe lacks C's (1, 2)
         expected = _reference_trajectory(hamiltonian, psi0, grid, substeps)
         assert np.max(np.abs(traj.amplitudes - expected)) < 1e-13

@@ -1,9 +1,11 @@
+import json
 import math
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from hybridgate import cli
 from hybridgate.constants import PLANCK_J_S, debye_to_si
 from hybridgate.dynamics import TwoLevelParams, two_level_population
 from hybridgate.errors import DomainError
@@ -261,6 +263,25 @@ class TestSchedule:
         assert 15e-6 <= durations.gate_s <= 35e-6
         assert durations.total_s == pytest.approx(durations.gate_s + 60e-6, rel=1e-12)
         assert durations.by_kind["wait"] == pytest.approx(2.1120541353252334e-5, rel=1e-9)
+
+    @pytest.mark.parametrize("rotation_s", [1e-5, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e10, 1e11])
+    def test_gate_time_is_the_direct_sum_beside_any_rotation(self, rotation_s):
+        # the conversion pulses and the wait are summed on their own: a total
+        # less the rotations would lose them to rounding beside long rotations
+        schedule = build_gate_schedule(1.4e5, 1e6, rotation_s)
+        down, wait, up = (step.duration_s for step in schedule.steps[1:4])
+        assert schedule.gate_s == down + wait + up
+        assert schedule.total_s == rotation_s + down + wait + up + rotation_s
+
+    def test_budget_runs_with_1e11_s_rotations(self, tmp_path):
+        text = resources.files("hybridgate").joinpath("data/paper.cfg").read_text()
+        long_text = text.replace("enabler_rotation_s = 3e-5", "enabler_rotation_s = 1e11")
+        assert long_text != text
+        config = tmp_path / "long.cfg"
+        config.write_text(long_text)
+        assert cli.main(["budget", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "budget_report.json").read_text())
+        assert report["gate_time_s"] == gate_run(load_scenario_text(text)).schedule.gate_s
 
     def test_empty_schedule(self):
         durations = GateSchedule(())
