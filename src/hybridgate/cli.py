@@ -36,16 +36,9 @@ class RunContext(Record):
     config_hash: str
 
     def table(self, name, columns, *series):
-        """Write a CSV table of float columns, one per series, to the output directory.
-
-        Raises DomainError naming the file, column and row (1 is the first after the
-        header) of the first nan or inf, before anything is written."""
-        data = np.column_stack(series)
-        if not np.isfinite(data).all():
-            row, col = np.argwhere(~np.isfinite(data))[0]
-            raise DomainError(f"{name}: {columns[col]} = {float(data[row, col])} in row {row + 1} "
-                              f"is not finite")
-        self._write(write_csv, name, columns, data, metadata_line(self.config_hash, self.seed))
+        """Write a CSV table of float columns, one per series, to the output directory."""
+        self._write(write_csv, name, columns, np.column_stack(series),
+                    metadata_line(self.config_hash, self.seed))
 
     def report(self, name, payload):
         """Write a JSON report to the output directory, led by the tool version,

@@ -3,8 +3,8 @@
 Numbers are formatted as scientific notation with 12 significant digits,
 the bytes of ``"%.11e"``, and every table starts with one metadata comment
 line (tool version, config hash, seed), so identical inputs produce
-byte-identical files. Reports are strict JSON: a nan or inf in one is an
-error, not a null.
+byte-identical files. Tables and reports hold finite numbers only: a nan or
+inf is an error, raised before the file is opened, and never a JSON null.
 
 Both writers rewrite an existing file in place: they open it without
 truncating, write the new bytes over the old and then cut the file to their
@@ -103,8 +103,9 @@ def write_csv(path, columns, rows, meta):
 
     Each block of rows takes one numpy pass for every value whose scaled
     mantissa y is certified (see the module docstring) and one ``"%.11e"``
-    batch for the rest. Rows that do not fit the columns raise DomainError
-    before the file is opened."""
+    batch for the rest. Rows that do not fit the columns, and a nan or inf
+    (the first one, by column and row, 1 the first after the header), raise
+    DomainError naming the file before it is opened."""
     ncols = len(columns)
     try:
         values = np.asarray(rows, dtype=float)
@@ -115,6 +116,11 @@ def write_csv(path, columns, rows, meta):
         raise DomainError(f"{os.path.basename(path)}: rows of shape {values.shape} do not fit "
                           f"{ncols} columns")
     values = values.reshape(-1, ncols)
+    # min and max are nan where any value is, and need no temporary the size of the table
+    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise DomainError(f"{os.path.basename(path)}: {columns[col]} = {float(values[row, col])} "
+                          f"in row {row + 1} is not finite")
     step = max(1, CSV_BLOCK // ncols)
     blocks = (_csv_body(values[i:i + step]) for i in range(0, len(values), step))
     _write_bytes(path, itertools.chain([f"{meta}\n{','.join(columns)}\n".encode("utf-8")], blocks))

@@ -12,7 +12,7 @@ import numpy as np
 # Called through their modules, not imported by name, so that wrapping a
 # module attribute (as a span tracer does) also covers the calls made here.
 from . import budget, dynamics, gate, hyperfine
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .record import Record, replace
 
 FD_STEP_G = 0.01
@@ -146,18 +146,21 @@ class GateRun(Record):
     fidelity: float
 
 
-def gate_schedule(scn):
-    """(induced dipole, omega_dd, schedule): the stage gate_run and the budget share;
-    DomainError names the [dipole] keys when omega_dd underflows, to 0 or so
-    far that the pi-phase wait pi/omega_dd is past float range."""
-    dip = scn.dipole
+def _dipole_rate(dip):
+    """(induced dipole, omega_dd); DomainError names the [dipole] keys if omega_dd underflows."""
     ind = gate.induced_dipole(dip)
     omega_dd = gate.dipole_dipole_rate(ind.mu_induced_debye, dip.separation_m)
-    if omega_dd == 0.0 or math.isinf(math.pi / omega_dd):
+    if omega_dd == 0.0 or math.isinf(math.pi / omega_dd):   # or the pi-phase wait is inf
         raise DomainError(
             f"[dipole] omega_dd = {omega_dd!r} rad/s underflows for mu_permanent_D = "
             f"{dip.mu_permanent_debye!r}, rotational_const_Hz = {dip.rotational_const_hz!r}, "
             f"e_dc_V_per_m = {dip.e_dc_v_per_m!r}, separation_r_m = {dip.separation_m!r}")
+    return ind, omega_dd
+
+
+def gate_schedule(scn):
+    """(induced dipole, omega_dd, schedule): the stage gate_run and the budget share."""
+    ind, omega_dd = _dipole_rate(scn.dipole)
     return ind, omega_dd, gate.build_gate_schedule(omega_dd, scn.gate.omega_r_rad_s,
                                                    scn.gate.enabler_rotation_s)
 
@@ -225,17 +228,14 @@ def sweep_curves(scn):
         sens = abs(_qubit_sensitivity(scn))
         return values, {"dephasing_time_s": [budget.dephasing_time(sens, s) for s in values]}
     if param == "omega_R_rad_s":
-        omega_dd = gate.dipole_dipole_rate(gate.induced_dipole(scn.dipole).mu_induced_debye,
-                                           scn.dipole.separation_m)
+        omega_dd = _dipole_rate(scn.dipole)[1]
         return values, {
             "pi_pulse_duration_s": [dynamics.pi_pulse_duration(dynamics.TwoLevelParams(w, 0.0))
                                     for w in values],
             "interaction_time_s": [gate.interaction_time_for_pi(omega_dd, w) for w in values]}
-    if param == "mu_permanent_D":
-        return values, {"omega_dd_rad_s": [gate.dipole_dipole_rate(
-            gate.induced_dipole(replace(scn.dipole, mu_permanent_debye=mu)).mu_induced_debye,
-            scn.dipole.separation_m) for mu in values]}
-    raise ConfigError(f"unknown sweep parameter {param!r}", key="[sweep] parameter")
+    return values, {"omega_dd_rad_s": [gate.dipole_dipole_rate(   # the last axis, mu_permanent_D
+        gate.induced_dipole(replace(scn.dipole, mu_permanent_debye=mu)).mu_induced_debye,
+        scn.dipole.separation_m) for mu in values]}
 
 
 # A check's kind: a figure of the paper, two of the model's own routes that

@@ -70,6 +70,11 @@ class LevelsConfig(Record):
     count: int = 101
     _bounds = {"b_min_gauss": ">= 0", "b_max_gauss": ">= 0", "count": ">= 1, <= 10000000"}
 
+    def __post_init__(self):
+        if self.count > 1 and not self.b_max_gauss > self.b_min_gauss:
+            raise ConfigError("b_max_G must exceed b_min_G for a multi-point grid",
+                              key="[levels] b_max_G")
+
 
 class SweepConfig(Record):
     parameter: str
@@ -77,6 +82,18 @@ class SweepConfig(Record):
     maximum: float
     count: int
     _bounds = {"minimum": None, "maximum": None, "count": ">= 2, <= 1000000"}
+
+    def __post_init__(self):
+        if not (section := SWEEP_PARAMETERS.get(self.parameter)):
+            raise ConfigError(f"unknown sweep parameter {self.parameter!r}; "
+                              f"choose one of {tuple(SWEEP_PARAMETERS)}", key="[sweep] parameter")
+        if not self.maximum > self.minimum:
+            raise ConfigError("max must exceed min", key="[sweep] max")
+        record, rows = _KEYS[section]
+        field = next(field for field, key in rows if key == self.parameter)
+        if record.bound_problem(field, self.minimum):   # every swept key's bound is a lower one
+            raise ConfigError(f"must be {record._bounds[field]}, the bound of [{section}] "
+                              f"{self.parameter}, got {self.minimum!r}", key="[sweep] min")
 
 
 class Scenario(Record):
@@ -271,23 +288,6 @@ def load_scenario_text(text):
     enabler = _atom_config(sections, "enabler", catalog, EnablerConfig)
     records = {name: _record(sections, name) for name in ("field", "raman", "stirap", "dipole",
                "gate", "noise", "readout", "levels", "sweep")}
-    levels, sweep = records["levels"], records["sweep"]
-    if levels.count > 1 and not levels.b_max_gauss > levels.b_min_gauss:
-        raise ConfigError("b_max_G must exceed b_min_G for a multi-point grid",
-                          key="[levels] b_max_G")
-
-    if sweep.parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(f"unknown sweep parameter {sweep.parameter!r}; "
-                          f"choose one of {tuple(SWEEP_PARAMETERS)}", key="[sweep] parameter")
-    if not sweep.maximum > sweep.minimum:
-        raise ConfigError("max must exceed min", key="[sweep] max")
-    section = SWEEP_PARAMETERS[sweep.parameter]
-    record, rows = _KEYS[section]
-    field = next(field for field, key in rows if key == sweep.parameter)
-    if record.bound_problem(field, sweep.minimum):
-        raise ConfigError(f"must be {record._bounds[field]}, the bound of [{section}] "
-                          f"{sweep.parameter}, got {sweep.minimum!r}", key="[sweep] min")
-
     unknown = [f"[{name}] {key}" for name, keys in sections.items() for key in keys]
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(unknown)}")

@@ -497,7 +497,7 @@ class TestExitCodes:
         assert err.startswith("hybridgate: ") and err.count("\n") == 1, err
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("subcommand", ["gate", "budget", "paper-repro"])
+    @pytest.mark.parametrize("subcommand", ["gate", "budget", "paper-repro", "sweep"])
     @pytest.mark.parametrize("key, value", [("mu_permanent_D", "1e-300"),
                                             ("e_dc_V_per_m", "1e-300"),
                                             ("rotational_const_Hz", "1e300"),
@@ -505,12 +505,17 @@ class TestExitCodes:
     def test_an_omega_dd_that_underflows_names_the_dipole_keys(self, tmp_path, capsys,
                                                                subcommand, key, value):
         # the induced dipole or its square underflows to 0 for a positive input;
-        # at 1e102 m omega_dd is subnormal, and pi/omega_dd, the wait, is inf
-        cfg = _write_config(tmp_path, _with_key(_bundled_text(), "dipole", key, value))
+        # at 1e102 m omega_dd is subnormal, and pi/omega_dd, the wait, is inf. sweep
+        # runs on the omega_R_rad_s axis, whose interaction times divide by omega_dd
+        text = (_sweep_text("omega_R_rad_s", 5e5, 5e6) if subcommand == "sweep"
+                else _bundled_text())
+        cfg = _write_config(tmp_path, _with_key(text, "dipole", key, value))
         assert cli.main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "[dipole]" in err, err
         assert f"{key} = {float(value)!r}" in err and "omega_dd must be > 0" not in err
+        assert all(f"{k} = " in err for k in ("mu_permanent_D", "rotational_const_Hz",
+                                              "e_dc_V_per_m", "separation_r_m")), err
 
     def test_sweep_writes_the_zeros_of_an_underflowing_omega_dd(self, tmp_path):
         cfg = _write_config(tmp_path, _with_key(_bundled_text(), "dipole", "mu_permanent_D",

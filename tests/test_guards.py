@@ -2,6 +2,7 @@
 naming the field, instead of flowing on into nan or all-zero results."""
 
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 
 from hybridgate.budget import NoiseModel, ramsey_contrast_mc
 from hybridgate.dynamics import LambdaParams, PulseEnvelope, TwoLevelParams, integrate_schrodinger
-from hybridgate.errors import DomainError
+from hybridgate.errors import ConfigError, DomainError
 from hybridgate.gate import DipoleParams
 from hybridgate.hyperfine import AtomSpecies
-from hybridgate.record import replace
-from hybridgate.scenario import load_scenario_text
+from hybridgate.record import fields, replace
+from hybridgate.scenario import _KEYS, load_scenario_text
 
 NAN, INF = math.nan, math.inf
 
@@ -59,7 +60,8 @@ def test_non_finite_or_non_integer_input_is_a_domain_error(build, field):
         build()
 
 
-SCN = load_scenario_text(resources.files("hybridgate").joinpath("data/paper.cfg").read_text())
+BUNDLED = resources.files("hybridgate").joinpath("data/paper.cfg").read_text()
+SCN = load_scenario_text(BUNDLED)
 
 
 # Each of these was a second copy of a bound, or a bound only the config loader
@@ -76,6 +78,33 @@ SCN = load_scenario_text(resources.files("hybridgate").joinpath("data/paper.cfg"
 def test_a_declared_bound_holds_however_the_record_is_built(build, field):
     with pytest.raises(DomainError, match=f"^{field} must be "):
         build()
+
+
+# A rule across the fields of [levels] or [sweep] was a check of the loader alone,
+# so that replace gave levels_run a falling grid and sweep a constant one.
+@pytest.mark.parametrize("section, changes, line", [
+    ("levels", {"b_min_gauss": 500.0, "b_max_gauss": 100.0, "count": 5},
+     "[levels] b_max_G: b_max_G must exceed b_min_G for a multi-point grid"),
+    ("sweep", {"maximum": 3e-7}, "[sweep] max: max must exceed min"),
+    ("sweep", {"minimum": -1e-7},
+     "[sweep] min: must be > 0, the bound of [dipole] separation_r_m, got -1e-07"),
+    ("sweep", {"parameter": "b_g"},
+     "[sweep] parameter: unknown sweep parameter 'b_g'; choose one of ('separation_r_m', "
+     "'b_G', 'sigma_B_G', 'omega_R_rad_s', 'mu_permanent_D')"),
+])
+def test_a_cross_field_rule_holds_however_the_record_is_built(section, changes, line):
+    text = BUNDLED
+    for field, key in _KEYS[section][1]:
+        if field in changes:   # the same change as config text, in [section] alone
+            head, header, body = text.partition(f"[{section}]\n")
+            text = head + header + re.sub(rf"(?m)^{key} = .*$", f"{key} = {changes[field]}",
+                                          body, count=1)
+    record = getattr(SCN, section)
+    for build in (lambda: load_scenario_text(text), lambda: replace(record, **changes),
+                  lambda: type(record)(**{**fields(record), **changes})):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == line
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int32(7)])
